@@ -2,13 +2,24 @@
 
 Gradients of P1 fields are constant per triangle and exact.  Second
 derivatives are recovered per vertex by a least-squares affine fit of the
-surrounding triangle gradients (patch recovery) whose 2x2 slope matrix,
+surrounding triangle gradients at their barycenters (superconvergent
+patch recovery, Zienkiewicz & Zhu 1992) whose 2x2 slope matrix,
 symmetrized, is the Hessian estimate.  The fit runs on the 2-ring patch:
 1-ring patches are too thin at boundary vertices (one-sided, so the fit
 amplifies the O(h) structure of interpolant gradients by 1/h) and too
 small at the 4-triangle interior vertices of the union-jack pattern.
-Vertices whose widened patch is still rank-deficient fall back to
-averaging the neighbours' recovered Hessians and are counted.
+
+All patches are fitted at once from the mesh's vertex-triangle incidence
+matrix A.  The 2-ring pattern is S = A A^T A with unit entries, and one
+sparse product S F, with F holding per triangle 1, the barycenter c, the
+products of c with itself and with the gradient g, and g, gives every
+patch's moment sums.  Eliminating the constant term of the normal
+equations leaves, per vertex, a 2x2 system in the patch-centred moments
+(centred on the patch mean, so no shift to the vertex is needed), solved
+in one batch.  Vertices whose patch has fewer than three triangles or
+collinear barycenters fall back to averaging the neighbours' recovered
+Hessians and are counted.  Callers that need the Hessian more than once
+recover it once per field and pass it on.
 """
 
 from __future__ import annotations
@@ -34,9 +45,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def __call__(self, _points):
-        raise NotImplementedError("pointwise evaluation not needed; use vertex values")
-
 
 def recover_gradient(field):
     """Per-triangle gradients, shape (n_triangles, 2).  Exact for P1."""
@@ -47,23 +55,16 @@ def recover_gradient(field):
 def nodal_gradient(field):
     """Area-weighted average of incident triangle gradients per vertex."""
     mesh = field.mesh
-    g = recover_gradient(field)
-    acc = np.zeros((mesh.n_vertices, 2))
-    wsum = np.zeros(mesh.n_vertices)
-    wg = g * mesh.areas[:, None]
-    for col in range(3):
-        np.add.at(acc, mesh.triangles[:, col], wg)
-        np.add.at(wsum, mesh.triangles[:, col], mesh.areas)
-    return acc / wsum[:, None]
+    inc = mesh.incidence()
+    wg = mesh.areas[:, None] * recover_gradient(field)
+    return (inc @ wg) / (inc @ mesh.areas)[:, None]
 
 
-def _fit_patch(centers, grads, origin):
-    """LS fit grads ~ a + J (x - origin); returns J or None if deficient."""
-    x = np.column_stack([np.ones(len(centers)), centers - origin])
-    sol, _, rank, _ = np.linalg.lstsq(x, grads, rcond=None)
-    if rank < 3:
-        return None
-    return sol[1:, :].T  # rows: d/dx, d/dy of each gradient component
+# Patch barycenters count as collinear when det(C) <= _COLLINEAR_RTOL tr(C)^2
+# for their centred second moments C, i.e. at an aspect ratio below ~1e-4.
+# Rounding in C is ~eps (R/w)^2 relative for a domain of radius R and patch
+# width w, so the test stays clear of it up to R/w ~ 1e3.
+_COLLINEAR_RTOL = 1e-8
 
 
 def recover_hessian(field, with_stats=False):
@@ -73,24 +74,34 @@ def recover_hessian(field, with_stats=False):
     the averaging fallback.
     """
     mesh = field.mesh
-    grads = recover_gradient(field)
-    patches = mesh.vertex_patches()
+    inc = mesh.incidence()
+    two_ring = inc @ inc.T @ inc
+    two_ring.data[:] = 1.0
+    # moments about the vertex centroid: centring on each patch mean below
+    # cancels digits in proportion to (distance from origin / patch size)^2
+    c = mesh.barycenters - mesh.vertices.mean(axis=0)
+    g = recover_gradient(field)
+    cx, cy = c[:, :1], c[:, 1:]
+    mom = two_ring @ np.hstack([np.ones_like(cx), c, cx * cx, cx * cy, cy * cy,
+                                g, cx * g, cy * g])
+    count = mom[:, 0]
+    mean_c = mom[:, 1:3] / count[:, None]
+    mean_g = mom[:, 6:8] / count[:, None]
+    second = mom[:, [3, 4, 4, 5]].reshape(-1, 2, 2)  # sum c_i c_j
+    cross = mom[:, 8:12].reshape(-1, 2, 2)           # sum c_i g_k
+    cov = second - count[:, None, None] * mean_c[:, :, None] * mean_c[:, None, :]
+    cov_g = cross - count[:, None, None] * mean_c[:, :, None] * mean_g[:, None, :]
+    trace = np.trace(cov, axis1=1, axis2=2)
+    fitted = (count >= 3) & (np.linalg.det(cov) > _COLLINEAR_RTOL * trace ** 2)
+
     hess = np.zeros((mesh.n_vertices, 2, 2))
-    needs_avg = []
-    for v in range(mesh.n_vertices):
-        ring = np.unique(mesh.triangles[patches[v]])
-        tris = np.unique(np.concatenate([patches[u] for u in ring]))
-        j = None
-        if len(tris) >= 3:
-            j = _fit_patch(mesh.barycenters[tris], grads[tris], mesh.vertices[v])
-        if j is None:
-            needs_avg.append(v)
-            continue
-        hess[v] = 0.5 * (j + j.T)
+    slope = np.linalg.solve(cov[fitted], cov_g[fitted])  # d g_k / d x_i
+    hess[fitted] = 0.5 * (slope + slope.transpose(0, 2, 1))
+    needs_avg = np.flatnonzero(~fitted)
     for v in needs_avg:
-        ring = np.setdiff1d(np.unique(mesh.triangles[patches[v]]), [v])
-        good = [u for u in ring if u not in needs_avg]
-        if good:
+        ring = np.unique(mesh.triangles[inc[v].indices])
+        good = ring[fitted[ring]]
+        if good.size:
             hess[v] = hess[good].mean(axis=0)
     if with_stats:
         return hess, len(needs_avg)
@@ -108,11 +119,10 @@ def boundary_normal_derivative(field, vertex):
     """Inner-normal derivative of the field at a boundary vertex.
 
     Area-weighted average of <grad u|_T, nu(v)> over triangles touching v;
-    positive means the field grows walking into the domain.
+    positive means the field grows walking into the domain.  ``vertex``
+    may be one index (returns a float) or an array of them (returns an
+    array).
     """
-    mesh = field.mesh
-    nu = mesh.inner_normal(vertex)
-    tris = mesh.vertex_patches()[vertex]
-    g = np.einsum("tv,tvd->td", field.values[mesh.triangles[tris]], mesh.basis_grads[tris])
-    w = mesh.areas[tris]
-    return float((g @ nu * w).sum() / w.sum())
+    nu = field.mesh.inner_normal(vertex)
+    slopes = np.einsum("...d,...d->...", nodal_gradient(field)[vertex], nu)
+    return float(slopes) if np.ndim(vertex) == 0 else slopes

@@ -19,6 +19,7 @@ import math
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericError
 from .finsler import FinslerNorm
@@ -114,7 +115,7 @@ class Mesh2D:
         self._interior_mask = np.ones(n, dtype=bool)
         self._interior_mask[self.boundary_vertices] = False
         self.boundary_normals = self._vertex_normals(b_edges, b_opposite)
-        self._vertex_tris = None
+        self._incidence = None
 
     def _vertex_normals(self, b_edges, b_opposite):
         p = self.vertices
@@ -143,21 +144,36 @@ class Mesh2D:
     def interior_mask(self):
         return self._interior_mask
 
+    def incidence(self):
+        """Vertex-triangle incidence, (n_vertices, n_triangles) CSR of ones.
+
+        Row v lists the triangles touching v in ascending order; every other
+        piece of connectivity (1-ring, 2-ring, vertex averages) is a product
+        of this matrix.
+        """
+        if self._incidence is None:
+            flat = self.triangles.ravel()
+            order = np.argsort(flat, kind="stable")
+            counts = np.bincount(flat, minlength=self.n_vertices)
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+            self._incidence = sp.csr_matrix((np.ones(flat.size), order // 3, indptr),
+                                            shape=(self.n_vertices, self.n_triangles))
+        return self._incidence
+
     def vertex_patches(self):
         """List of triangle-index arrays, one per vertex (1-ring)."""
-        if self._vertex_tris is None:
-            buckets = [[] for _ in range(self.n_vertices)]
-            for t, tri in enumerate(self.triangles):
-                for v in tri:
-                    buckets[v].append(t)
-            self._vertex_tris = [np.asarray(b, dtype=np.int64) for b in buckets]
-        return self._vertex_tris
+        inc = self.incidence()
+        return np.split(inc.indices.astype(np.int64), inc.indptr[1:-1])
 
     def inner_normal(self, vertex):
-        """Unit inner normal at a boundary vertex."""
-        pos = np.searchsorted(self.boundary_vertices, vertex)
-        if pos >= len(self.boundary_vertices) or self.boundary_vertices[pos] != vertex:
-            raise ValueError(f"vertex {vertex} is not on the boundary")
+        """Unit inner normal at a boundary vertex, or (k, 2) for an array of them."""
+        vertex = np.asarray(vertex)
+        bv = self.boundary_vertices
+        pos = np.minimum(np.searchsorted(bv, vertex), len(bv) - 1)
+        off = bv[pos] != vertex
+        if np.any(off):
+            bad = np.atleast_1d(vertex)[np.atleast_1d(off)].tolist()
+            raise ValueError(f"vertices {bad} are not on the boundary")
         return self.boundary_normals[pos]
 
     def contains(self, points):
@@ -180,22 +196,31 @@ def _cross(u, v):
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
+def _union_jack(a, b, c, d):
+    """Two triangles per quad (a, b, c, d), corners in cyclic order.
+
+    The corner arrays hold vertex ids, one entry per quad; quads are emitted
+    in row-major order and split along a-c where the quad index i + j is
+    even, along b-d where it is odd.
+    """
+    i, j = np.indices(a.shape)
+    even = ((i + j) % 2 == 0)[..., None]
+    first = np.where(even, np.stack([a, b, c], axis=-1), np.stack([a, b, d], axis=-1))
+    second = np.where(even, np.stack([a, c, d], axis=-1), np.stack([b, c, d], axis=-1))
+    return np.stack([first, second], axis=-2).reshape(-1, 3).astype(np.int64)
+
+
 def _grid_triangles(nx, ny):
     """Union-jack triangulation of an (nx+1) x (ny+1) vertex grid."""
-    def vid(i, j):
-        return i * (ny + 1) + j
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-    return np.asarray(tris, dtype=np.int64)
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    return _union_jack(vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:])
+
+
+def _annulus_triangles(n_r, n_t):
+    """Union-jack triangulation of n_r + 1 rings of n_t vertices, closed
+    around the angle by mapping column n_t back onto column 0."""
+    vid = np.arange(n_r + 1)[:, None] * n_t + np.arange(n_t + 1)[None, :] % n_t
+    return _union_jack(vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1])
 
 
 def _rectangle_mesh(a, b, h):
@@ -249,21 +274,7 @@ def _annulus_mesh(norm, radius, center, h):
         scale = 1.0 / hd.eval(d)
         verts = (r[:, None, None] * (d * scale[:, None])[None, :, :]).reshape(-1, 2)
         verts += np.asarray(center, dtype=float)
-
-        def vid(i, j):
-            return i * n_t + (j % n_t)
-        tris = []
-        for i in range(n_r):
-            for j in range(n_t):
-                a, b = vid(i, j), vid(i, j + 1)
-                c, dd = vid(i + 1, j + 1), vid(i + 1, j)
-                if (i + j) % 2 == 0:
-                    tris.append((a, b, c))
-                    tris.append((a, c, dd))
-                else:
-                    tris.append((a, b, dd))
-                    tris.append((b, c, dd))
-        mesh = Mesh2D(verts, np.asarray(tris, dtype=np.int64))
+        mesh = Mesh2D(verts, _annulus_triangles(n_r, n_t))
         if mesh.h <= h:
             return mesh
         grow = mesh.h / h

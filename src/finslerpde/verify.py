@@ -121,14 +121,18 @@ def _kernel_sup(mesh, density, gamma, y_samples):
     return best
 
 
-def weighted_hessian_integral(u, material, beta=0.0, gamma=0.0, y_samples=None):
-    """sup_y of the quadrature of (k+|grad u|)^(p-2-beta) |D2 u|^2 / |x-y|^gamma."""
+def weighted_hessian_integral(u, material, beta=0.0, gamma=0.0, y_samples=None, hess=None):
+    """sup_y of the quadrature of (k+|grad u|)^(p-2-beta) |D2 u|^2 / |x-y|^gamma.
+
+    ``hess`` is ``hessian_at_barycenters(u)`` when the caller already has it.
+    """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     _check_gamma(gamma)
     grads = recover_gradient(u)
     gnorm = np.linalg.norm(grads, axis=1)
-    hess = hessian_at_barycenters(u)
+    if hess is None:
+        hess = hessian_at_barycenters(u)
     hnorm2 = np.einsum("tij,tij->t", hess, hess)
     weight = (material.k + gnorm) ** (material.p - 2.0 - beta)
     return _kernel_sup(u.mesh, weight * hnorm2, gamma, y_samples)
@@ -151,13 +155,17 @@ def critical_set_fraction(u, eps_grad):
     return float(u.mesh.areas[gnorm < eps_grad].sum() / u.mesh.areas.sum())
 
 
-def sobolev_scan(u, material, q_grid):
-    """Quadratures of |D2 u|^q for each q; pairs (q, integral)."""
+def sobolev_scan(u, material, q_grid, hess=None):
+    """Quadratures of |D2 u|^q for each q; pairs (q, integral).
+
+    ``hess`` is ``hessian_at_barycenters(u)`` when the caller already has it.
+    """
     q_grid = [float(q) for q in q_grid]
     for q in q_grid:
         if not 1.0 < q <= 4.0:
             raise ValueError(f"q must lie in (1, 4], got {q}")
-    hess = hessian_at_barycenters(u)
+    if hess is None:
+        hess = hessian_at_barycenters(u)
     hnorm = np.sqrt(np.einsum("tij,tij->t", hess, hess))
     return [(q, float((u.mesh.areas * hnorm ** q).sum())) for q in q_grid]
 
@@ -197,7 +205,7 @@ def hopf_check(u, h, material, source, radius, m, tol=1e-10):
     """
     mesh = u.mesh
     bvs = mesh.boundary_vertices
-    slopes = np.array([boundary_normal_derivative(u, v) for v in bvs])
+    slopes = boundary_normal_derivative(u, bvs)
     span = float(np.ptp(u.values)) or 1.0
     zero_data = np.abs(u.values[bvs]) <= 1e-9 * span
     if not np.any(zero_data):
@@ -245,7 +253,9 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
     The critical-set threshold scales with the mesh (eps_grad = h/2), so
     the fraction tracks the area where the discrete gradient is small at
     the resolvable scale rather than a fixed tiny set.  ``hopf`` is an
-    optional (radius, m) pair checked on the finest field.
+    optional (radius, m) pair checked on the finest field.  The Hessian
+    is recovered once per level and shared by the weighted Hessian
+    integral and, on the finest level, the Sobolev scan.
     """
     h_levels = [h_coarsest / 2 ** i for i in range(levels)]
     fields, reports, rows = [], [], []
@@ -254,7 +264,8 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
         mesh = build_domain(dom, h)
         field, report = solve(mesh, material, norm, source, options=options)
         y_samples = sample_sup_points(mesh) if gamma != 0.0 else None
-        hess_int = weighted_hessian_integral(field, material, beta, gamma, y_samples)
+        hess = hessian_at_barycenters(field)
+        hess_int = weighted_hessian_integral(field, material, beta, gamma, y_samples, hess)
         w_int = weight_integral(field, material, t, gamma, y_samples)
         frac = critical_set_fraction(field, 0.5 * h)
         fields.append(field)
@@ -270,7 +281,7 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
         weight_integral_sup=per_refinement[-1][2],
         per_refinement=per_refinement,
         critical_fraction=rows[-1]["critical_fraction"],
-        sobolev=sobolev_scan(finest, material, q_grid),
+        sobolev=sobolev_scan(finest, material, q_grid, hess),
     )
     hopf_report = None
     if hopf is not None:

@@ -1,13 +1,62 @@
 import numpy as np
 import pytest
 
-from finslerpde import (DomainSpec, Mesh2D, ScalarField, boundary_normal_derivative,
-                        build_domain, hessian_at_barycenters, nodal_gradient,
-                        recover_gradient, recover_hessian)
+from finslerpde import (DomainSpec, FinslerNorm, MaterialProfile, Mesh2D, ScalarField,
+                        boundary_normal_derivative, build_domain, fields,
+                        hessian_at_barycenters, nodal_gradient, recover_gradient,
+                        recover_hessian, refinement_study)
 
 
 def interpolate(mesh, fun):
     return ScalarField(mesh, fun(mesh.vertices[:, 0], mesh.vertices[:, 1]))
+
+
+def smooth(x, y):
+    return np.sin(2.0 * x) * np.cos(3.0 * y) + x ** 3 - x * y * y
+
+
+def loop_patches(mesh):
+    buckets = [[] for _ in range(mesh.n_vertices)]
+    for t, tri in enumerate(mesh.triangles):
+        for v in tri:
+            buckets[v].append(t)
+    return [np.asarray(b, dtype=np.int64) for b in buckets]
+
+
+def loop_recover_hessian(field):
+    """Reference per-vertex lstsq patch recovery; returns (hess, fallbacks)."""
+    mesh = field.mesh
+    grads = recover_gradient(field)
+    patches = loop_patches(mesh)
+    hess = np.zeros((mesh.n_vertices, 2, 2))
+    needs_avg = []
+    for v in range(mesh.n_vertices):
+        ring = np.unique(mesh.triangles[patches[v]])
+        tris = np.unique(np.concatenate([patches[u] for u in ring]))
+        if len(tris) >= 3:
+            x = np.column_stack([np.ones(len(tris)), mesh.barycenters[tris] - mesh.vertices[v]])
+            sol, _, rank, _ = np.linalg.lstsq(x, grads[tris], rcond=None)
+            if rank == 3:
+                hess[v] = 0.5 * (sol[1:, :] + sol[1:, :].T)
+                continue
+        needs_avg.append(v)
+    for v in needs_avg:
+        ring = np.setdiff1d(np.unique(mesh.triangles[patches[v]]), [v])
+        good = [u for u in ring if u not in needs_avg]
+        if good:
+            hess[v] = hess[good].mean(axis=0)
+    return hess, len(needs_avg)
+
+
+def loop_nodal_gradient(field):
+    mesh = field.mesh
+    acc = np.zeros((mesh.n_vertices, 2))
+    wsum = np.zeros(mesh.n_vertices)
+    wg = recover_gradient(field) * mesh.areas[:, None]
+    for col in range(3):
+        np.add.at(acc, mesh.triangles[:, col], wg)
+        np.add.at(wsum, mesh.triangles[:, col], mesh.areas)
+    return acc / wsum[:, None]
 
 
 class TestGradient:
@@ -17,6 +66,11 @@ class TestGradient:
         grads = recover_gradient(field)
         assert np.allclose(grads, [1.0, 2.0], atol=1e-12)
         assert np.allclose(nodal_gradient(field), [1.0, 2.0], atol=1e-12)
+
+    def test_nodal_matches_add_at_reference(self):
+        field = interpolate(build_domain(DomainSpec(kind="disk", radius=1.0), 0.1), smooth)
+        ref = loop_nodal_gradient(field)
+        assert np.abs(nodal_gradient(field) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_quadratic_converges(self):
         errs = []
@@ -74,6 +128,43 @@ class TestHessian:
         assert fallback == 3
         assert np.all(hess == 0.0)
 
+    @pytest.mark.parametrize("dom, h", [
+        (DomainSpec(kind="disk", radius=1.0), 0.05),
+        (DomainSpec(kind="rectangle"), 0.05),
+        (DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+        (DomainSpec(kind="annulus_wulff", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+    ], ids=["disk", "rectangle", "lp4_ball", "lp4_annulus"])
+    def test_matches_loop_reference(self, dom, h):
+        field = interpolate(build_domain(dom, h), smooth)
+        ref, ref_fallbacks = loop_recover_hessian(field)
+        hess, fallbacks = recover_hessian(field, with_stats=True)
+        assert fallbacks == ref_fallbacks == 0
+        assert np.abs(hess - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("verts, tris", [
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]]),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2], [1, 3, 2]]),
+    ], ids=["one_triangle", "two_triangles"])
+    def test_fallbacks_match_loop_reference(self, verts, tris):
+        mesh = Mesh2D(np.array(verts), np.array(tris))
+        field = ScalarField(mesh, np.arange(mesh.n_vertices, dtype=float) ** 2)
+        ref, ref_fallbacks = loop_recover_hessian(field)
+        hess, fallbacks = recover_hessian(field, with_stats=True)
+        assert fallbacks == ref_fallbacks == mesh.n_vertices
+        assert np.array_equal(hess, ref)
+
+    def test_study_recovers_once_per_field(self, euclid, unit_source, monkeypatch):
+        calls = []
+        original = fields.recover_hessian
+
+        def counted(field, with_stats=False):
+            calls.append(id(field))
+            return original(field, with_stats=with_stats)
+        monkeypatch.setattr(fields, "recover_hessian", counted)
+        refinement_study(DomainSpec(kind="disk", radius=1.0), MaterialProfile(p=2.0),
+                         euclid, unit_source, h_coarsest=0.3, levels=2)
+        assert len(calls) == len(set(calls)) == 2
+
     def test_barycenter_average_shape(self, torsion_coarse):
         field, _ = torsion_coarse
         hb = hessian_at_barycenters(field)
@@ -95,9 +186,13 @@ class TestBoundaryDerivative:
         vals = [boundary_normal_derivative(field, v)
                 for v in field.mesh.boundary_vertices]
         assert np.allclose(vals, 0.5, atol=0.05)
+        batch = boundary_normal_derivative(field, field.mesh.boundary_vertices)
+        assert np.allclose(batch, vals, rtol=1e-14, atol=0.0)
 
     def test_interior_vertex_rejected(self, torsion_coarse):
         field, _ = torsion_coarse
         interior = int(np.flatnonzero(field.mesh.interior_mask)[0])
         with pytest.raises(ValueError):
             boundary_normal_derivative(field, interior)
+        with pytest.raises(ValueError):
+            boundary_normal_derivative(field, [field.mesh.boundary_vertices[0], interior])

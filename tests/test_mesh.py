@@ -2,6 +2,23 @@ import numpy as np
 import pytest
 
 from finslerpde import DomainSpec, FinslerNorm, Mesh2D, build_domain
+from finslerpde.mesh import _annulus_triangles, _grid_triangles
+
+
+def loop_union_jack(n_i, n_j, vid, corners):
+    """Reference triangle loop: quads (i, j) in row-major order, corners
+    a, b, c, d from ``corners(i, j)``, split a-c on even i + j, else b-d."""
+    tris = []
+    for i in range(n_i):
+        for j in range(n_j):
+            a, b, c, d = (vid(*q) for q in corners(i, j))
+            if (i + j) % 2 == 0:
+                tris.append((a, b, c))
+                tris.append((a, c, d))
+            else:
+                tris.append((a, b, d))
+                tris.append((b, c, d))
+    return np.asarray(tris, dtype=np.int64)
 
 
 class TestRectangle:
@@ -66,6 +83,29 @@ class TestWulffDomains:
     def test_norm_required(self):
         with pytest.raises(ValueError):
             DomainSpec(kind="wulff_ball", radius=1.0)
+
+
+class TestTriangulation:
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 3), (4, 2), (5, 7)])
+    def test_grid_matches_loop(self, nx, ny):
+        ref = loop_union_jack(nx, ny, lambda i, j: i * (ny + 1) + j,
+                              lambda i, j: ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)))
+        tris = _grid_triangles(nx, ny)
+        assert tris.dtype == np.int64
+        assert np.array_equal(tris, ref)
+
+    def test_annulus_matches_loop(self):
+        n_r, n_t = 3, 10
+        ref = loop_union_jack(n_r, n_t, lambda i, j: i * n_t + j % n_t,
+                              lambda i, j: ((i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j)))
+        assert np.array_equal(_annulus_triangles(n_r, n_t), ref)
+
+    def test_patches_are_ascending_one_rings(self):
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
+        patches = mesh.vertex_patches()
+        assert len(patches) == mesh.n_vertices
+        for v, patch in enumerate(patches):
+            assert np.array_equal(patch, np.flatnonzero((mesh.triangles == v).any(axis=1)))
 
 
 class TestMeshIntegrity:

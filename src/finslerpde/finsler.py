@@ -407,7 +407,7 @@ def wulff_boundary(h, center=(0.0, 0.0), radius=1.0, n_samples=512, norm_side="H
     """Trace {N(x - center) = radius} at n_samples angles (dim 2).
 
     N is the dual norm for the default side, the primal norm otherwise.
-    Each point is found by bisection on t -> N(t d(theta)) - radius.
+    N is 1-homogeneous, so the point along direction d is radius d / N(d).
     """
     if h.dim != 2:
         raise ValueError("boundary tracing is implemented for dim 2 only")
@@ -419,22 +419,7 @@ def wulff_boundary(h, center=(0.0, 0.0), radius=1.0, n_samples=512, norm_side="H
     center = np.asarray(center, dtype=float)
     thetas = np.arange(n_samples) * (2.0 * np.pi / n_samples)
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    t_lo = np.zeros(n_samples)
-    t_hi = np.ones(n_samples)
-    for _ in range(200):
-        vals = n.eval(t_hi[:, None] * dirs)
-        low = vals < radius
-        if not np.any(low):
-            break
-        t_hi[low] *= 2.0
-    else:
-        raise NumericError("bracket expansion for boundary tracing failed")
-    for _ in range(100):
-        mid = 0.5 * (t_lo + t_hi)
-        inside = n.eval(mid[:, None] * dirs) < radius
-        t_lo = np.where(inside, mid, t_lo)
-        t_hi = np.where(inside, t_hi, mid)
-    t = 0.5 * (t_lo + t_hi)
+    t = radius / n.eval(dirs)
     pts = center[None, :] + t[:, None] * dirs
     resid = np.abs(n.eval(pts - center[None, :]) - radius).max()
     if resid > TOL_SHAPE * max(1.0, radius):

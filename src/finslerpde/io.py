@@ -6,7 +6,6 @@ decimal separator so that identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 
@@ -14,17 +13,23 @@ import numpy as np
 
 from .fields import nodal_gradient
 
-
-def fmt(value):
-    return "%.17g" % float(value)
+_BLOCK_ROWS = 2048
 
 
 def _write_rows(path, header, rows):
+    """CSV in csv's default dialect: comma-separated, CRLF line ends.
+
+    Neither the header names nor the formatted numbers need quoting, so each
+    row is one ``%`` format over the row's Python floats.  Rows are formatted
+    in blocks, which keeps the text held in memory small for large tables.
+    """
+    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(values), _BLOCK_ROWS):
+            block = values[start:start + _BLOCK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
 
 
 def write_field_csv(path, field):

@@ -19,20 +19,24 @@ differentiated.  Two modes:
   central value w(0) and the terminal condition is the boundary value.
 
 Integration is classical 4-stage Runge-Kutta on 4096 uniform steps.
-Phi is inverted in closed form for power-law profiles and by scalar
-bisection otherwise.  In ball mode q(0) = 0 makes Phi^{-1}(Psi/q)
-indeterminate at the center, so integration starts at rho0 = R * 1e-6
-with the series value Psi(rho0) = -f(w(0)) rho0^n / n; the exact center
-point (w(0), w'(0) = 0) is prepended to the returned grid.
+The shooting parameter is bracketed geometrically and then found by
+Brent's method, each trial being one full march.  Phi is inverted in
+closed form for power-law profiles and by scalar bisection otherwise.
+In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
+center, so integration starts at rho0 = R * 1e-6 with the series value
+Psi(rho0) = -f(w(0)) rho0^n / n; the exact center point
+(w(0), w'(0) = 0) is prepended to the returned grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import NumericError
 from .fields import ScalarField
@@ -42,6 +46,7 @@ N_STEPS = 4096
 _SLOPE_MIN, _SLOPE_MAX = 1e-12, 1e6
 _W_CAP = 1e12  # treat profiles beyond this as diverged (Keller-Osserman trials)
 _CENTER_CUT = 1e-6  # ball mode starts at R * this
+_RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance brentq accepts
 
 
 @dataclasses.dataclass
@@ -80,6 +85,10 @@ class BarrierProfile:
     interior; shoot_slope is the converged boundary slope w'(0).  In
     ball mode the same container holds the decreasing profile from the
     central maximum, with shoot_slope = w'(0) = 0 at the center.
+    ``marches`` counts the RK4 marches that produced the profile (the
+    final integration included) and ``bracket`` is the shooting
+    parameter interval the root was sought in; a plain ``integrate``
+    has one march and no bracket.
     """
 
     grid: np.ndarray
@@ -89,6 +98,8 @@ class BarrierProfile:
     mode: str
     radius: float
     n: int
+    marches: int = 1
+    bracket: Optional[tuple] = None
 
     @property
     def central_value(self):
@@ -231,19 +242,25 @@ def integrate(problem, start, n_steps=N_STEPS):
 
 
 def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
-    """Find the profile hitting w(end) = target_m by monotone bisection.
+    """Find the profile hitting w(end) = target_m by bracketed root finding.
 
-    Barrier mode bisects the boundary slope (target_m > 0); ball mode
-    bisects the central value (target_m >= 0, typically 0 for Dirichlet
+    Barrier mode solves for the boundary slope (target_m > 0); ball mode
+    for the central value (target_m >= 0, typically 0 for Dirichlet
     data).  The bracket grows geometrically from [1e-6, 1]; slopes
-    outside [1e-12, 1e6] raise NumericError.
+    outside [1e-12, 1e6] raise NumericError.  Brent's method then finds
+    the parameter to a relative accuracy of 4 ulp, and the integrated
+    profile must hit the target within tol.
     """
     if problem.mode == "barrier" and target_m <= 0:
         raise ValueError("barrier mode needs target_m > 0")
     if problem.mode == "ball" and target_m < 0:
         raise ValueError("ball mode needs target_m >= 0")
 
+    marches = 0
+
     def hit(s):
+        nonlocal marches
+        marches += 1
         ws, _ = _march(problem, s, n_steps)
         return math.inf if ws is None else float(ws[-1])
 
@@ -264,13 +281,15 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
                 f"slope {_SLOPE_MAX:.0e}")
         hit_hi = hit(hi)
 
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hit(mid) < target_m:
-            lo = mid
-        else:
-            hi = mid
-    profile = integrate(problem, 0.5 * (lo + hi), n_steps)
+    # Diverged trials are capped so brentq sees finite values of the right
+    # sign.  xtol stays below rtol * lo over the whole slope range, so the
+    # relative tolerance governs.  A root brentq does not converge on is
+    # left to the tol check on the integrated profile.
+    root = brentq(lambda s: min(hit(s), _W_CAP) - target_m, lo, hi,
+                  xtol=_RTOL * _SLOPE_MIN, rtol=_RTOL, disp=False)
+    profile = integrate(problem, root, n_steps)
+    profile.marches = marches + 1
+    profile.bracket = (lo, hi)
     missed = abs(float(profile.w[-1]) - target_m)
     if missed > tol:
         raise NumericError(f"shooting missed the target by {missed:.3e} (tol {tol:.1e})")

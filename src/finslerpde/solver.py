@@ -15,12 +15,15 @@ to C1_est (k + eps_grad)^(p-2) I; elsewhere the structural lower bound
 keeps the tensor positive definite on its own.  Tangent systems go to
 conjugate gradients with Jacobi preconditioning; if CG stalls or returns
 an ascent direction the step falls back to preconditioned steepest
-descent.  The initial iterate solves the Euclidean p = 2 problem.
+descent.  The initial iterate solves the Euclidean p = 2 problem; if CG
+fails there, Newton starts from zero interior values, a warning is logged
+and the report keeps the CG status.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +35,8 @@ from scipy.interpolate import CubicHermiteSpline
 from .errors import NonconvergenceError
 from .fields import ScalarField
 from .material import check_source_signs, check_structural_bounds, linearized_tensor
+
+logger = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass
@@ -57,6 +62,7 @@ class SolveReport:
     h: float
     n_vertices: int
     n_triangles: int
+    init_cg_info: int  # CG status of the initial p = 2 solve; nonzero starts from zero
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -215,9 +221,12 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     rhs = np.zeros(mesh.n_vertices)
     np.add.at(rhs, mesh.triangles.ravel(), np.repeat(mesh.areas * fbar / 3.0, 3))
     rhs_i = rhs[interior] - k0[interior][:, ~interior] @ values[~interior]
-    init, info = _cg_solve(k0[interior][:, interior], rhs_i, opts.cg_rtol)
-    if info == 0:
+    init, init_info = _cg_solve(k0[interior][:, interior], rhs_i, opts.cg_rtol)
+    if init_info == 0:
         values[interior] = init
+    else:
+        logger.warning("initial Laplacian solve failed (CG info %d); "
+                       "Newton starts from zero interior values", init_info)
 
     energy = problem.energy(values)
     history = [energy]
@@ -264,13 +273,15 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         if not accepted:
             field = ScalarField(mesh, values)
             report = _make_report(problem, values, iterations, history,
-                                  final_residual, converged=False)
+                                  final_residual, converged=False,
+                                  init_cg_info=init_info)
             raise NonconvergenceError(
                 f"line search failed after {iterations} accepted steps "
                 f"(residual {final_residual:.3e})", last_iterate=field, report=report)
 
     field = ScalarField(mesh, values)
-    report = _make_report(problem, values, iterations, history, final_residual, converged)
+    report = _make_report(problem, values, iterations, history, final_residual,
+                          converged, init_info)
     if not converged:
         raise NonconvergenceError(
             f"no convergence in {opts.max_iter} iterations "
@@ -278,7 +289,8 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     return field, report
 
 
-def _make_report(problem, values, iterations, history, final_residual, converged):
+def _make_report(problem, values, iterations, history, final_residual, converged,
+                 init_cg_info):
     g = problem.grads(values)
     gnorm = np.linalg.norm(g, axis=1)
     frac = float(np.count_nonzero(gnorm < problem.opts.eps_grad) / len(gnorm))
@@ -292,4 +304,5 @@ def _make_report(problem, values, iterations, history, final_residual, converged
         h=problem.mesh.h,
         n_vertices=problem.mesh.n_vertices,
         n_triangles=problem.mesh.n_triangles,
+        init_cg_info=int(init_cg_info),
     )

@@ -56,6 +56,8 @@ class HopfReport:
     comparison_violation: float  # most negative u - v over annulus nodes
     contact_vertex: int
     center: tuple
+    marches: int              # RK4 marches of the barrier shot, final one included
+    bracket: tuple            # boundary-slope interval the shot searched
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -233,6 +235,8 @@ def hopf_check(u, h, material, source, radius, m, tol=1e-10):
         comparison_violation=violation,
         contact_vertex=contact,
         center=(float(center[0]), float(center[1])),
+        marches=profile.marches,
+        bracket=profile.bracket,
     )
 
 

@@ -9,7 +9,8 @@ from finslerpde import ConfigError
 from finslerpde.cli import main
 from finslerpde.config import (build_material, build_norm, build_source,
                                load_config, parse_overrides)
-from finslerpde.io import config_sha256, write_json
+from finslerpde import io
+from finslerpde.io import _write_rows, config_sha256, write_json
 
 
 def write_config(path, body):
@@ -170,6 +171,11 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[1]["h"]) == pytest.approx(0.1)
+        with open(os.path.join(out, "hopf_report.json")) as fh:
+            hopf = json.load(fh)
+        assert 3 <= hopf["marches"] <= 12
+        lo, hi = hopf["bracket"]
+        assert lo < hi
 
 
 class TestIo:
@@ -184,3 +190,24 @@ class TestIo:
     def test_sha_is_of_raw_bytes(self):
         assert config_sha256(b"{}") == config_sha256(b"{}")
         assert config_sha256(b"{} ") != config_sha256(b"{}")
+
+    def test_csv_rows_match_csv_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 2)  # five rows span three blocks
+        header = ["a", "b", "c"]
+        rows = np.array([[np.nan, np.inf, -np.inf],
+                         [-0.0, 0.0, 1e300],
+                         [5e-324, -5e-324, 0.1],
+                         [1.0, -7.0, 2.0 ** 60],
+                         [1.0 / 3.0, -2.5e-17, 123456789.0]])
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(["%.17g" % float(v) for v in row])
+        out = tmp_path / "out.csv"
+        _write_rows(str(out), header, rows)
+        assert out.read_bytes() == ref.read_bytes()
+        # integer rows given as lists format like their float values
+        _write_rows(str(out), header, [[1, -7, 2 ** 60]])
+        assert out.read_bytes().splitlines()[1] == b"1,-7,1.152921504606847e+18"

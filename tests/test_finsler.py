@@ -134,7 +134,38 @@ class TestEllipticity:
         assert lam == pytest.approx(1.0, abs=1e-9)
 
 
+def _wulff_bisection(n, dirs, radius):
+    """The bracket-then-bisect tracer that homogeneity replaced."""
+    t_lo = np.zeros(len(dirs))
+    t_hi = np.ones(len(dirs))
+    for _ in range(200):
+        low = n.eval(t_hi[:, None] * dirs) < radius
+        if not np.any(low):
+            break
+        t_hi[low] *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (t_lo + t_hi)
+        inside = n.eval(mid[:, None] * dirs) < radius
+        t_lo = np.where(inside, mid, t_lo)
+        t_hi = np.where(inside, t_hi, mid)
+    return 0.5 * (t_lo + t_hi)[:, None] * dirs
+
+
 class TestWulff:
+    @pytest.mark.parametrize("norm", [FinslerNorm.lp(4.0, 2),
+                                      FinslerNorm.ellipsoidal(np.diag([4.0, 1.0]))],
+                             ids=["lp4", "ellipsoidal"])
+    @pytest.mark.parametrize("side", ["H", "H_dual"])
+    def test_matches_bisection_tracer(self, norm, side):
+        center = np.array([0.3, -0.2])
+        shape = wulff_boundary(norm, center=center, radius=2.5, n_samples=256,
+                               norm_side=side)
+        dirs = np.column_stack([np.cos(shape.thetas), np.sin(shape.thetas)])
+        ref = _wulff_bisection(norm.dual if side == "H_dual" else norm, dirs, 2.5)
+        offset = shape.boundary - center
+        err = np.linalg.norm(offset - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert err.max() <= 1e-14
+
     def test_euclidean_circle(self):
         shape = wulff_boundary(FinslerNorm.euclidean(2), radius=1.0)
         assert np.allclose(np.linalg.norm(shape.boundary, axis=1), 1.0, atol=1e-10)

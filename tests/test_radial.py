@@ -6,14 +6,66 @@ import pytest
 from finslerpde import (DomainSpec, MaterialProfile, NumericError, RadialProblem,
                         build_domain, evaluate, hopf_margin, lift, ode_residual,
                         shoot)
+from finslerpde import radial
+from finslerpde.radial import integrate
 from conftest import const_source
+
+
+def shoot_counted(prob, target_m):
+    """shoot() with every RK4 march counted; returns (profile, marches)."""
+    starts = []
+    march = radial._march
+
+    def counted(problem, start, n_steps):
+        starts.append(start)
+        return march(problem, start, n_steps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial, "_march", counted)
+        prof = shoot(prob, target_m)
+    return prof, len(starts)
+
+
+def shoot_bisection(prob, target_m, n_steps):
+    """Reference: the geometric bracket, then 80 fixed bisection steps."""
+    def hit(s):
+        ws, _ = radial._march(prob, s, n_steps)
+        return math.inf if ws is None else float(ws[-1])
+
+    lo, hi = 1e-6, 1.0
+    while hit(lo) > target_m:
+        lo *= 0.25
+    while hit(hi) < target_m:
+        hi *= 4.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if hit(mid) < target_m:
+            lo = mid
+        else:
+            hi = mid
+    return integrate(prob, 0.5 * (lo + hi), n_steps)
+
+
+def ball(p, k=0.0):
+    kind = "shifted" if k else "power"
+    return RadialProblem(material=MaterialProfile(p=p, k=k, kind=kind),
+                         source=const_source(), radius=1.0, mode="ball")
+
+
+def barrier():
+    return RadialProblem(material=MaterialProfile(p=2.0), source=const_source(),
+                         radius=1.0, mode="barrier")
 
 
 @pytest.fixture(scope="module")
 def barrier_p2(euclid):
-    prob = RadialProblem(material=MaterialProfile(p=2.0),
-                         source=const_source(), radius=1.0, mode="barrier")
+    prob = barrier()
     return prob, shoot(prob, target_m=0.1)
+
+
+@pytest.fixture(scope="module")
+def shifted_ball():
+    return shoot_counted(ball(3.0, k=0.5), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -92,11 +144,9 @@ class TestBall:
         prof = shoot(prob, target_m=0.0)
         assert prof.central_value == pytest.approx(1.0 / 6.0, abs=1e-8)
 
-    def test_shifted_profile_center(self, unit_source):
+    def test_shifted_profile_center(self, shifted_ball):
         # (k + t) t = rho/2 with k = 1/2 integrates to w(0) = 7/24
-        prob = RadialProblem(material=MaterialProfile(p=3.0, k=0.5, kind="shifted"),
-                             source=unit_source, radius=1.0, mode="ball")
-        prof = shoot(prob, target_m=0.0)
+        prof, _ = shifted_ball
         assert prof.central_value == pytest.approx(7.0 / 24.0, abs=1e-6)
 
 
@@ -141,12 +191,59 @@ class TestHopf:
             hopf_margin(prof)
 
 
+class TestShootRoot:
+    @pytest.mark.parametrize("prob, target", [(barrier(), 0.1), (ball(3.0), 0.0)],
+                             ids=["barrier_p2", "ball_p3"])
+    def test_few_marches_per_shot(self, prob, target):
+        prof, marches = shoot_counted(prob, target)
+        assert prof.marches == marches <= 12
+        assert prof.bracket == (1e-6, 1.0)
+
+    def test_few_marches_shifted(self, shifted_ball):
+        prof, marches = shifted_ball
+        assert prof.marches == marches <= 12
+
+    def test_integrate_is_one_march(self):
+        prof = integrate(barrier(), 0.3)
+        assert prof.marches == 1 and prof.bracket is None
+
+    # a coarse grid keeps the 83-march reference cheap; the root finder is
+    # what is compared, not the discretisation
+    def test_barrier_slope_matches_bisection(self):
+        prob = barrier()
+        ref = shoot_bisection(prob, 0.1, n_steps=512)
+        prof = shoot(prob, 0.1, n_steps=512)
+        assert prof.shoot_slope == pytest.approx(ref.shoot_slope, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_ball_center_matches_bisection(self, p):
+        prob = ball(p)
+        ref = shoot_bisection(prob, 0.0, n_steps=512)
+        prof = shoot(prob, 0.0, n_steps=512)
+        assert prof.central_value == pytest.approx(ref.central_value, rel=1e-13)
+
+    def test_diverged_trials_keep_the_root(self, barrier_p2, monkeypatch):
+        # trials above the threshold diverge; the bracket top is one of them
+        march = radial._march
+        monkeypatch.setattr(radial, "_march", lambda prob, s, n: (
+            (None, None) if s > 0.5 else march(prob, s, n)))
+        prob, ref = barrier_p2
+        prof = shoot(prob, 0.1)
+        assert prof.bracket == (1e-6, 1.0)
+        assert prof.shoot_slope == pytest.approx(ref.shoot_slope, rel=1e-13)
+
+
 class TestShootFailure:
     def test_unreachable_target(self, euclid):
         prob = RadialProblem(material=MaterialProfile(p=2.0),
                              source=const_source(g=0.0), radius=1.0, mode="barrier")
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="w\\(end\\) < .* up to slope"):
             shoot(prob, target_m=1e9, tol=1e-10)
+
+    def test_every_trial_diverges(self, monkeypatch):
+        monkeypatch.setattr(radial, "_march", lambda prob, s, n: (None, None))
+        with pytest.raises(NumericError, match="w\\(end\\) > .* down to slope"):
+            shoot(barrier(), target_m=0.1)
 
     def test_problem_validation(self, euclid, unit_source):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+
+from finslerpde import solver
 
 from finslerpde import (AdmissibilityError, DomainSpec, MaterialProfile, NonconvergenceError,
                         SolveOptions, SourceTerm, build_domain, solve)
@@ -19,6 +23,7 @@ class TestTorsion:
 
     def test_quadratic_case_needs_no_newton_steps(self, torsion_coarse):
         _, report = torsion_coarse
+        assert report.init_cg_info == 0
         assert report.iterations == 0
 
     def test_energy_history_non_increasing(self, torsion_coarse, p4_study):
@@ -97,3 +102,26 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             solve(mesh, MaterialProfile(p=2.0), euclid, unit_source,
                   bc=np.ones(3))
+
+
+class TestInitialSolve:
+    def test_initial_cg_failure_is_reported(self, euclid, unit_source, monkeypatch,
+                                            caplog):
+        cg_solve = solver._cg_solve
+        calls = []
+
+        def fail_first(k_mat, rhs, rtol):
+            calls.append(rtol)
+            x, info = cg_solve(k_mat, rhs, rtol)
+            return (np.zeros_like(rhs), 7) if len(calls) == 1 else (x, info)
+
+        monkeypatch.setattr(solver, "_cg_solve", fail_first)
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        with caplog.at_level(logging.WARNING, logger="finslerpde.solver"):
+            field, report = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source)
+        assert report.init_cg_info == 7
+        assert any("initial Laplacian solve failed" in r.getMessage()
+                   for r in caplog.records)
+        # started from zero, so the quadratic case now needs Newton steps
+        assert report.converged and report.iterations >= 1
+        assert center_value(field) == pytest.approx(0.25, abs=2e-2)

@@ -12,13 +12,12 @@ inverse-weight integrals, critical-set size, and Sobolev-exponent
 integrability.
 """
 
-from .errors import (AdmissibilityError, ConfigError, NonconvergenceError,
+from .errors import (AdmissibilityError, ConfigError, FitError, NonconvergenceError,
                      NumericError)
 from .fields import (ScalarField, boundary_normal_derivative, hessian_at_barycenters,
                      nodal_gradient, recover_gradient, recover_hessian)
 from .finsler import (FinslerNorm, WulffShape, dual_norm, ellipticity_constant,
-                      eval_norm, grad_norm, hess_norm, verify_duality_identities,
-                      wulff_boundary)
+                      verify_duality_identities, wulff_boundary)
 from .hypotheses import HYPOTHESES
 from .material import (MaterialProfile, SourceTerm, admissibility_report, b_eval,
                        check_flux_bound, check_flux_monotonicity, check_osserman,
@@ -30,24 +29,23 @@ from .radial import (BarrierProfile, RadialProblem, evaluate, hopf_margin,
 from .solver import SolveOptions, SolveReport, solve
 from .verify import (HopfReport, RegularityReport, StudyResult,
                      critical_set_fraction, hopf_check, refinement_study,
-                     sample_sup_points, sobolev_scan, weight_integral,
-                     weighted_hessian_integral)
+                     sobolev_scan, weight_integral, weighted_hessian_integral)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "BarrierProfile", "ConfigError", "DomainSpec",
-    "FinslerNorm", "HYPOTHESES", "HopfReport", "MaterialProfile", "Mesh2D",
+    "FinslerNorm", "FitError", "HYPOTHESES", "HopfReport", "MaterialProfile", "Mesh2D",
     "NonconvergenceError", "NumericError", "RadialProblem", "RegularityReport",
     "ScalarField", "SolveOptions", "SolveReport", "SourceTerm", "StudyResult",
     "WulffShape", "admissibility_report", "b_eval", "boundary_normal_derivative",
     "build_domain", "check_flux_bound", "check_flux_monotonicity",
     "check_osserman", "check_structural_bounds", "critical_set_fraction",
-    "dual_norm", "ellipticity_constant", "eval_norm", "evaluate", "flux",
-    "grad_norm", "hess_norm", "hessian_at_barycenters", "hopf_check",
+    "dual_norm", "ellipticity_constant", "evaluate", "flux",
+    "hessian_at_barycenters", "hopf_check",
     "hopf_margin", "integrate", "lift", "linearized_tensor", "nodal_gradient",
     "ode_residual", "recover_gradient", "recover_hessian", "refinement_study",
-    "sample_sup_points", "sample_vectors", "shoot", "sobolev_scan", "solve",
+    "sample_vectors", "shoot", "sobolev_scan", "solve",
     "verify_duality_identities", "weight_integral", "weighted_hessian_integral",
     "wulff_boundary",
 ]

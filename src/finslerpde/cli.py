@@ -3,9 +3,11 @@
 Commands share one JSON config schema (see config.DEFAULTS) and write
 their artifacts plus a manifest.json (config hash, seed, admissibility
 verdicts, artifact list) into --out.  Exit status: 0 on success, 1 for
-configuration or admissibility rejections (single-line diagnostic), 2
-for numeric failures with whatever partial artifacts were produced
-retained and flagged in the manifest.
+rejected input (single-line diagnostic; found before any compute, except
+a Hopf ball that does not fit the solved domain, a FitError, which marks
+the manifest ``rejected``), 2 for any other failure during compute (numeric, shooting
+or meshing) with whatever partial artifacts were produced retained and
+the manifest flagged ``numeric-failure``.
 """
 
 from __future__ import annotations
@@ -16,24 +18,22 @@ import sys
 
 import numpy as np
 
-from .config import (build_domain_spec, build_material, build_norm, build_solve_options,
-                     build_source, load_config, parse_overrides)
-from .errors import AdmissibilityError, ConfigError, NonconvergenceError, NumericError
+from .config import build_run, load_config, parse_overrides
+from .errors import FitError, NonconvergenceError, NumericError
 from .finsler import ellipticity_constant, verify_duality_identities, wulff_boundary
 from .io import (config_sha256, write_field_csv, write_json, write_profile_csv,
                  write_study_csv, write_wulff_csv)
 from .material import admissibility_report, check_source_signs
 from .mesh import build_domain
-from .radial import RadialProblem, shoot
+from .radial import shoot
 from .solver import solve
 from .verify import refinement_study
 
 
-def _cmd_solve(cfg, material, norm, source, out, manifest):
-    mesh = build_domain(build_domain_spec(cfg, norm), cfg["h"])
+def _cmd_solve(run, out, manifest):
+    mesh = build_domain(run.domain, run.h)
     try:
-        field, report = solve(mesh, material, norm, source,
-                              options=build_solve_options(cfg))
+        field, report = solve(mesh, run.material, run.norm, run.source, options=run.options)
     except NonconvergenceError as exc:
         if exc.last_iterate is not None:
             _emit(out, manifest, "field.csv", write_field_csv, exc.last_iterate)
@@ -44,40 +44,29 @@ def _cmd_solve(cfg, material, norm, source, out, manifest):
     _emit(out, manifest, "solve_report.json", write_json, report.to_dict())
 
 
-def _cmd_barrier(cfg, material, norm, source, out, manifest):
-    rad = cfg["radial"]
-    problem = RadialProblem(material, source, radius=float(rad["radius"]),
-                            mode=rad["mode"], n=int(rad["n"]))
-    target = float(rad["m"] if rad["mode"] == "barrier" else rad["target"])
-    profile = shoot(problem, target)
+def _cmd_barrier(run, out, manifest):
+    profile = shoot(run.radial, run.target)
     _emit(out, manifest, "profile.csv", write_profile_csv, profile)
 
 
-def _cmd_wulff(cfg, material, norm, source, out, manifest):
-    wul = cfg["wulff"]
-    shape = wulff_boundary(norm, radius=float(wul["radius"]),
-                           n_samples=int(wul["samples"]), norm_side=wul["side"])
+def _cmd_wulff(run, out, manifest):
+    shape = wulff_boundary(run.norm, radius=run.wulff_radius, n_samples=run.wulff_samples,
+                           norm_side=run.wulff_side)
     _emit(out, manifest, "wulff.csv", write_wulff_csv, shape)
 
 
-def _cmd_verify(cfg, material, norm, source, out, manifest):
-    rng = np.random.default_rng(cfg["seed"])
+def _cmd_verify(run, out, manifest):
+    rng = np.random.default_rng(run.options.seed)
     payload = dict(manifest["admissibility"])
     payload["duality_residual"] = verify_duality_identities(
-        norm, samples=rng.standard_normal((100, norm.dim)))
+        run.norm, samples=rng.standard_normal((100, run.norm.dim)))
     _emit(out, manifest, "admissibility.json", write_json, payload)
 
 
-def _cmd_regularity(cfg, material, norm, source, out, manifest):
-    ver = cfg["verify"]
-    hopf = ver.get("hopf")
-    hopf_pair = (float(hopf["radius"]), float(hopf["m"])) if hopf else None
-    result = refinement_study(
-        build_domain_spec(cfg, norm), material, norm, source,
-        h_coarsest=float(cfg["h"]), levels=int(ver["levels"]),
-        beta=float(ver["beta"]), gamma=float(ver["gamma"]), t=float(ver["t"]),
-        q_grid=tuple(ver["q_grid"]), hopf=hopf_pair,
-        options=build_solve_options(cfg))
+def _cmd_regularity(run, out, manifest):
+    result = refinement_study(run.domain, run.material, run.norm, run.source,
+                              h_coarsest=run.h, levels=run.levels, beta=run.beta, t=run.t,
+                              q_grid=run.q_grid, hopf=run.hopf, options=run.options)
     _emit(out, manifest, "study.csv", write_study_csv, result.rows)
     _emit(out, manifest, "regularity_report.json", write_json,
           result.regularity.to_dict())
@@ -118,14 +107,12 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg, raw = load_config(args.config, parse_overrides(args.set), args.seed)
-        material = build_material(cfg)
-        norm = build_norm(cfg)
-        source = build_source(cfg)
-        check_source_signs(source)
-        admissibility = admissibility_report(material, norm, source,
+        run = build_run(cfg, args.command)
+        check_source_signs(run.source)
+        admissibility = admissibility_report(run.material, run.norm, run.source,
                                              n_samples=2048, seed=cfg["seed"])
-        admissibility["ellipticity"] = ellipticity_constant(norm, seed=cfg["seed"])
-    except (ConfigError, AdmissibilityError, ValueError, OSError) as exc:
+        admissibility["ellipticity"] = ellipticity_constant(run.norm, seed=cfg["seed"])
+    except (ValueError, OSError) as exc:  # ConfigError and AdmissibilityError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -140,12 +127,15 @@ def main(argv=None):
     }
     code = 0
     try:
-        _COMMANDS[args.command](cfg, material, norm, source, args.out, manifest)
+        _COMMANDS[args.command](run, args.out, manifest)
     except (NumericError, ValueError) as exc:
-        manifest["status"] = "numeric-failure"
+        # a FitError is input only the run can judge (a Hopf ball that does not
+        # fit the solved domain); any other failure here, meshing included, is numeric
+        rejected = isinstance(exc, FitError)
+        manifest["status"] = "rejected" if rejected else "numeric-failure"
         manifest["failure"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        code = 1 if rejected else 2
     write_json(os.path.join(args.out, "manifest.json"), manifest)
     return code
 

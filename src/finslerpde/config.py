@@ -1,22 +1,31 @@
 """Configuration loading: one strict JSON schema shared by every command.
 
-Unknown keys are rejected by name, values are type-checked, and the
-material / norm / source they describe is constructed eagerly so that
-admissibility failures surface before any compute, phrased in terms of
-the library's numbered hypotheses.
+Unknown keys are rejected by name and values are type-checked.
+``build_run`` then constructs every object the command uses (material,
+norm, source and solver options always; the domain, radial problem, Wulff
+or study parameters when the command reads them) before any compute, so
+that bad values and admissibility failures surface before anything is
+sampled, meshed or solved.  The library's own constructors and checks
+decide what is valid; their rejections are reported with the config
+section they came from.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .finsler import FinslerNorm
+from .finsler import FinslerNorm, check_wulff_args
 from .material import MaterialProfile, SourceTerm
 from .mesh import DomainSpec
+from .radial import RadialProblem, check_target
 from .solver import SolveOptions
+from .verify import check_study
 
 _TOP_KEYS = {"domain", "material", "norm", "source", "h", "tol_solve",
              "max_iter", "seed", "radial", "verify", "wulff"}
@@ -31,13 +40,15 @@ DEFAULTS = {
     "max_iter": 100,
     "seed": 0,
     "radial": {"mode": "barrier", "radius": 1.0, "m": 1.0, "n": 2, "target": 0.0},
-    "verify": {"beta": 0.0, "gamma": 0.0, "t": 0.5, "q_grid": [1.4, 1.6],
+    "verify": {"beta": 0.0, "t": 0.5, "q_grid": [1.4, 1.6],
                "levels": 3, "hopf": {"radius": 0.5, "m": 0.1}},
     "wulff": {"radius": 1.0, "samples": 512, "side": "H_dual"},
 }
 
 
 def _reject_unknown(section, allowed, where):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(repr(k) for k in unknown)} "
@@ -48,6 +59,29 @@ def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _integer(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, where):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+@contextlib.contextmanager
+def _section(where):
+    """Report a library ValueError as a ConfigError naming the config section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _merge(base, override, where):
@@ -122,13 +156,13 @@ def _validate(cfg):
         spec = src.get(name, {"kind": "zero"})
         _reject_unknown(spec, {"kind", "value", "exponent", "scale", "offset"},
                         f"source.{name}")
-        if spec.get("kind") not in {"zero", "constant", "power", "linear"}:
+        if spec.get("kind") not in ("zero", "constant", "power", "linear"):
             raise ConfigError(f"source.{name}.kind must be one of zero, constant, "
                               f"power, linear; got {spec.get('kind')!r}")
     rad = cfg["radial"]
     _reject_unknown(rad, {"mode", "radius", "m", "n", "target"}, "radial")
     ver = cfg["verify"]
-    _reject_unknown(ver, {"beta", "gamma", "t", "q_grid", "levels", "hopf"}, "verify")
+    _reject_unknown(ver, {"beta", "t", "q_grid", "levels", "hopf"}, "verify")
     if ver.get("hopf") is not None:
         _reject_unknown(ver["hopf"], {"radius", "m"}, "verify.hopf")
     wul = cfg["wulff"]
@@ -136,9 +170,9 @@ def _validate(cfg):
     for key in ("h", "tol_solve"):
         if _number(cfg[key], key) <= 0:
             raise ConfigError(f"{key} must be positive")
-    if not isinstance(cfg["max_iter"], int) or cfg["max_iter"] < 1:
+    if _integer(cfg["max_iter"], "max_iter") < 1:
         raise ConfigError("max_iter must be a positive integer")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if _integer(cfg["seed"], "seed") < 0:
         raise ConfigError("seed must be a non-negative integer")
 
 
@@ -191,10 +225,82 @@ def build_domain_spec(cfg, norm):
                       b=_number(spec.get("b", 1.0), "domain.b"),
                       radius=_number(spec.get("radius", 1.0), "domain.radius"),
                       norm=norm,
-                      center=tuple(spec.get("center", (0.0, 0.0))))
+                      center=_numbers(spec.get("center", (0.0, 0.0)), "domain.center"))
 
 
-def build_solve_options(cfg):
-    return SolveOptions(tol_solve=float(cfg["tol_solve"]),
-                        max_iter=int(cfg["max_iter"]),
-                        seed=int(cfg["seed"]))
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """The objects a command uses, built and checked before any compute.
+
+    Material, norm, source and solver options serve every command; the
+    other fields are None unless the command reads their config section.
+    """
+
+    material: MaterialProfile
+    norm: FinslerNorm
+    source: SourceTerm
+    options: SolveOptions
+    domain: Optional[DomainSpec] = None     # solve, regularity
+    h: Optional[float] = None               # solve, regularity
+    radial: Optional[RadialProblem] = None  # barrier
+    target: Optional[float] = None          # barrier: radial.m in barrier mode, else radial.target
+    wulff_radius: Optional[float] = None    # wulff
+    wulff_samples: Optional[int] = None     # wulff
+    wulff_side: Optional[str] = None        # wulff
+    levels: Optional[int] = None            # regularity
+    beta: Optional[float] = None            # regularity
+    t: Optional[float] = None               # regularity
+    q_grid: Optional[tuple] = None          # regularity
+    hopf: Optional[tuple] = None            # regularity: (radius, m) or None for no Hopf check
+
+
+def build_run(cfg, command):
+    """Build what ``command`` uses from a validated config.
+
+    Sections the command does not read are not checked, so one command's
+    defaults never reject another (``verify.t`` must lie below p - 1, yet
+    ``solve`` runs any p > 1).  Rejections raise ConfigError.
+    """
+    with _section("norm"):
+        norm = build_norm(cfg)
+    with _section("material"):
+        material = build_material(cfg)
+    source = build_source(cfg)
+    used = {}
+    if command in ("solve", "regularity"):
+        with _section("domain"):
+            used["domain"] = build_domain_spec(cfg, norm)
+        used["h"] = float(cfg["h"])
+    if command == "barrier":
+        rad = cfg["radial"]
+        with _section("radial"):
+            radial = RadialProblem(material, source, radius=_number(rad["radius"], "radial.radius"),
+                                   mode=rad["mode"], n=_integer(rad["n"], "radial.n"))
+            m, target = _number(rad["m"], "radial.m"), _number(rad["target"], "radial.target")
+            target = m if radial.mode == "barrier" else target
+            check_target(radial, target)
+        used.update(radial=radial, target=target)
+    if command == "wulff":
+        wul = cfg["wulff"]
+        used.update(wulff_radius=_number(wul["radius"], "wulff.radius"),
+                    wulff_samples=_integer(wul["samples"], "wulff.samples"),
+                    wulff_side=wul["side"])
+        with _section("wulff"):
+            check_wulff_args(norm, used["wulff_radius"], used["wulff_samples"],
+                             used["wulff_side"])
+    if command == "regularity":
+        ver = cfg["verify"]
+        hopf = ver.get("hopf")
+        if hopf is not None:
+            hopf = (_number(hopf.get("radius"), "verify.hopf.radius"),
+                    _number(hopf.get("m"), "verify.hopf.m"))
+        used.update(levels=_integer(ver["levels"], "verify.levels"),
+                    beta=_number(ver["beta"], "verify.beta"),
+                    t=_number(ver["t"], "verify.t"),
+                    q_grid=_numbers(ver["q_grid"], "verify.q_grid"), hopf=hopf)
+        with _section("verify"):
+            check_study(material, source, used["levels"], used["beta"], used["t"],
+                        used["q_grid"], used["hopf"])
+    options = SolveOptions(tol_solve=float(cfg["tol_solve"]), max_iter=cfg["max_iter"],
+                           seed=cfg["seed"])
+    return Run(material=material, norm=norm, source=source, options=options, **used)

@@ -12,6 +12,12 @@ class ConfigError(ValueError):
     the CLI can print it verbatim."""
 
 
+class FitError(ValueError):
+    """A parameter does not fit the geometry of a computed result (a Hopf
+    ball too large for the solved domain).  Only the run can find this, so
+    it is the one input rejection raised after compute has started."""
+
+
 class NumericError(RuntimeError):
     """A numerical routine failed (bracket exhausted, quadrature blew up,
     linear solve stalled)."""

@@ -46,10 +46,14 @@ class ScalarField:
             raise ValueError("field contains non-finite values")
 
 
+def element_gradients(mesh, values):
+    """Per-triangle gradients of bare vertex values (no ScalarField checks)."""
+    return np.einsum("tv,tvd->td", values[mesh.triangles], mesh.basis_grads)
+
+
 def recover_gradient(field):
     """Per-triangle gradients, shape (n_triangles, 2).  Exact for P1."""
-    mesh = field.mesh
-    return np.einsum("tv,tvd->td", field.values[mesh.triangles], mesh.basis_grads)
+    return element_gradients(field.mesh, field.values)
 
 
 def nodal_gradient(field):

@@ -26,7 +26,6 @@ All evaluators accept a single vector ``(n,)`` or a batch ``(m, n)``.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -308,21 +307,6 @@ def _dual_scan_nonzero(h, pts):
     return out
 
 
-def eval_norm(h, xi):
-    """H(xi)."""
-    return h.eval(xi)
-
-
-def grad_norm(h, xi):
-    """grad H(xi)."""
-    return h.grad(xi)
-
-
-def hess_norm(h, xi):
-    """Hessian of H at xi."""
-    return h.hess(xi)
-
-
 def dual_norm(h, x):
     """H_dual(x) = sup { <xi, x> : H(xi) <= 1 }.  Returns 0 at x = 0."""
     x_arr = np.asarray(x, dtype=float)
@@ -403,18 +387,25 @@ class WulffShape:
         return bool(np.all(cross >= -tol * max(scale, 1e-300)))
 
 
+def check_wulff_args(h, radius, n_samples, norm_side):
+    """Reject wulff_boundary arguments that describe no traceable boundary."""
+    if h.dim != 2:
+        raise ValueError("boundary tracing is implemented for dim 2 only")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if norm_side not in ("H", "H_dual"):
+        raise ValueError(f"norm_side must be 'H' or 'H_dual', got {norm_side!r}")
+
+
 def wulff_boundary(h, center=(0.0, 0.0), radius=1.0, n_samples=512, norm_side="H_dual"):
     """Trace {N(x - center) = radius} at n_samples angles (dim 2).
 
     N is the dual norm for the default side, the primal norm otherwise.
     N is 1-homogeneous, so the point along direction d is radius d / N(d).
     """
-    if h.dim != 2:
-        raise ValueError("boundary tracing is implemented for dim 2 only")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if norm_side not in ("H", "H_dual"):
-        raise ValueError(f"norm_side must be 'H' or 'H_dual', got {norm_side!r}")
+    check_wulff_args(h, radius, n_samples, norm_side)
     n = h.dual if norm_side == "H_dual" else h
     center = np.asarray(center, dtype=float)
     thetas = np.arange(n_samples) * (2.0 * np.pi / n_samples)

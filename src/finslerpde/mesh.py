@@ -52,6 +52,10 @@ class DomainSpec:
             raise ValueError("radius must be positive")
         if self.kind in ("wulff_ball", "annulus_wulff") and self.norm is None:
             raise ValueError(f"{self.kind} requires a norm")
+        if self.norm is not None and self.norm.dim != 2:
+            raise ValueError(f"a planar domain needs a planar norm, got dim {self.norm.dim}")
+        if len(self.center) != 2:
+            raise ValueError(f"center must have 2 coordinates, got {self.center!r}")
 
 
 class Mesh2D:
@@ -175,25 +179,6 @@ class Mesh2D:
             bad = np.atleast_1d(vertex)[np.atleast_1d(off)].tolist()
             raise ValueError(f"vertices {bad} are not on the boundary")
         return self.boundary_normals[pos]
-
-    def contains(self, points):
-        """Boolean mask: does each point lie in some triangle (inclusive)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        p = self.vertices
-        tris = self.triangles
-        a, b, c = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for i, q in enumerate(pts):
-            d1 = _cross(b - a, q - a)
-            d2 = _cross(c - b, q - b)
-            d3 = _cross(a - c, q - c)
-            tol = -1e-12 * self.h ** 2
-            out[i] = bool(np.any((d1 >= tol) & (d2 >= tol) & (d3 >= tol)))
-        return out
-
-
-def _cross(u, v):
-    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def _union_jack(a, b, c, d):

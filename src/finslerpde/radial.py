@@ -63,7 +63,7 @@ class RadialProblem:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.n < 2:
-            raise ValueError("dimension must be at least 2")
+            raise ValueError(f"dimension n must be at least 2, got {self.n}")
 
     def q(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -241,6 +241,14 @@ def integrate(problem, start, n_steps=N_STEPS):
                           radius=problem.radius, n=problem.n)
 
 
+def check_target(problem, target_m):
+    """Reject a shooting target the problem's mode cannot reach."""
+    if problem.mode == "barrier" and target_m <= 0:
+        raise ValueError("barrier mode needs target_m > 0")
+    if problem.mode == "ball" and target_m < 0:
+        raise ValueError("ball mode needs target_m >= 0")
+
+
 def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
     """Find the profile hitting w(end) = target_m by bracketed root finding.
 
@@ -251,11 +259,7 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
     the parameter to a relative accuracy of 4 ulp, and the integrated
     profile must hit the target within tol.
     """
-    if problem.mode == "barrier" and target_m <= 0:
-        raise ValueError("barrier mode needs target_m > 0")
-    if problem.mode == "ball" and target_m < 0:
-        raise ValueError("ball mode needs target_m >= 0")
-
+    check_target(problem, target_m)
     marches = 0
 
     def hit(s):

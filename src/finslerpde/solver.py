@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,21 +32,23 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import NonconvergenceError
-from .fields import ScalarField
-from .material import check_source_signs, check_structural_bounds, linearized_tensor
+from .fields import ScalarField, element_gradients
+from .material import check_source_signs, check_structural_bounds, flux, linearized_tensor
 
 logger = logging.getLogger(__name__)
+
+# Fixed settings of the Newton iteration, its line search and its sampling.
+_EPS_GRAD = 1e-10              # near-critical gradient threshold
+_CG_RTOL = 1e-12
+_MAX_BACKTRACKS = 40
+_ARMIJO_C1 = 1e-4
+_ADMISSIBILITY_SAMPLES = 2048
 
 
 @dataclasses.dataclass
 class SolveOptions:
     tol_solve: float = 1e-8        # residual <= tol_solve * (1 + |I_h(u)|)
     max_iter: int = 100
-    eps_grad: float = 1e-10        # near-critical gradient threshold
-    cg_rtol: float = 1e-12
-    max_backtracks: int = 40
-    armijo_c1: float = 1e-4
-    admissibility_samples: int = 2048
     seed: int = 0
 
 
@@ -143,22 +144,18 @@ def _cg_solve(k_mat, rhs, rtol):
 
 
 class _EnergyProblem:
-    def __init__(self, mesh, material, norm, source, options):
+    def __init__(self, mesh, material, norm, source):
         self.mesh = mesh
         self.material = material
         self.norm = norm
         self.source = source
-        self.opts = options
         self.primitive = _Primitive(source.f_vals)
-
-    def grads(self, values):
-        return np.einsum("tv,tvd->td", values[self.mesh.triangles], self.mesh.basis_grads)
 
     def cell_means(self, values):
         return values[self.mesh.triangles].mean(axis=1)
 
     def energy(self, values):
-        g = self.grads(values)
+        g = element_gradients(self.mesh, values)
         hn = self.norm.eval(g)
         dens = self.material.b(hn) - self.primitive(self.cell_means(values))
         return float((self.mesh.areas * dens).sum())
@@ -166,30 +163,24 @@ class _EnergyProblem:
     def residual(self, values):
         """Gradient of the energy with respect to vertex values (full)."""
         mesh = self.mesh
-        g = self.grads(values)
-        gnorm = np.linalg.norm(g, axis=1)
-        flux = np.zeros_like(g)
-        nz = gnorm > 0.0
-        if np.any(nz):
-            hn = self.norm.eval(g[nz])
-            flux[nz] = np.atleast_1d(self.material.b_prime(hn))[:, None] * self.norm.grad(g[nz])
+        cell_flux = flux(self.material, self.norm, element_gradients(mesh, values))
         fbar = self.source.f_vals(self.cell_means(values))
         r = np.zeros(mesh.n_vertices)
-        contrib = mesh.areas[:, None] * np.einsum("td,tvd->tv", flux, mesh.basis_grads)
+        contrib = mesh.areas[:, None] * np.einsum("td,tvd->tv", cell_flux, mesh.basis_grads)
         contrib -= (mesh.areas * fbar / 3.0)[:, None]
         np.add.at(r, mesh.triangles.ravel(), contrib.ravel())
         return r
 
     def tangent(self, values, c1_floor):
-        g = self.grads(values)
+        g = element_gradients(self.mesh, values)
         gnorm = np.linalg.norm(g, axis=1)
-        small = gnorm < self.opts.eps_grad
+        small = gnorm < _EPS_GRAD
         xi = g.copy()
-        xi[small, 0] += self.opts.eps_grad
+        xi[small, 0] += _EPS_GRAD
         mats = linearized_tensor(self.material, self.norm, xi)
         mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
         if np.any(small):
-            floor = c1_floor * (self.material.k + self.opts.eps_grad) ** (self.material.p - 2.0)
+            floor = c1_floor * (self.material.k + _EPS_GRAD) ** (self.material.p - 2.0)
             mats[small] = _floor_spd(mats[small], floor)
         return _assemble(self.mesh, mats)
 
@@ -206,10 +197,10 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         raise ValueError("the 2D solver needs a planar norm")
 
     c1_est, _ = check_structural_bounds(
-        material, norm, n_samples=opts.admissibility_samples, seed=opts.seed)
+        material, norm, n_samples=_ADMISSIBILITY_SAMPLES, seed=opts.seed)
     check_source_signs(source)
 
-    problem = _EnergyProblem(mesh, material, norm, source, opts)
+    problem = _EnergyProblem(mesh, material, norm, source)
     interior = mesh.interior_mask
     bvals = _boundary_values(mesh, bc)
 
@@ -221,7 +212,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     rhs = np.zeros(mesh.n_vertices)
     np.add.at(rhs, mesh.triangles.ravel(), np.repeat(mesh.areas * fbar / 3.0, 3))
     rhs_i = rhs[interior] - k0[interior][:, ~interior] @ values[~interior]
-    init, init_info = _cg_solve(k0[interior][:, interior], rhs_i, opts.cg_rtol)
+    init, init_info = _cg_solve(k0[interior][:, interior], rhs_i, _CG_RTOL)
     if init_info == 0:
         values[interior] = init
     else:
@@ -244,7 +235,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
 
         k_mat = problem.tangent(values, c1_est)
         kii = k_mat[interior][:, interior]
-        step, info = _cg_solve(kii, -r, opts.cg_rtol)
+        step, info = _cg_solve(kii, -r, _CG_RTOL)
         directions = []
         if info == 0 and float(r @ step) < 0.0:
             directions.append(step)
@@ -257,10 +248,10 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
                 continue
             alpha = 1.0
             trial = values.copy()
-            for _ in range(opts.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 trial[interior] = values[interior] + alpha * d
                 e_trial = problem.energy(trial)
-                if e_trial <= energy + opts.armijo_c1 * alpha * slope:
+                if e_trial <= energy + _ARMIJO_C1 * alpha * slope:
                     accepted = True
                     break
                 alpha *= 0.5
@@ -291,9 +282,9 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
 
 def _make_report(problem, values, iterations, history, final_residual, converged,
                  init_cg_info):
-    g = problem.grads(values)
+    g = element_gradients(problem.mesh, values)
     gnorm = np.linalg.norm(g, axis=1)
-    frac = float(np.count_nonzero(gnorm < problem.opts.eps_grad) / len(gnorm))
+    frac = float(np.count_nonzero(gnorm < _EPS_GRAD) / len(gnorm))
     return SolveReport(
         iterations=iterations,
         energy_history=[float(e) for e in history],

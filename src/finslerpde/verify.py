@@ -2,10 +2,7 @@
 
 All reductions are one-point (barycenter) quadratures over the mesh,
 with gradients taken per triangle and Hessians from patch recovery
-averaged back to barycenters.  The kernel |x - y|^(-gamma) is written
-generally, but for planar fields the admissibility window (gamma <
-n - 2, or gamma = 0 when n = 2) pins gamma to 0, where the kernel is 1
-and the sup over y-samples is trivially y-independent.
+averaged back to barycenters.
 """
 
 from __future__ import annotations
@@ -15,35 +12,28 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import (ScalarField, boundary_normal_derivative, hessian_at_barycenters,
-                     recover_gradient)
-from .material import MaterialProfile, SourceTerm
-from .mesh import DomainSpec, build_domain
-from .radial import RadialProblem, evaluate, hopf_margin, shoot
-from .solver import SolveOptions, solve
-
-_SUP_SAMPLES = 25
+from .errors import FitError
+from .fields import boundary_normal_derivative, hessian_at_barycenters, recover_gradient
+from .mesh import build_domain
+from .radial import RadialProblem, check_target, evaluate, hopf_margin, shoot
+from .solver import solve
 
 
 @dataclasses.dataclass
 class RegularityReport:
     beta: float
-    gamma: float
     t: float
-    hessian_integral_sup: float
-    weight_integral_sup: float
-    per_refinement: list      # (h, hessian integral, weight integral), coarse first
-    critical_fraction: float  # at the finest level
-    sobolev: list             # (q, integral of |D2 u|^q) at the finest level
+    hessian_integral_sup: float  # at the finest level
+    weight_integral_sup: float   # at the finest level
+    critical_fraction: float     # at the finest level
+    sobolev: list                # (q, integral of |D2 u|^q) at the finest level
 
     def to_dict(self):
         return {
             "beta": self.beta,
-            "gamma": self.gamma,
             "t": self.t,
             "hessian_integral_sup": self.hessian_integral_sup,
             "weight_integral_sup": self.weight_integral_sup,
-            "per_refinement": [list(row) for row in self.per_refinement],
             "critical_fraction": self.critical_fraction,
             "sobolev": [list(row) for row in self.sobolev],
         }
@@ -63,92 +53,59 @@ class HopfReport:
         return dataclasses.asdict(self)
 
 
-def _halton(index, base):
-    result, f = 0.0, 1.0
-    while index > 0:
-        f /= base
-        result += f * (index % base)
-        index //= base
-    return result
+def _check_beta(beta):
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
 
 
-def sample_sup_points(mesh, count=_SUP_SAMPLES):
-    """Low-discrepancy points inside the domain, plus the area centroid."""
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    points = []
-    index = 1
-    while len(points) < count and index < 200 * count:
-        cand = lo + (hi - lo) * np.array([_halton(index, 2), _halton(index, 3)])
-        index += 1
-        if mesh.contains(cand[None, :])[0]:
-            points.append(cand)
-    centroid = (mesh.areas @ mesh.barycenters) / mesh.areas.sum()
-    if mesh.contains(centroid[None, :])[0]:
-        points.append(centroid)
-    return np.array(points)
+def _check_t(material, t):
+    if not 0.0 <= t < material.p - 1.0:
+        raise ValueError(f"t must lie in [0, p-1) = [0, {material.p - 1.0}), got {t}")
 
 
-def _check_gamma(gamma, n=2):
-    if gamma == 0.0:
-        return
-    if not 0.0 <= gamma < n - 2:
-        raise ValueError(f"gamma must be 0 or in [0, n-2); got gamma = {gamma} with n = {n}")
+def _check_q(q_grid):
+    for q in q_grid:
+        if not 1.0 < q <= 4.0:
+            raise ValueError(f"q must lie in (1, 4], got {q}")
 
 
-def _inradii(mesh):
-    v = mesh.vertices[mesh.triangles]
-    sides = (np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
-             + np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
-             + np.linalg.norm(v[:, 2] - v[:, 0], axis=1))
-    return 2.0 * mesh.areas / sides
+def check_study(material, source, levels, beta, t, q_grid, hopf):
+    """Reject refinement_study parameters before anything is meshed or solved.
 
-
-def _kernel_sup(mesh, density, gamma, y_samples):
-    """max over y of sum_T |T| density_T / |x_T - y|^gamma.
-
-    Distances are floored at a third of the element inradius, so a y
-    inside an element contributes through that element's averaged scale
-    rather than a vanishing denominator.
+    A ``hopf`` (radius, m) pair is checked by building its barrier problem.
     """
-    if gamma == 0.0:
-        return float((mesh.areas * density).sum())
-    if y_samples is None:
-        y_samples = sample_sup_points(mesh)
-    floor = _inradii(mesh) / 3.0
-    best = -np.inf
-    for y in np.atleast_2d(y_samples):
-        dist = np.maximum(np.linalg.norm(mesh.barycenters - y, axis=1), floor)
-        best = max(best, float((mesh.areas * density / dist ** gamma).sum()))
-    return best
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+    _check_beta(beta)
+    _check_t(material, t)
+    _check_q(q_grid)
+    if hopf is not None:
+        radius, m = hopf
+        check_target(RadialProblem(material, source, radius=radius, mode="barrier"), m)
 
 
-def weighted_hessian_integral(u, material, beta=0.0, gamma=0.0, y_samples=None, hess=None):
-    """sup_y of the quadrature of (k+|grad u|)^(p-2-beta) |D2 u|^2 / |x-y|^gamma.
+def weighted_hessian_integral(u, material, beta=0.0, hess=None):
+    """Quadrature of (k+|grad u|)^(p-2-beta) |D2 u|^2.
 
     ``hess`` is ``hessian_at_barycenters(u)`` when the caller already has it.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    _check_gamma(gamma)
+    _check_beta(beta)
     grads = recover_gradient(u)
     gnorm = np.linalg.norm(grads, axis=1)
     if hess is None:
         hess = hessian_at_barycenters(u)
     hnorm2 = np.einsum("tij,tij->t", hess, hess)
     weight = (material.k + gnorm) ** (material.p - 2.0 - beta)
-    return _kernel_sup(u.mesh, weight * hnorm2, gamma, y_samples)
+    return float((u.mesh.areas * (weight * hnorm2)).sum())
 
 
-def weight_integral(u, material, t=0.5, gamma=0.0, y_samples=None):
-    """sup_y of the quadrature of 1 / ((k+|grad u|)^t |x-y|^gamma)."""
-    if not 0.0 <= t < material.p - 1.0:
-        raise ValueError(f"t must lie in [0, p-1) = [0, {material.p - 1.0}), got {t}")
-    _check_gamma(gamma)
+def weight_integral(u, material, t=0.5):
+    """Quadrature of 1 / (k+|grad u|)^t."""
+    _check_t(material, t)
     grads = recover_gradient(u)
     gnorm = np.linalg.norm(grads, axis=1)
     density = (material.k + gnorm) ** (-t)
-    return _kernel_sup(u.mesh, density, gamma, y_samples)
+    return float((u.mesh.areas * density).sum())
 
 
 def critical_set_fraction(u, eps_grad):
@@ -163,9 +120,7 @@ def sobolev_scan(u, material, q_grid, hess=None):
     ``hess`` is ``hessian_at_barycenters(u)`` when the caller already has it.
     """
     q_grid = [float(q) for q in q_grid]
-    for q in q_grid:
-        if not 1.0 < q <= 4.0:
-            raise ValueError(f"q must lie in (1, 4], got {q}")
+    _check_q(q_grid)
     if hess is None:
         hess = hessian_at_barycenters(u)
     hnorm = np.sqrt(np.einsum("tij,tij->t", hess, hess))
@@ -189,7 +144,7 @@ def _fit_center(mesh, h_dual, contact, normal, radius):
         if np.all(clear):
             return center
         t_step *= 1.002
-    raise ValueError(
+    raise FitError(
         f"no interior Wulff annulus of outer radius {radius:.6g} fits at the "
         f"contact vertex; try a smaller radius")
 
@@ -250,8 +205,7 @@ class StudyResult:
 
 
 def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
-                     beta=0.0, gamma=0.0, t=0.5, q_grid=(1.4, 1.6),
-                     hopf=None, options=None):
+                     beta=0.0, t=0.5, q_grid=(1.4, 1.6), hopf=None, options=None):
     """Solve at h, h/2, ..., run the reductions per level.
 
     The critical-set threshold scales with the mesh (eps_grad = h/2), so
@@ -259,31 +213,29 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
     the resolvable scale rather than a fixed tiny set.  ``hopf`` is an
     optional (radius, m) pair checked on the finest field.  The Hessian
     is recovered once per level and shared by the weighted Hessian
-    integral and, on the finest level, the Sobolev scan.
+    integral and, on the finest level, the Sobolev scan.  Parameters are
+    checked by ``check_study`` before the first mesh is built.
     """
+    check_study(material, source, levels, beta, t, q_grid, hopf)
     h_levels = [h_coarsest / 2 ** i for i in range(levels)]
     fields, reports, rows = [], [], []
-    per_refinement = []
     for h in h_levels:
         mesh = build_domain(dom, h)
         field, report = solve(mesh, material, norm, source, options=options)
-        y_samples = sample_sup_points(mesh) if gamma != 0.0 else None
         hess = hessian_at_barycenters(field)
-        hess_int = weighted_hessian_integral(field, material, beta, gamma, y_samples, hess)
-        w_int = weight_integral(field, material, t, gamma, y_samples)
+        hess_int = weighted_hessian_integral(field, material, beta, hess)
+        w_int = weight_integral(field, material, t)
         frac = critical_set_fraction(field, 0.5 * h)
         fields.append(field)
         reports.append(report)
-        per_refinement.append((h, hess_int, w_int))
         rows.append({"h": h, "hessian_integral": hess_int,
                      "weight_integral": w_int, "critical_fraction": frac})
 
     finest = fields[-1]
     regularity = RegularityReport(
-        beta=beta, gamma=gamma, t=t,
-        hessian_integral_sup=per_refinement[-1][1],
-        weight_integral_sup=per_refinement[-1][2],
-        per_refinement=per_refinement,
+        beta=beta, t=t,
+        hessian_integral_sup=rows[-1]["hessian_integral"],
+        weight_integral_sup=rows[-1]["weight_integral"],
         critical_fraction=rows[-1]["critical_fraction"],
         sobolev=sobolev_scan(finest, material, q_grid, hess),
     )

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from finslerpde import ConfigError
+from finslerpde import ConfigError, cli
 from finslerpde.cli import main
 from finslerpde.config import (build_material, build_norm, build_source,
                                load_config, parse_overrides)
@@ -78,6 +78,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sinusoid"):
             load_config(write_config(tmp_path / "c.json", bad))
 
+    def test_gamma_key_rejected_by_name(self, tmp_path):
+        bad = dict(BASE, verify={"gamma": 0.0})
+        with pytest.raises(ConfigError, match="'gamma' in verify"):
+            load_config(write_config(tmp_path / "c.json", bad))
+
+
+NORM_3D = json.dumps({"kind": "ellipsoidal", "a": np.eye(3).tolist()})
+
+# (command, --set override, text the one-line diagnostic must contain)
+REJECTED_INPUTS = [
+    ("solve", "domain.radius=-1", "domain: radius must be positive"),
+    ("barrier", "radial.mode=bogus", "radial: mode"),
+    ("wulff", "wulff.side=X", "wulff: norm_side"),
+    ("regularity", "verify.gamma=0.5", "'gamma' in verify"),
+    ("barrier", "radial.m=abc", "radial.m must be a number"),
+    ("regularity", "verify.levels=0", "verify: levels must be at least 1"),
+    ("regularity", "verify.levels=1.5", "verify.levels must be an integer"),
+    ("wulff", "wulff.samples=0", "wulff: n_samples must be at least 1"),
+    ("wulff", "wulff.samples=2.5", "wulff.samples must be an integer"),
+    ("barrier", "radial.n=1", "radial: dimension n must be at least 2"),
+    ("barrier", "radial.n=2.7", "radial.n must be an integer"),
+    ("solve", "domain.center=[1]", "domain: center must have 2 coordinates"),
+    ("solve", 'domain.center=["a", 1]', "domain.center[0] must be a number"),
+    ("barrier", "radial.radius=abc", "radial.radius must be a number"),
+    ("barrier", "radial.target=abc", "radial.target must be a number"),
+    ("barrier", "radial.m=-1", "radial: barrier mode needs target_m > 0"),
+    ("wulff", "wulff.radius=abc", "wulff.radius must be a number"),
+    ("regularity", "verify.beta=abc", "verify.beta must be a number"),
+    ("regularity", "verify.beta=1.5", "verify: beta must lie in [0, 1)"),
+    ("regularity", "verify.t=abc", "verify.t must be a number"),
+    ("regularity", "verify.t=5", "verify: t must lie in [0, p-1)"),
+    ("regularity", 'verify.q_grid=[1.4, "x"]', "verify.q_grid[1] must be a number"),
+    ("regularity", "verify.q_grid=[5]", "verify: q must lie in (1, 4]"),
+    ("regularity", "verify.hopf.radius=abc", "verify.hopf.radius must be a number"),
+    ("regularity", "verify.hopf.m=0", "verify: barrier mode needs target_m > 0"),
+    ("regularity", "verify.hopf=5", "verify.hopf must be an object"),
+    ("regularity", "material.p=1.5", "verify: t must lie in [0, p-1)"),
+    ("solve", f"norm={NORM_3D}", "domain: a planar domain needs a planar norm"),
+    ("wulff", f"norm={NORM_3D}", "wulff: boundary tracing is implemented for dim 2 only"),
+]
+
 
 class TestCli:
     def run(self, tmp_path, command, body, extra=()):
@@ -118,6 +159,47 @@ class TestCli:
         rc, _ = self.run(tmp_path, "solve", body)
         assert rc == 1
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override, message", REJECTED_INPUTS)
+    def test_rejected_input_exits_one_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                     command, override, message):
+        def never(*args):
+            raise AssertionError("the command handler started")
+        monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, never))
+        rc, out = self.run(tmp_path, command, BASE, extra=("--set", override))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+    @pytest.mark.parametrize("command", ["solve", "barrier", "wulff", "verify"])
+    def test_sections_a_command_does_not_read_are_not_checked(self, tmp_path, command):
+        # p = 1.5 is a valid material, though the default verify.t = 0.5 is not below p - 1
+        rc, out = self.run(tmp_path, command, BASE, extra=("--set", "material.p=1.5"))
+        assert rc == 0
+        assert self.read_manifest(out)["status"] == "ok"
+
+    def test_other_mid_run_value_error_is_a_numeric_failure(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def degenerate(*args):
+            raise ValueError("degenerate triangle")
+        monkeypatch.setitem(cli._COMMANDS, "solve", degenerate)
+        rc, out = self.run(tmp_path, "solve", BASE)
+        assert rc == 2
+        assert self.read_manifest(out)["status"] == "numeric-failure"
+        assert "degenerate triangle" in capsys.readouterr().err
+
+    def test_hopf_ball_too_large_is_rejected_mid_run(self, tmp_path, capsys):
+        body = dict(BASE, verify={"levels": 1, "hopf": {"radius": 50.0, "m": 0.1}})
+        rc, out = self.run(tmp_path, "regularity", body)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "smaller radius" in err
+        manifest = self.read_manifest(out)
+        assert manifest["status"] == "rejected"
+        assert "smaller radius" in manifest["failure"]
 
     def test_numeric_failure_exits_two_with_partial_artifacts(self, tmp_path):
         body = dict(BASE, material={"p": 4.0}, max_iter=1, h=0.2)

@@ -123,11 +123,6 @@ class TestMeshIntegrity:
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
         assert np.allclose(mesh.basis_grads.sum(axis=1), 0.0, atol=1e-12)
 
-    def test_contains(self):
-        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
-        pts = np.array([[0.0, 0.0], [0.5, 0.2], [1.5, 0.0], [0.0, -2.0]])
-        assert list(mesh.contains(pts)) == [True, True, False, False]
-
     def test_target_edge_length_met(self, ellipsoidal):
         for kind, norm in (("disk", None), ("wulff_ball", ellipsoidal)):
             mesh = build_domain(DomainSpec(kind=kind, radius=1.0, norm=norm), 0.1)

@@ -5,8 +5,7 @@ import pytest
 
 from finslerpde import (DomainSpec, MaterialProfile, ScalarField, build_domain,
                         critical_set_fraction, hopf_check, refinement_study,
-                        sample_sup_points, sobolev_scan, weight_integral,
-                        weighted_hessian_integral)
+                        sobolev_scan, weight_integral, weighted_hessian_integral)
 from conftest import const_source
 
 
@@ -34,8 +33,6 @@ class TestWeightedHessian:
             weighted_hessian_integral(fine_torsion, mat, beta=1.0)
         with pytest.raises(ValueError):
             weighted_hessian_integral(fine_torsion, mat, beta=-0.1)
-        with pytest.raises(ValueError):
-            weighted_hessian_integral(fine_torsion, mat, gamma=0.5)
 
 
 class TestWeightIntegral:
@@ -98,15 +95,6 @@ class TestSobolev:
             sobolev_scan(fine_torsion, MaterialProfile(p=2.0), (4.5,))
 
 
-class TestSupSamples:
-    def test_points_lie_inside(self):
-        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
-        pts = sample_sup_points(mesh, count=25)
-        # 25 low-discrepancy points plus the area centroid
-        assert pts.shape == (26, 2)
-        assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
-
-
 class TestHopf:
     def test_torsion_boundary_slope(self, torsion_study):
         rep = torsion_study.hopf
@@ -157,7 +145,7 @@ class TestStudy:
     def test_report_serializes(self, torsion_study):
         d = torsion_study.regularity.to_dict()
         assert d["t"] == 0.5
-        assert len(d["per_refinement"]) == 3
+        assert "gamma" not in d and "per_refinement" not in d
         hd = torsion_study.hopf.to_dict()
         assert "min_normal_derivative" in hd
 

@@ -1,28 +1,33 @@
 """Command-line front end.
 
 Commands share one JSON config schema (see config.DEFAULTS) and write
-their artifacts plus a manifest.json (config hash, seed, admissibility
-verdicts, artifact list) into --out.  Exit status: 0 on success, 1 for
-rejected input (single-line diagnostic; found before any compute, except
-a Hopf ball that does not fit the solved domain, a FitError, which marks
-the manifest ``rejected``), 2 for any other failure during compute (numeric, shooting
-or meshing) with whatever partial artifacts were produced retained and
-the manifest flagged ``numeric-failure``.
+their artifacts plus a manifest.json into --out.  The manifest holds the
+resolved config (after --set and --seed) with the sha256 of its canonical
+JSON, the package, Python, numpy and scipy versions, the seed, the
+admissibility verdicts and the artifact list.  Exit status: 0 on success,
+1 for rejected input (single-line diagnostic; found before any compute,
+except a Hopf ball that does not fit the solved domain, a FitError, which
+marks the manifest ``rejected``), 2 for any other failure during compute
+(numeric, shooting or meshing) with whatever partial artifacts were
+produced retained and the manifest flagged ``numeric-failure``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .config import build_run, load_config, parse_overrides
 from .errors import FitError, NonconvergenceError, NumericError
 from .finsler import ellipticity_constant, verify_duality_identities, wulff_boundary
-from .io import (config_sha256, write_field_csv, write_json, write_profile_csv,
-                 write_study_csv, write_wulff_csv)
+from .io import (canonical_json, config_sha256, write_field_csv, write_json,
+                 write_profile_csv, write_study_csv, write_wulff_csv)
 from .material import admissibility_report, check_source_signs
 from .mesh import build_domain
 from .radial import shoot
@@ -106,7 +111,7 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg, raw = load_config(args.config, parse_overrides(args.set), args.seed)
+        cfg = load_config(args.config, parse_overrides(args.set), args.seed)
         run = build_run(cfg, args.command)
         check_source_signs(run.source)
         admissibility = admissibility_report(run.material, run.norm, run.source,
@@ -119,7 +124,10 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     manifest = {
         "command": args.command,
-        "config_sha256": config_sha256(raw),
+        "config": cfg,
+        "config_sha256": config_sha256(canonical_json(cfg)),
+        "versions": {"finslerpde": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": cfg["seed"],
         "admissibility": admissibility,
         "artifacts": [],

@@ -140,7 +140,7 @@ def load_config(path, overrides=None, seed=None):
         merged["seed"] = seed
     _reject_unknown(merged, _TOP_KEYS, "the top level")
     _validate(merged)
-    return merged, raw
+    return merged
 
 
 def _validate(cfg):

@@ -60,5 +60,10 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def canonical_json(payload):
+    """Compact JSON bytes with sorted keys, so equal payloads give equal bytes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
 def config_sha256(raw_bytes):
     return hashlib.sha256(raw_bytes).hexdigest()

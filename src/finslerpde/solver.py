@@ -18,6 +18,12 @@ an ascent direction the step falls back to preconditioned steepest
 descent.  The initial iterate solves the Euclidean p = 2 problem; if CG
 fails there, Newton starts from zero interior values, a warning is logged
 and the report keeps the CG status.
+
+Every stiffness matrix of one solve shares the sparsity pattern of the
+interior block, so the element-to-CSR scatter is built once and each
+assembly is one bincount into fixed indices.  The module needs numpy and
+scipy.sparse only: the source primitive is tabulated by composite Simpson
+and evaluated as a cubic Hermite interpolant in numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import NonconvergenceError
 from .fields import ScalarField, element_gradients
@@ -72,9 +76,14 @@ class SolveReport:
 class _Primitive:
     """F(s) = int_0^s f, tabulated on a growing grid.
 
-    f is only assumed on [0, inf); trial line-search states may dip
-    slightly negative, where f is frozen at f(0) (so F is linear there).
+    The table holds F at 8192 uniform intervals of [0, hi], summed by the
+    composite Simpson rule from f at the nodes and midpoints; a call past
+    hi regrows it to twice the call's largest argument.  f is only assumed
+    on [0, inf); trial line-search states may dip slightly negative, where
+    f is frozen at f(0) (so F is linear there).
     """
+
+    _INTERVALS = 8192
 
     def __init__(self, f, s_hi=1.0):
         self._f = f
@@ -83,24 +92,37 @@ class _Primitive:
 
     def _build(self, s_hi):
         self._hi = s_hi
-        self._grid = np.linspace(0.0, s_hi, 8193)
+        self._grid = np.linspace(0.0, s_hi, self._INTERVALS + 1)
+        self._dx = s_hi / self._INTERVALS
         fv = np.asarray(self._f(self._grid), dtype=float)
-        vals = cumulative_simpson(fv, x=self._grid, initial=0.0)
-        # C1 interpolant whose slope equals f at the nodes, so the energy it
-        # induces is consistent with the analytic gradient used for residuals.
-        self._spline = CubicHermiteSpline(self._grid, vals, fv)
-        self._top = vals[-1]
-        self._fhi = fv[-1]
+        mid = np.asarray(self._f(0.5 * (self._grid[:-1] + self._grid[1:])), dtype=float)
+        vals = np.empty_like(fv)
+        vals[0] = 0.0
+        np.cumsum(self._dx / 6.0 * (fv[:-1] + 4.0 * mid + fv[1:]), out=vals[1:])
+        self._vals, self._fv = vals, fv
+
+    def _hermite(self, s):
+        """Cubic Hermite interpolant of the table at s in [0, hi].
+
+        Its slope equals f at the nodes, so the energy it induces is
+        consistent with the analytic gradient used for residuals.
+        """
+        dx = self._dx
+        i = np.minimum((s / dx).astype(np.intp), self._INTERVALS - 1)
+        t = (s - self._grid[i]) / dx
+        v0, v1 = self._vals[i], self._vals[i + 1]
+        d0, d1 = dx * self._fv[i], dx * self._fv[i + 1]
+        # Horner form of h00 v0 + h10 d0 + h01 v1 + h11 d1
+        c2 = 3.0 * (v1 - v0) - 2.0 * d0 - d1
+        c3 = 2.0 * (v0 - v1) + d0 + d1
+        return v0 + t * (d0 + t * (c2 + t * c3))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         top = s.max() if s.size else 0.0
         if top > self._hi:
             self._build(2.0 * top)
-        out = self._spline(np.clip(s, 0.0, self._hi))
-        out = np.where(s < 0.0, s * self._f0, out)
-        out = np.where(s > self._hi, self._top + (s - self._hi) * self._fhi, out)
-        return out
+        return np.where(s < 0.0, s * self._f0, self._hermite(np.maximum(s, 0.0)))
 
 
 def _boundary_values(mesh, bc):
@@ -116,14 +138,36 @@ def _boundary_values(mesh, bc):
     return arr
 
 
-def _assemble(mesh, cell_tensors):
-    """Stiffness matrix sum_T |T| grad phi_a . M_T grad phi_b."""
-    ke = np.einsum("t,tad,tde,tbe->tab", mesh.areas, mesh.basis_grads,
-                   cell_tensors, mesh.basis_grads)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    n = mesh.n_vertices
-    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+def _element_matrices(mesh, cell_tensors):
+    """|T| grad phi_a . M_T grad phi_b for every triangle T, shape (T, 3, 3)."""
+    return np.einsum("t,tad,tde,tbe->tab", mesh.areas, mesh.basis_grads,
+                     cell_tensors, mesh.basis_grads, optimize=True)
+
+
+def _interior_pattern(mesh):
+    """CSR pattern of the interior block of a P1 stiffness matrix.
+
+    Returns (slot, indices, indptr).  Entry j of the flattened (T, 3, 3)
+    element matrices adds into data slot slot[j]; entries that touch the
+    boundary go to slot nnz, one past the pattern, which assembly drops.
+    """
+    interior = mesh.interior_mask
+    n_int = int(np.count_nonzero(interior))
+    local = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    local[interior] = np.arange(n_int)
+    tri = local[mesh.triangles]
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    key = rows * n_int + cols
+    key[(rows < 0) | (cols < 0)] = n_int * n_int
+    # np.sort and a mask: np.unique took ten times as long on these keys
+    ordered = np.sort(key)
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    keys = ordered[first & (ordered < n_int * n_int)]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_int, minlength=n_int))])
+    # scipy picks the index dtype once here, so no assembly converts them
+    pattern = sp.csr_matrix((np.empty(len(keys)), keys % n_int, indptr), shape=(n_int, n_int))
+    return np.searchsorted(keys, key), pattern.indices, pattern.indptr
 
 
 def _floor_spd(mats, floor):
@@ -150,6 +194,19 @@ class _EnergyProblem:
         self.norm = norm
         self.source = source
         self.primitive = _Primitive(source.f_vals)
+        self._slot, self._indices, self._indptr = _interior_pattern(mesh)
+
+    def stiffness(self, element_mats):
+        """Interior block of sum_T (element matrix of T), as CSR."""
+        nnz = len(self._indices)
+        data = np.bincount(self._slot, weights=element_mats.ravel(), minlength=nnz + 1)
+        n_int = len(self._indptr) - 1
+        return sp.csr_matrix((data[:nnz], self._indices, self._indptr), shape=(n_int, n_int))
+
+    def scatter(self, contrib):
+        """Sum per-triangle vertex contributions (T, 3) into vertex values."""
+        return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
+                           minlength=self.mesh.n_vertices)
 
     def cell_means(self, values):
         return values[self.mesh.triangles].mean(axis=1)
@@ -165,11 +222,9 @@ class _EnergyProblem:
         mesh = self.mesh
         cell_flux = flux(self.material, self.norm, element_gradients(mesh, values))
         fbar = self.source.f_vals(self.cell_means(values))
-        r = np.zeros(mesh.n_vertices)
         contrib = mesh.areas[:, None] * np.einsum("td,tvd->tv", cell_flux, mesh.basis_grads)
         contrib -= (mesh.areas * fbar / 3.0)[:, None]
-        np.add.at(r, mesh.triangles.ravel(), contrib.ravel())
-        return r
+        return self.scatter(contrib)
 
     def tangent(self, values, c1_floor):
         g = element_gradients(self.mesh, values)
@@ -182,7 +237,7 @@ class _EnergyProblem:
         if np.any(small):
             floor = c1_floor * (self.material.k + _EPS_GRAD) ** (self.material.p - 2.0)
             mats[small] = _floor_spd(mats[small], floor)
-        return _assemble(self.mesh, mats)
+        return self.stiffness(_element_matrices(self.mesh, mats))
 
 
 def solve(mesh, material, norm, source, bc=0.0, options=None):
@@ -206,13 +261,14 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
 
     values = np.zeros(mesh.n_vertices)
     values[mesh.boundary_vertices] = bvals
-    eye = np.tile(np.eye(2), (mesh.n_triangles, 1, 1))
-    k0 = _assemble(mesh, eye)
+    ke0 = _element_matrices(mesh, np.tile(np.eye(2), (mesh.n_triangles, 1, 1)))
     fbar = source.f_vals(problem.cell_means(values))
-    rhs = np.zeros(mesh.n_vertices)
-    np.add.at(rhs, mesh.triangles.ravel(), np.repeat(mesh.areas * fbar / 3.0, 3))
-    rhs_i = rhs[interior] - k0[interior][:, ~interior] @ values[~interior]
-    init, init_info = _cg_solve(k0[interior][:, interior], rhs_i, _CG_RTOL)
+    load = np.repeat((mesh.areas * fbar / 3.0)[:, None], 3, axis=1)
+    # interior values are still zero: subtracting K0 @ values moves the boundary
+    # data to the right-hand side
+    load -= np.einsum("tab,tb->ta", ke0, values[mesh.triangles])
+    rhs_i = problem.scatter(load)[interior]
+    init, init_info = _cg_solve(problem.stiffness(ke0), rhs_i, _CG_RTOL)
     if init_info == 0:
         values[interior] = init
     else:
@@ -233,8 +289,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
             converged = True
             break
 
-        k_mat = problem.tangent(values, c1_est)
-        kii = k_mat[interior][:, interior]
+        kii = problem.tangent(values, c1_est)
         step, info = _cg_solve(kii, -r, _CG_RTOL)
         directions = []
         if info == 0 and float(r @ step) < 0.0:

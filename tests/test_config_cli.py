@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from finslerpde.cli import main
 from finslerpde.config import (build_material, build_norm, build_source,
                                load_config, parse_overrides)
 from finslerpde import io
-from finslerpde.io import _write_rows, config_sha256, write_json
+from finslerpde.io import _write_rows, canonical_json, config_sha256, write_json
 
 
 def write_config(path, body):
@@ -26,11 +29,10 @@ BASE = {"domain": {"kind": "disk", "radius": 1.0},
 
 class TestConfig:
     def test_defaults_fill_in(self, tmp_path):
-        cfg, raw = load_config(write_config(tmp_path / "c.json", BASE))
+        cfg = load_config(write_config(tmp_path / "c.json", BASE))
         assert cfg["norm"]["kind"] == "euclidean"
         assert cfg["tol_solve"] == 1e-8
         assert cfg["seed"] == 0
-        assert isinstance(raw, bytes)
 
     def test_unknown_top_level_key(self, tmp_path):
         bad = dict(BASE, solver="newton")
@@ -49,14 +51,14 @@ class TestConfig:
             load_config(str(path))
 
     def test_overrides(self, tmp_path):
-        cfg, _ = load_config(write_config(tmp_path / "c.json", BASE),
-                             overrides=parse_overrides(["material.p=3.5",
-                                                        "domain.kind=disk"]))
+        cfg = load_config(write_config(tmp_path / "c.json", BASE),
+                          overrides=parse_overrides(["material.p=3.5",
+                                                     "domain.kind=disk"]))
         assert cfg["material"]["p"] == 3.5
         assert cfg["domain"]["kind"] == "disk"
 
     def test_seed_override_wins(self, tmp_path):
-        cfg, _ = load_config(write_config(tmp_path / "c.json", BASE), seed=7)
+        cfg = load_config(write_config(tmp_path / "c.json", BASE), seed=7)
         assert cfg["seed"] == 7
 
     def test_builders(self, tmp_path):
@@ -64,7 +66,7 @@ class TestConfig:
                     material={"p": 3.0, "k": 0.5, "kind": "shifted"},
                     source={"f": {"kind": "power", "scale": 2.0, "exponent": 1.0},
                             "g": {"kind": "zero"}})
-        cfg, _ = load_config(write_config(tmp_path / "c.json", body))
+        cfg = load_config(write_config(tmp_path / "c.json", body))
         mat = build_material(cfg)
         assert mat.p == 3.0 and mat.k == 0.5
         norm = build_norm(cfg)
@@ -101,6 +103,8 @@ REJECTED_INPUTS = [
     ("barrier", "radial.n=2.7", "radial.n must be an integer"),
     ("solve", "domain.center=[1]", "domain: center must have 2 coordinates"),
     ("solve", 'domain.center=["a", 1]', "domain.center[0] must be a number"),
+    ("solve", 'domain={"kind": "rectangle", "center": [5, 5]}',
+     "domain: a rectangle has its corner at the origin"),
     ("barrier", "radial.radius=abc", "radial.radius must be a number"),
     ("barrier", "radial.target=abc", "radial.target must be a number"),
     ("barrier", "radial.m=-1", "radial: barrier mode needs target_m > 0"),
@@ -144,10 +148,55 @@ class TestCli:
             header = fh.readline().strip().split(",")
         assert header == ["x", "y", "u", "ux", "uy"]
 
-    def test_manifest_hash_tracks_config_bytes(self, tmp_path):
-        rc, out = self.run(tmp_path, "solve", BASE)
-        raw = (tmp_path / "config.json").read_bytes()
-        assert self.read_manifest(out)["config_sha256"] == config_sha256(raw)
+    def test_manifest_hash_tracks_resolved_config(self, tmp_path):
+        def manifest(name, body, *extra):
+            cfg = write_config(tmp_path / f"{name}.json", body)
+            out = str(tmp_path / name)
+            assert main(["verify", "--config", cfg, "--out", out, *extra]) == 0
+            return self.read_manifest(out)
+
+        first = manifest("first", BASE)
+        resolved = load_config(str(tmp_path / "first.json"))
+        assert first["config"] == resolved
+        assert first["config_sha256"] == config_sha256(canonical_json(resolved))
+        assert set(first["versions"]) == {"finslerpde", "python", "numpy", "scipy"}
+        assert first["versions"]["numpy"] == np.__version__
+        assert manifest("repeat", BASE)["config_sha256"] == first["config_sha256"]
+        # the same resolved config, from other file bytes, gets the same hash
+        again = manifest("again", {**BASE, "h": 0.3, "seed": 0})
+        assert again["config_sha256"] == first["config_sha256"]
+        variants = [manifest("h", BASE, "--set", "h=0.25"),
+                    manifest("p", BASE, "--set", "material.p=3"),
+                    manifest("seed", BASE, "--seed", "4")]
+        hashes = {first["config_sha256"]} | {m["config_sha256"] for m in variants}
+        assert len(hashes) == 4
+        assert variants[0]["config"]["h"] == 0.25
+
+    def test_solve_imports_numpy_and_scipy_sparse_only(self, tmp_path):
+        # A fresh interpreter, since this one has imported all of scipy already.
+        script = textwrap.dedent("""
+            import json, sys
+            from finslerpde.cli import main
+            lazy = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
+                    "scipy.spatial", "scipy.special")
+            codes = [main(["solve", "--config", sys.argv[1], "--out", sys.argv[2]])]
+            after_solve = [m for m in lazy if m in sys.modules]
+            codes.append(main(["barrier", "--config", sys.argv[1], "--out", sys.argv[3]]))
+            print(json.dumps([codes, after_solve, "scipy.optimize" in sys.modules]))
+        """)
+        cfg = write_config(tmp_path / "config.json", dict(BASE, h=0.2))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "solve"),
+                               str(tmp_path / "barrier")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, after_solve, shot = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert after_solve == []
+        assert shot  # the barrier shot imported brentq on first use
+        assert os.path.exists(tmp_path / "barrier" / "profile.csv")
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc, _ = self.run(tmp_path, "solve", dict(BASE, mystery=1))

@@ -2,11 +2,12 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from finslerpde import solver
 
-from finslerpde import (AdmissibilityError, DomainSpec, MaterialProfile, NonconvergenceError,
-                        SolveOptions, SourceTerm, build_domain, solve)
+from finslerpde import (AdmissibilityError, DomainSpec, FinslerNorm, MaterialProfile,
+                        NonconvergenceError, SolveOptions, SourceTerm, build_domain, solve)
 from conftest import const_source
 
 
@@ -125,3 +126,96 @@ class TestInitialSolve:
         # started from zero, so the quadratic case now needs Newton steps
         assert report.converged and report.iterations >= 1
         assert center_value(field) == pytest.approx(0.25, abs=2e-2)
+
+
+def _coo_stiffness(mesh, cell_tensors):
+    """Reference build: the 4-operand einsum, then COO -> CSR and the interior slice."""
+    ke = np.einsum("t,tad,tde,tbe->tab", mesh.areas, mesh.basis_grads,
+                   cell_tensors, mesh.basis_grads)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_vertices
+    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    interior = mesh.interior_mask
+    return k[interior][:, interior]
+
+
+def _scipy_primitive(f, hi):
+    """Reference table: scipy's cumulative Simpson rule and cubic Hermite spline."""
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import CubicHermiteSpline
+    grid = np.linspace(0.0, hi, 8193)
+    fv = f(grid)
+    return CubicHermiteSpline(grid, cumulative_simpson(fv, x=grid, initial=0.0), fv)
+
+
+KERNEL_MESHES = [
+    (DomainSpec(kind="disk", radius=1.0), 0.1),
+    (DomainSpec(kind="rectangle", a=1.0, b=2.0), 0.1),
+    (DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+    (DomainSpec(kind="annulus_wulff", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+]
+KERNEL_IDS = ["disk", "rectangle", "lp4_ball", "lp4_annulus"]
+
+# name: (f, closed-form F = int_0^s f)
+PRIMITIVES = {
+    "constant": (lambda s: np.full_like(s, 2.0), lambda s: 2.0 * s),
+    "linear": (lambda s: 0.5 * s + 1.0, lambda s: 0.25 * s ** 2 + s),
+    "power_0.5": (lambda s: s ** 0.5, lambda s: s ** 1.5 / 1.5),
+    "power_1": (lambda s: s ** 1.0, lambda s: s ** 2 / 2.0),
+    "power_3": (lambda s: s ** 3.0, lambda s: s ** 4 / 4.0),
+    "exp": (np.exp, lambda s: np.expm1(s)),
+}
+
+
+class TestKernels:
+    @pytest.fixture(params=KERNEL_MESHES, ids=KERNEL_IDS)
+    def problem(self, request, lp4, unit_source):
+        dom, h = request.param
+        return solver._EnergyProblem(build_domain(dom, h), MaterialProfile(p=3.0), lp4,
+                                     unit_source)
+
+    def test_stiffness_matches_coo_build(self, problem):
+        mesh = problem.mesh
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((mesh.n_triangles, 2, 2))
+        mats = a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(2)
+        ref = _coo_stiffness(mesh, mats)
+        ref.sort_indices()
+        k = problem.stiffness(solver._element_matrices(mesh, mats))
+        assert k.shape == ref.shape
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.array_equal(k.indices, ref.indices)
+        assert np.abs(k.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+    def test_residual_scatter_matches_add_at(self, problem):
+        mesh = problem.mesh
+        values = np.sin(3.0 * mesh.vertices[:, 0]) * np.cos(2.0 * mesh.vertices[:, 1])
+        cell_flux = solver.flux(problem.material, problem.norm,
+                                solver.element_gradients(mesh, values))
+        fbar = problem.source.f_vals(problem.cell_means(values))
+        contrib = mesh.areas[:, None] * np.einsum("td,tvd->tv", cell_flux, mesh.basis_grads)
+        contrib -= (mesh.areas * fbar / 3.0)[:, None]
+        ref = np.zeros(mesh.n_vertices)
+        np.add.at(ref, mesh.triangles.ravel(), contrib.ravel())
+        assert np.array_equal(problem.residual(values), ref)
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_primitive_matches_closed_form(self, name):
+        f, exact = PRIMITIVES[name]
+        prim = solver._Primitive(f)
+        rng = np.random.default_rng(11)
+        # the second range regrows the table past its first top, s_hi = 1
+        for top, hi in ((1.0, 1.0), (3.7, 7.4)):
+            s = np.concatenate([rng.uniform(0.0, top, 4000), [0.0, top]])
+            got = prim(s)
+            assert prim._hi == hi
+            scale = np.maximum(1.0, np.abs(exact(s)))
+            err = np.abs(got - exact(s)) / scale
+            err_scipy = np.abs(_scipy_primitive(f, hi)(s) - exact(s)) / scale
+            if err_scipy.max() <= 1e-12:
+                assert err.max() <= 1e-12
+            else:
+                assert err.max() <= err_scipy.max()
+        neg = -rng.uniform(0.0, 0.1, 100)
+        assert np.array_equal(prim(neg), neg * f(np.zeros(1))[0])

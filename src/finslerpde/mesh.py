@@ -280,11 +280,5 @@ def build_domain(dom, h_target):
     if dom.kind == "disk":
         return _ball_mesh(FinslerNorm.euclidean(2), dom.radius, dom.center, h_target)
     if dom.kind == "wulff_ball":
-        if dom.norm.dim != 2:
-            raise ValueError("meshing supports dim 2 only")
         return _ball_mesh(dom.norm, dom.radius, dom.center, h_target)
-    if dom.kind == "annulus_wulff":
-        if dom.norm.dim != 2:
-            raise ValueError("meshing supports dim 2 only")
-        return _annulus_mesh(dom.norm, dom.radius, dom.center, h_target)
-    raise ValueError(f"unknown domain kind {dom.kind!r}")
+    return _annulus_mesh(dom.norm, dom.radius, dom.center, h_target)

@@ -13,11 +13,30 @@ that gets recorded.  Near-critical elements (|grad u| < eps_grad) get the
 gradient nudged off the singularity and their elementwise tensor floored
 to C1_est (k + eps_grad)^(p-2) I; elsewhere the structural lower bound
 keeps the tensor positive definite on its own.  Tangent systems go to
-conjugate gradients with Jacobi preconditioning; if CG stalls or returns
-an ascent direction the step falls back to preconditioned steepest
-descent.  The initial iterate solves the Euclidean p = 2 problem; if CG
-fails there, Newton starts from zero interior values, a warning is logged
-and the report keeps the CG status.
+conjugate gradients with Jacobi preconditioning, solved inexactly: step k
+stops CG at the relative residual
+
+    eta_k = min(0.5, max(0.9 (|r_k| / |r_{k-1}|)^2, tol / (2 |r_k|))),
+
+floored at 1e-12, where r is the interior energy gradient and tol the
+convergence threshold tol_solve (1 + |I_h|).  The first term is choice 2
+of Eisenstat and Walker ("Choosing the forcing terms in an inexact Newton
+method", SIAM J. Sci. Comput. 17, 1996): loose solves while the residual
+falls slowly, tight ones as Newton turns quadratic.  The second keeps CG
+from solving past what the convergence test can see (Kelley, "Iterative
+Methods for Linear and Nonlinear Equations", SIAM 1995, sec. 6.3); with
+no history it is the first step's tolerance alone, so a problem that is
+quadratic in the interior values still converges in one step.  In the
+singular corner p < 2, k = 0 every system is solved to 1e-12: there the
+tangent is unbounded near critical points, Newton converges only
+linearly, the residual ratio stays near 1 and choice 2 would hold every
+solve at 0.5; such solves stall runs that converge with exact steps
+(lp q = 4, p = 1.5).  The
+convergence test stays on the exact energy gradient.  If CG stalls or
+returns an ascent direction the step falls back to preconditioned
+steepest descent.  The initial iterate solves the Euclidean p = 2
+problem to 1e-12; if CG fails there, Newton starts from zero interior
+values, a warning is logged and the report keeps the CG status.
 
 Every stiffness matrix of one solve shares the sparsity pattern of the
 interior block, so the element-to-CSR scatter is built once and each
@@ -43,7 +62,9 @@ logger = logging.getLogger(__name__)
 
 # Fixed settings of the Newton iteration, its line search and its sampling.
 _EPS_GRAD = 1e-10              # near-critical gradient threshold
-_CG_RTOL = 1e-12
+_CG_RTOL = 1e-12               # initial and singular solves; floor of the forcing term
+_ETA_MAX = 0.5                 # cap of the forcing term
+_EW_GAMMA = 0.9                # Eisenstat-Walker choice 2 factor
 _MAX_BACKTRACKS = 40
 _ARMIJO_C1 = 1e-4
 _ADMISSIBILITY_SAMPLES = 2048
@@ -68,6 +89,8 @@ class SolveReport:
     n_vertices: int
     n_triangles: int
     init_cg_info: int  # CG status of the initial p = 2 solve; nonzero starts from zero
+    steps: list        # per accepted Newton step: residual, eta, cg_info, direction,
+                       # alpha, backtracks
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -187,6 +210,17 @@ def _cg_solve(k_mat, rhs, rtol):
     return x, info
 
 
+def _forcing_term(residual, previous, target):
+    """Relative CG tolerance of a Newton step with residual norm ``residual``:
+    Eisenstat-Walker choice 2, no tighter than the convergence test needs.
+
+    ``previous`` is the residual norm before the last step (inf before the
+    first) and ``target`` the norm the convergence test accepts.
+    """
+    eta = max(_EW_GAMMA * (residual / previous) ** 2, 0.5 * target / residual)
+    return max(_CG_RTOL, min(_ETA_MAX, eta))
+
+
 class _EnergyProblem:
     def __init__(self, mesh, material, norm, source):
         self.mesh = mesh
@@ -275,29 +309,33 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         logger.warning("initial Laplacian solve failed (CG info %d); "
                        "Newton starts from zero interior values", init_info)
 
+    # B'' is unbounded at critical points in the singular corner p < 2, k = 0
+    singular = material.p < 2.0 and material.k == 0.0
     energy = problem.energy(values)
     history = [energy]
+    steps = []
     converged = False
-    iterations = 0
     final_residual = np.inf
 
     for _ in range(opts.max_iter):
-        r_full = problem.residual(values)
-        r = r_full[interior]
-        final_residual = float(np.linalg.norm(r))
-        if final_residual <= opts.tol_solve * (1.0 + abs(energy)):
+        r = problem.residual(values)[interior]
+        previous, final_residual = final_residual, float(np.linalg.norm(r))
+        target = opts.tol_solve * (1.0 + abs(energy))
+        if final_residual <= target:
             converged = True
             break
+        eta = _CG_RTOL if singular else _forcing_term(final_residual, previous, target)
 
         kii = problem.tangent(values, c1_est)
-        step, info = _cg_solve(kii, -r, _CG_RTOL)
+        step, info = _cg_solve(kii, -r, eta)
         directions = []
         if info == 0 and float(r @ step) < 0.0:
-            directions.append(step)
-        directions.append(-r / kii.diagonal())  # preconditioned descent fallback
+            directions.append(("newton", step))
+        directions.append(("descent", -r / kii.diagonal()))  # preconditioned fallback
 
         accepted = False
-        for d in directions:
+        backtracks = 0
+        for kind, d in directions:
             slope = float(r @ d)
             if slope >= 0.0:
                 continue
@@ -310,24 +348,25 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
                     accepted = True
                     break
                 alpha *= 0.5
+                backtracks += 1
             if accepted:
                 values = trial
                 energy = e_trial
                 history.append(energy)
-                iterations += 1
+                steps.append({"residual": final_residual, "eta": eta, "cg_info": int(info),
+                              "direction": kind, "alpha": alpha, "backtracks": backtracks})
                 break
         if not accepted:
             field = ScalarField(mesh, values)
-            report = _make_report(problem, values, iterations, history,
-                                  final_residual, converged=False,
-                                  init_cg_info=init_info)
+            report = _make_report(problem, values, history, steps, final_residual,
+                                  converged=False, init_cg_info=init_info)
             raise NonconvergenceError(
-                f"line search failed after {iterations} accepted steps "
+                f"line search failed after {len(steps)} accepted steps "
                 f"(residual {final_residual:.3e})", last_iterate=field, report=report)
 
     field = ScalarField(mesh, values)
-    report = _make_report(problem, values, iterations, history, final_residual,
-                          converged, init_info)
+    report = _make_report(problem, values, history, steps, final_residual, converged,
+                          init_info)
     if not converged:
         raise NonconvergenceError(
             f"no convergence in {opts.max_iter} iterations "
@@ -335,13 +374,13 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     return field, report
 
 
-def _make_report(problem, values, iterations, history, final_residual, converged,
+def _make_report(problem, values, history, steps, final_residual, converged,
                  init_cg_info):
     g = element_gradients(problem.mesh, values)
     gnorm = np.linalg.norm(g, axis=1)
     frac = float(np.count_nonzero(gnorm < _EPS_GRAD) / len(gnorm))
     return SolveReport(
-        iterations=iterations,
+        iterations=len(steps),
         energy_history=[float(e) for e in history],
         final_residual=final_residual,
         min_u=float(values.min()),
@@ -351,4 +390,5 @@ def _make_report(problem, values, iterations, history, final_residual, converged
         n_vertices=problem.mesh.n_vertices,
         n_triangles=problem.mesh.n_triangles,
         init_cg_info=int(init_cg_info),
+        steps=steps,
     )

@@ -18,13 +18,15 @@ from .mesh import build_domain
 from .radial import RadialProblem, check_target, evaluate, hopf_margin, shoot
 from .solver import solve
 
+_CONTACT_RTOL = 1e-9           # slopes this close to the minimum tie for the contact
+
 
 @dataclasses.dataclass
 class RegularityReport:
     beta: float
     t: float
-    hessian_integral_sup: float  # at the finest level
-    weight_integral_sup: float   # at the finest level
+    hessian_integral_finest: float
+    weight_integral_finest: float
     critical_fraction: float     # at the finest level
     sobolev: list                # (q, integral of |D2 u|^q) at the finest level
 
@@ -32,8 +34,8 @@ class RegularityReport:
         return {
             "beta": self.beta,
             "t": self.t,
-            "hessian_integral_sup": self.hessian_integral_sup,
-            "weight_integral_sup": self.weight_integral_sup,
+            "hessian_integral_finest": self.hessian_integral_finest,
+            "weight_integral_finest": self.weight_integral_finest,
             "critical_fraction": self.critical_fraction,
             "sobolev": [list(row) for row in self.sobolev],
         }
@@ -154,11 +156,12 @@ def hopf_check(u, h, material, source, radius, m, tol=1e-10):
 
     The minimum inner-normal derivative is taken over boundary vertices
     carrying (numerically) zero data, where the boundary-slope statement
-    applies; if none do, all boundary vertices are used.  The barrier is
-    shot on the annulus radius/2 <= H_dual(x - center) <= radius with
-    inner value m, the center placed by stepping inward from the worst
-    vertex, and the comparison defect is min(u - v) over mesh nodes in
-    that annulus.
+    applies; if none do, all boundary vertices are used.  The contact
+    vertex is the lowest-index one whose slope is within a relative 1e-9
+    of that minimum.  The barrier is shot on the annulus
+    radius/2 <= H_dual(x - center) <= radius with inner value m, the
+    center placed by stepping inward from the contact vertex, and the
+    comparison defect is min(u - v) over mesh nodes in that annulus.
     """
     mesh = u.mesh
     bvs = mesh.boundary_vertices
@@ -168,8 +171,11 @@ def hopf_check(u, h, material, source, radius, m, tol=1e-10):
     if not np.any(zero_data):
         zero_data = np.ones(len(bvs), dtype=bool)
     candidates = np.where(zero_data)[0]
-    local = candidates[np.argmin(slopes[candidates])]
-    min_slope = float(slopes[local])
+    min_slope = float(slopes[candidates].min())
+    # mirror vertices tie up to rounding: take the first one near the minimum,
+    # so the contact does not flip when the field moves in its last bits
+    near = slopes[candidates] <= min_slope + _CONTACT_RTOL * abs(min_slope)
+    local = candidates[np.argmax(near)]
     contact = int(bvs[local])
 
     center = _fit_center(mesh, h.dual, contact, mesh.boundary_normals[local], radius)
@@ -234,8 +240,8 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
     finest = fields[-1]
     regularity = RegularityReport(
         beta=beta, t=t,
-        hessian_integral_sup=rows[-1]["hessian_integral"],
-        weight_integral_sup=rows[-1]["weight_integral"],
+        hessian_integral_finest=rows[-1]["hessian_integral"],
+        weight_integral_finest=rows[-1]["weight_integral"],
         critical_fraction=rows[-1]["critical_fraction"],
         sobolev=sobolev_scan(finest, material, q_grid, hess),
     )

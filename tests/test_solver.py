@@ -27,8 +27,8 @@ class TestTorsion:
         assert report.init_cg_info == 0
         assert report.iterations == 0
 
-    def test_energy_history_non_increasing(self, torsion_coarse, p4_study):
-        for report in [torsion_coarse[1]] + p4_study.reports:
+    def test_energy_history_non_increasing(self, torsion_coarse, p4_study, lp4_p3_pair):
+        for report in [torsion_coarse[1], lp4_p3_pair[0][1]] + p4_study.reports:
             hist = report.energy_history
             assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
@@ -126,6 +126,69 @@ class TestInitialSolve:
         # started from zero, so the quadratic case now needs Newton steps
         assert report.converged and report.iterations >= 1
         assert center_value(field) == pytest.approx(0.25, abs=2e-2)
+
+
+@pytest.fixture(scope="module")
+def lp4_p3_pair(lp4, unit_source):
+    """Coarse lp q=4, p=3 Wulff ball, solved with the forcing terms and with
+    every Newton system solved to _CG_RTOL."""
+    mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.1)
+    args = (mesh, MaterialProfile(p=3.0), lp4, unit_source)
+    forced = solve(*args)
+    cg_solve = solver._cg_solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_cg_solve",
+                   lambda k_mat, rhs, rtol: cg_solve(k_mat, rhs, solver._CG_RTOL))
+        tight = solve(*args)
+    return forced, tight
+
+
+class TestForcing:
+    def test_forcing_terms_lie_in_range(self, lp4_p3_pair):
+        (_, report), _ = lp4_p3_pair
+        etas = [step["eta"] for step in report.steps]
+        assert all(solver._CG_RTOL <= eta <= 0.5 for eta in etas)
+        assert max(etas) == 0.5
+        # no history: the first step is solved as tightly as the convergence test needs
+        target = SolveOptions().tol_solve * (1.0 + abs(report.energy_history[0]))
+        assert etas[0] == pytest.approx(0.5 * target / report.steps[0]["residual"])
+
+    def test_singular_corner_solves_exactly(self, lp4, unit_source):
+        # p = 1.5, k = 0: solves held at eta = 0.5 stall this case at max_iter
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.1)
+        _, report = solve(mesh, MaterialProfile(p=1.5), lp4, unit_source)
+        assert report.converged
+        assert all(step["eta"] == solver._CG_RTOL for step in report.steps)
+
+    def test_quadratic_anisotropic_case_needs_one_step(self, ellipsoidal, unit_source):
+        # p = 2 with an ellipsoidal norm: the energy is quadratic in the values
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0,
+                                       norm=ellipsoidal), 0.1)
+        _, report = solve(mesh, MaterialProfile(p=2.0), ellipsoidal, unit_source)
+        assert report.iterations == 1
+
+    def test_step_records(self, lp4_p3_pair, torsion_coarse):
+        (_, report), _ = lp4_p3_pair
+        assert len(report.steps) == report.iterations > 0
+        for step in report.steps:
+            assert set(step) == {"residual", "eta", "cg_info", "direction", "alpha",
+                                 "backtracks"}
+            assert step["direction"] in ("newton", "descent")
+            assert 0.0 < step["alpha"] <= 1.0 and step["backtracks"] >= 0
+        residuals = [step["residual"] for step in report.steps]
+        assert report.final_residual < residuals[-1]
+        assert torsion_coarse[1].steps == []
+
+    def test_final_residual_meets_tolerance(self, lp4_p3_pair):
+        (_, report), _ = lp4_p3_pair
+        assert report.converged
+        tol = SolveOptions().tol_solve
+        assert report.final_residual <= tol * (1.0 + abs(report.energy_history[-1]))
+
+    def test_matches_tight_linear_solves(self, lp4_p3_pair):
+        (field, report), (field_tight, report_tight) = lp4_p3_pair
+        assert np.abs(field.values - field_tight.values).max() <= 1e-8
+        assert report.iterations <= report_tight.iterations
 
 
 def _coo_stiffness(mesh, cell_tensors):

@@ -125,6 +125,20 @@ class TestHopf:
                          radius=0.8, m=0.1)
         assert rep.comparison_violation == pytest.approx(0.0, abs=1e-12)
 
+    def test_contact_vertex_is_stable_under_rounding(self, euclid):
+        # mirror vertices of the symmetric torsion field tie up to rounding
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        vals = 0.25 * (1.0 - (mesh.vertices ** 2).sum(axis=1))
+        vals[mesh.boundary_vertices] = 0.0
+        args = (euclid, MaterialProfile(p=2.0), const_source())
+        base = hopf_check(ScalarField(mesh, vals), *args, radius=0.5, m=0.1)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            moved = vals + 1e-14 * rng.standard_normal(len(vals))
+            rep = hopf_check(ScalarField(mesh, moved), *args, radius=0.5, m=0.1)
+            assert rep.contact_vertex == base.contact_vertex
+            assert rep.center == base.center
+
     def test_ball_must_fit(self, euclid, torsion_study):
         u = torsion_study.fields[0]
         with pytest.raises(ValueError, match="fits"):
@@ -146,10 +160,11 @@ class TestStudy:
         d = torsion_study.regularity.to_dict()
         assert d["t"] == 0.5
         assert "gamma" not in d and "per_refinement" not in d
+        assert "hessian_integral_finest" in d and "hessian_integral_sup" not in d
         hd = torsion_study.hopf.to_dict()
         assert "min_normal_derivative" in hd
 
-    def test_sup_values_bound_refinement_rows(self, torsion_study):
-        reg = torsion_study.regularity
-        assert reg.hessian_integral_sup > 0.0
-        assert reg.weight_integral_sup > 0.0
+    def test_finest_values_are_positive(self, torsion_study):
+        reg, finest = torsion_study.regularity, torsion_study.rows[-1]
+        assert reg.hessian_integral_finest == finest["hessian_integral"] > 0.0
+        assert reg.weight_integral_finest == finest["weight_integral"] > 0.0

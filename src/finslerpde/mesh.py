@@ -9,7 +9,8 @@ them).  Annuli between the R/2 and R level sets use a polar template with
 an even angular count so the alternating diagonal pattern closes up.
 
 All generators retriangulate with more resolution until the longest edge
-is at most the requested spacing.
+is at most the requested spacing.  Candidates are checked from their
+vertices and triangles alone; only the accepted one becomes a Mesh2D.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Mesh2D:
         bmask = counts == 1
         b_edges = edges[start[bmask]]
         b_opposite = opposite[start[bmask]]
-        self.h = float(np.sqrt(((p[uniq[:, 0]] - p[uniq[:, 1]]) ** 2).sum(axis=1)).max())
+        self.h = _longest_edge(p, tris)
 
         self.boundary_vertices = np.unique(b_edges)
         self._interior_mask = np.ones(n, dtype=bool)
@@ -184,6 +185,14 @@ class Mesh2D:
         return self.boundary_normals[pos]
 
 
+def _longest_edge(vertices, triangles):
+    """Length of the longest triangle edge."""
+    x, y = vertices[:, 0][triangles], vertices[:, 1][triangles]
+    dx = x - x[:, [1, 2, 0]]
+    dy = y - y[:, [1, 2, 0]]
+    return float(np.sqrt((dx * dx + dy * dy).max()))
+
+
 def _union_jack(a, b, c, d):
     """Two triangles per quad (a, b, c, d), corners in cyclic order.
 
@@ -241,10 +250,12 @@ def _ball_mesh(norm, radius, center, h):
     s_max = float((1.0 / hd.eval(dirs)).max())
     n = max(2, math.ceil(1.6 * radius * s_max / h))
     for _ in range(8):
-        mesh = Mesh2D(_ball_vertices(norm, radius, center, n), _grid_triangles(2 * n, 2 * n))
-        if mesh.h <= h:
-            return mesh
-        n = math.ceil(n * mesh.h / h) + 1
+        verts = _ball_vertices(norm, radius, center, n)
+        tris = _grid_triangles(2 * n, 2 * n)
+        longest = _longest_edge(verts, tris)
+        if longest <= h:
+            return Mesh2D(verts, tris)
+        n = math.ceil(n * longest / h) + 1
     raise NumericError("ball meshing failed to reach the target spacing")
 
 
@@ -262,10 +273,11 @@ def _annulus_mesh(norm, radius, center, h):
         scale = 1.0 / hd.eval(d)
         verts = (r[:, None, None] * (d * scale[:, None])[None, :, :]).reshape(-1, 2)
         verts += np.asarray(center, dtype=float)
-        mesh = Mesh2D(verts, _annulus_triangles(n_r, n_t))
-        if mesh.h <= h:
-            return mesh
-        grow = mesh.h / h
+        tris = _annulus_triangles(n_r, n_t)
+        longest = _longest_edge(verts, tris)
+        if longest <= h:
+            return Mesh2D(verts, tris)
+        grow = longest / h
         n_r = math.ceil(n_r * grow) + 1
         n_t = 2 * math.ceil(n_t * grow / 2) + 2
     raise NumericError("annulus meshing failed to reach the target spacing")

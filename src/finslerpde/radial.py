@@ -20,17 +20,21 @@ differentiated.  Two modes:
 
 Integration is classical 4-stage Runge-Kutta on 4096 uniform steps.
 The shooting parameter is bracketed geometrically and then found by
-Brent's method, each trial being one full march.  Phi is inverted in
-closed form for power-law profiles and by scalar bisection otherwise.
+Brent's method, each trial being one full march; the bracket ends are
+not marched again, and the returned profile is the march made at the
+root.  Phi is inverted in closed form for power-law profiles and by
+scalar bisection otherwise.
 In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
 center, so integration starts at rho0 = R * 1e-6 with the series value
 Psi(rho0) = -f(w(0)) rho0^n / n; the exact center point
 (w(0), w'(0) = 0) is prepended to the returned grid.
 
-Brent's method (scipy.optimize) and the PCHIP interpolant of evaluate
-(scipy.interpolate) are imported inside shoot and evaluate.  solve never
-calls them, and importing them with the package would add about 0.3 s and
-20 MB to every solve run.
+Brent's method (_brent) and the PCHIP interpolant of evaluate are ports
+of scipy.optimize.brentq and scipy.interpolate.PchipInterpolator to plain
+Python and numpy.  They take the same floating-point steps, so they give
+the same roots and values bit for bit.  Importing those two scipy modules
+cost a barrier shot about 0.15 s and 18 MB of peak memory, several times
+the RK4 work of the shot.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ N_STEPS = 4096
 _SLOPE_MIN, _SLOPE_MAX = 1e-12, 1e6
 _W_CAP = 1e12  # treat profiles beyond this as diverged (Keller-Osserman trials)
 _CENTER_CUT = 1e-6  # ball mode starts at R * this
-_RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance brentq accepts
+_RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance scipy's brentq accepts
 
 
 @dataclasses.dataclass
@@ -88,10 +92,10 @@ class BarrierProfile:
     interior; shoot_slope is the converged boundary slope w'(0).  In
     ball mode the same container holds the decreasing profile from the
     central maximum, with shoot_slope = w'(0) = 0 at the center.
-    ``marches`` counts the RK4 marches that produced the profile (the
-    final integration included) and ``bracket`` is the shooting
-    parameter interval the root was sought in; a plain ``integrate``
-    has one march and no bracket.
+    ``marches`` counts the distinct shooting parameters marched (the
+    root's march, which the profile is built from, included) and
+    ``bracket`` is the shooting parameter interval the root was sought
+    in; a plain ``integrate`` has one march and no bracket.
     """
 
     grid: np.ndarray
@@ -221,18 +225,10 @@ def _march(problem, start, n_steps):
     return np.array(ws), np.array(ps)
 
 
-def integrate(problem, start, n_steps=N_STEPS):
-    """Integrate for a given shooting parameter (no terminal condition).
-
-    In barrier mode ``start`` is the boundary slope w'(0) > 0; in ball
-    mode it is the central value w(0).  Raises NumericError if the
-    trajectory diverges.
-    """
-    ws, ps = _march(problem, start, n_steps)
-    if ws is None:
-        raise NumericError(f"radial profile diverged for shooting parameter {start:.6g}")
+def _profile(problem, start, ws, ps):
+    """BarrierProfile from one march's (w, Psi) nodes."""
     a, b = problem.span()
-    grid = np.linspace(a, b, n_steps + 1)
+    grid = np.linspace(a, b, len(ws))
     qv = problem.q(grid)
     w_prime = problem.material.b_prime_inverse(np.abs(ps) / qv) * np.sign(ps)
     if problem.mode == "ball":
@@ -244,12 +240,85 @@ def integrate(problem, start, n_steps=N_STEPS):
                           radius=problem.radius, n=problem.n)
 
 
+def _diverged(start):
+    return NumericError(f"radial profile diverged for shooting parameter {start:.6g}")
+
+
+def integrate(problem, start, n_steps=N_STEPS):
+    """Integrate for a given shooting parameter (no terminal condition).
+
+    In barrier mode ``start`` is the boundary slope w'(0) > 0; in ball
+    mode it is the central value w(0).  Raises NumericError if the
+    trajectory diverges.
+    """
+    ws, ps = _march(problem, start, n_steps)
+    if ws is None:
+        raise _diverged(start)
+    return _profile(problem, start, ws, ps)
+
+
 def check_target(problem, target_m):
     """Reject a shooting target the problem's mode cannot reach."""
     if problem.mode == "barrier" and target_m <= 0:
         raise ValueError("barrier mode needs target_m > 0")
     if problem.mode == "ball" and target_m < 0:
         raise ValueError("ball mode needs target_m >= 0")
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter=100):
+    """Root of f between xpre and xcur by Brent's method.
+
+    fpre and fcur are f at the two ends, already known to the caller, and
+    must not have the same sign.  A line-by-line port of the C routine of
+    scipy.optimize.brentq (Brent 1973, ch. 4): the same steps in the same
+    floating-point order, so the same points are tried and the same root
+    is returned.  As brentq with disp=False, the last iterate is returned
+    when maxiter runs out.
+    """
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f must have different signs at the two ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur
 
 
 def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
@@ -259,16 +328,18 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
     for the central value (target_m >= 0, typically 0 for Dirichlet
     data).  The bracket grows geometrically from [1e-6, 1]; slopes
     outside [1e-12, 1e6] raise NumericError.  Brent's method then finds
-    the parameter to a relative accuracy of 4 ulp, and the integrated
-    profile must hit the target within tol.
+    the parameter to a relative accuracy of 4 ulp, starting from the
+    bracket ends' values.  Each parameter is marched once: the profile
+    is built from the march at the root, and it must hit the target
+    within tol.
     """
     check_target(problem, target_m)
-    marches = 0
+    marched = {}
 
     def hit(s):
-        nonlocal marches
-        marches += 1
-        ws, _ = _march(problem, s, n_steps)
+        if s not in marched:
+            marched[s] = _march(problem, s, n_steps)
+        ws, _ = marched[s]
         return math.inf if ws is None else float(ws[-1])
 
     lo, hi = 1e-6, 1.0
@@ -288,16 +359,19 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
                 f"slope {_SLOPE_MAX:.0e}")
         hit_hi = hit(hi)
 
-    from scipy.optimize import brentq
-
-    # Diverged trials are capped so brentq sees finite values of the right
+    # Diverged trials are capped so Brent sees finite values of the right
     # sign.  xtol stays below rtol * lo over the whole slope range, so the
-    # relative tolerance governs.  A root brentq does not converge on is
-    # left to the tol check on the integrated profile.
-    root = brentq(lambda s: min(hit(s), _W_CAP) - target_m, lo, hi,
-                  xtol=_RTOL * _SLOPE_MIN, rtol=_RTOL, disp=False)
-    profile = integrate(problem, root, n_steps)
-    profile.marches = marches + 1
+    # relative tolerance governs.  A root Brent does not converge on is
+    # left to the tol check on the profile.
+    def miss(s):
+        return min(hit(s), _W_CAP) - target_m
+
+    root = _brent(miss, lo, hi, miss(lo), miss(hi), xtol=_RTOL * _SLOPE_MIN, rtol=_RTOL)
+    ws, ps = marched[root]
+    if ws is None:
+        raise _diverged(root)
+    profile = _profile(problem, root, ws, ps)
+    profile.marches = len(marched)
     profile.bracket = (lo, hi)
     missed = abs(float(profile.w[-1]) - target_m)
     if missed > tol:
@@ -305,13 +379,60 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
     return profile
 
 
-def evaluate(profile, rho):
-    """Monotone-cubic interpolation of w at radial coordinates rho."""
-    from scipy.interpolate import PchipInterpolator
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, limited to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    interp = PchipInterpolator(profile.grid, profile.w)
-    return interp(np.clip(np.asarray(rho, dtype=float),
-                          profile.grid[0], profile.grid[-1]))
+
+def _pchip_slopes(x, y):
+    """Node slopes of the Fritsch-Carlson monotone cubic.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants, or zero where those change sign or vanish.  The arithmetic
+    is that of scipy.interpolate.PchipInterpolator (_find_derivatives and
+    _edge_case), two-point grids included.
+    """
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    if len(x) == 2:
+        return np.array([mk[0], mk[0]])
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~flat] = 1.0 / whmean[~flat]
+    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    return dk
+
+
+def evaluate(profile, rho):
+    """Monotone-cubic interpolation of w at radial coordinates rho.
+
+    rho is clipped to the grid.  The cubic Hermite coefficients and their
+    evaluation follow scipy's CubicHermiteSpline and PPoly in the same
+    order, so the values equal PchipInterpolator's bit for bit.
+    """
+    x, y = profile.grid, profile.w
+    d = _pchip_slopes(x, y)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (d[:-1] + d[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - d[:-1]) / dx - t
+    r = np.clip(np.asarray(rho, dtype=float), x[0], x[-1])
+    i = np.clip(np.searchsorted(x, r, "right") - 1, 0, len(x) - 2)
+    s = r - x[i]
+    # summed term by term in PPoly's order: 0 + c3, + c2 s, + c1 s^2, + c0 s^3
+    return (0.0 + y[i] + d[i] * s) + c1[i] * (s * s) + c0[i] * (s * s * s)
 
 
 def _radial_coordinate(profile, h, center, points):

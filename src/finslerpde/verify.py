@@ -48,7 +48,7 @@ class HopfReport:
     comparison_violation: float  # most negative u - v over annulus nodes
     contact_vertex: int
     center: tuple
-    marches: int              # RK4 marches of the barrier shot, final one included
+    marches: int              # distinct slopes the barrier shot marched, the root's included
     bracket: tuple            # boundary-slope interval the shot searched
 
     def to_dict(self):

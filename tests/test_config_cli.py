@@ -172,31 +172,35 @@ class TestCli:
         assert len(hashes) == 4
         assert variants[0]["config"]["h"] == 0.25
 
-    def test_solve_imports_numpy_and_scipy_sparse_only(self, tmp_path):
+    def test_runs_import_numpy_and_scipy_sparse_only(self, tmp_path):
         # A fresh interpreter, since this one has imported all of scipy already.
         script = textwrap.dedent("""
             import json, sys
             from finslerpde.cli import main
             lazy = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
                     "scipy.spatial", "scipy.special")
-            codes = [main(["solve", "--config", sys.argv[1], "--out", sys.argv[2]])]
-            after_solve = [m for m in lazy if m in sys.modules]
-            codes.append(main(["barrier", "--config", sys.argv[1], "--out", sys.argv[3]]))
-            print(json.dumps([codes, after_solve, "scipy.optimize" in sys.modules]))
+            runs = []
+            for command, cfg, out in zip(("solve", "barrier", "regularity"),
+                                         sys.argv[1::2], sys.argv[2::2]):
+                code = main([command, "--config", cfg, "--out", out])
+                runs.append([command, code, [m for m in lazy if m in sys.modules]])
+            print(json.dumps(runs))
         """)
         cfg = write_config(tmp_path / "config.json", dict(BASE, h=0.2))
+        study = write_config(tmp_path / "study.json", dict(
+            BASE, h=0.2, verify={"levels": 2, "t": 0.5, "hopf": {"radius": 0.5, "m": 0.1}}))
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "solve"),
-                               str(tmp_path / "barrier")],
+        proc = subprocess.run([sys.executable, "-c", script,
+                               cfg, str(tmp_path / "solve"), cfg, str(tmp_path / "barrier"),
+                               study, str(tmp_path / "study")],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        codes, after_solve, shot = json.loads(proc.stdout.splitlines()[-1])
-        assert codes == [0, 0]
-        assert after_solve == []
-        assert shot  # the barrier shot imported brentq on first use
+        runs = json.loads(proc.stdout.splitlines()[-1])
+        assert runs == [["solve", 0, []], ["barrier", 0, []], ["regularity", 0, []]]
         assert os.path.exists(tmp_path / "barrier" / "profile.csv")
+        assert os.path.exists(tmp_path / "study" / "hopf_report.json")
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc, _ = self.run(tmp_path, "solve", dict(BASE, mystery=1))

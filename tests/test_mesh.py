@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from finslerpde import DomainSpec, FinslerNorm, Mesh2D, build_domain
-from finslerpde.mesh import _annulus_triangles, _grid_triangles
+from finslerpde.mesh import _annulus_triangles, _ball_vertices, _grid_triangles
 
 
 def loop_union_jack(n_i, n_j, vid, corners):
@@ -19,6 +21,51 @@ def loop_union_jack(n_i, n_j, vid, corners):
                 tris.append((a, b, d))
                 tris.append((b, c, d))
     return np.asarray(tris, dtype=np.int64)
+
+
+def longest_unique_edge(mesh):
+    """Longest edge, measured once per sorted unique vertex pair."""
+    t = mesh.triangles
+    e = np.unique(np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                          axis=1), axis=0)
+    p = mesh.vertices
+    return float(np.sqrt(((p[e[:, 0]] - p[e[:, 1]]) ** 2).sum(axis=1)).max())
+
+
+def mesh_every_candidate(dom, h):
+    """Reference: the refinement loops with a full Mesh2D built for every
+    candidate resolution, each measured by its unique edges.  Returns
+    (accepted mesh, its longest edge, candidates built)."""
+    norm = FinslerNorm.euclidean(2) if dom.kind == "disk" else dom.norm
+    hd = norm.dual
+    thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    s_max = float((1.0 / hd.eval(np.column_stack([np.cos(thetas), np.sin(thetas)]))).max())
+    if dom.kind == "annulus_wulff":
+        n_r = max(1, math.ceil(0.75 * dom.radius * s_max / h))
+        n_t = max(8, 2 * math.ceil(math.pi * dom.radius * s_max / h))
+    else:
+        n = max(2, math.ceil(1.6 * dom.radius * s_max / h))
+    for built in range(1, 9):
+        if dom.kind == "annulus_wulff":
+            r = np.linspace(0.5 * dom.radius, dom.radius, n_r + 1)
+            t = np.arange(n_t) * (2.0 * np.pi / n_t)
+            d = np.column_stack([np.cos(t), np.sin(t)])
+            scale = 1.0 / hd.eval(d)
+            verts = (r[:, None, None] * (d * scale[:, None])[None, :, :]).reshape(-1, 2)
+            mesh = Mesh2D(verts + np.asarray(dom.center), _annulus_triangles(n_r, n_t))
+        else:
+            mesh = Mesh2D(_ball_vertices(norm, dom.radius, dom.center, n),
+                          _grid_triangles(2 * n, 2 * n))
+        longest = longest_unique_edge(mesh)
+        if longest <= h:
+            return mesh, longest, built
+        if dom.kind == "annulus_wulff":
+            grow = longest / h
+            n_r = math.ceil(n_r * grow) + 1
+            n_t = 2 * math.ceil(n_t * grow / 2) + 2
+        else:
+            n = math.ceil(n * longest / h) + 1
+    raise AssertionError("no candidate met the spacing")
 
 
 class TestRectangle:
@@ -99,6 +146,22 @@ class TestTriangulation:
         ref = loop_union_jack(n_r, n_t, lambda i, j: i * n_t + j % n_t,
                               lambda i, j: ((i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j)))
         assert np.array_equal(_annulus_triangles(n_r, n_t), ref)
+
+    # the bench domains (a three-level disk study, the lp q=4 Wulff ball at
+    # h=0.025) and an lp q=4 annulus; each of the last two rejects a candidate
+    @pytest.mark.parametrize("kind, q, h, rejects", [
+        ("disk", None, 0.1, False), ("disk", None, 0.05, False),
+        ("disk", None, 0.025, False), ("wulff_ball", 4.0, 0.025, True),
+        ("annulus_wulff", 4.0, 0.05, True)])
+    def test_one_mesh_build_matches_every_candidate_built(self, kind, q, h, rejects):
+        norm = None if q is None else FinslerNorm.lp(q, 2)
+        dom = DomainSpec(kind=kind, radius=1.0, norm=norm, center=(0.25, -0.5))
+        ref, longest, built = mesh_every_candidate(dom, h)
+        mesh = build_domain(dom, h)
+        assert (built > 1) == rejects
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert np.array_equal(mesh.triangles, ref.triangles)
+        assert mesh.h == longest
 
     def test_patches_are_ascending_one_rings(self):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)

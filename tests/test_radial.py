@@ -7,23 +7,38 @@ from finslerpde import (DomainSpec, MaterialProfile, NumericError, RadialProblem
                         build_domain, evaluate, hopf_margin, lift, ode_residual,
                         shoot)
 from finslerpde import radial
-from finslerpde.radial import integrate
+from finslerpde.radial import _brent, integrate
 from conftest import const_source
 
 
 def shoot_counted(prob, target_m):
-    """shoot() with every RK4 march counted; returns (profile, marches)."""
-    starts = []
+    """shoot() with every RK4 march recorded; returns (profile, marches by
+    shooting parameter).  No parameter may be marched twice."""
+    starts, marched = [], {}
     march = radial._march
 
     def counted(problem, start, n_steps):
         starts.append(start)
-        return march(problem, start, n_steps)
+        marched[start] = march(problem, start, n_steps)
+        return marched[start]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radial, "_march", counted)
         prof = shoot(prob, target_m)
-    return prof, len(starts)
+    assert len(set(starts)) == len(starts) == prof.marches
+    return prof, marched
+
+
+def brent_pair(f, lo, hi, maxiter=100):
+    """(root, points tried) from scipy's brentq and from _brent, with the
+    tolerances shoot uses; _brent is handed f at the two ends."""
+    from scipy.optimize import brentq
+
+    tol = dict(xtol=radial._RTOL * radial._SLOPE_MIN, rtol=radial._RTOL, maxiter=maxiter)
+    ref_tried, tried = [], []
+    ref = brentq(lambda x: ref_tried.append(x) or f(x), lo, hi, disp=False, **tol)
+    root = _brent(lambda x: tried.append(x) or f(x), lo, hi, f(lo), f(hi), **tol)
+    return (ref, ref_tried), (root, [lo, hi] + tried)
 
 
 def shoot_bisection(prob, target_m, n_steps):
@@ -66,6 +81,31 @@ def barrier_p2(euclid):
 @pytest.fixture(scope="module")
 def shifted_ball():
     return shoot_counted(ball(3.0, k=0.5), 0.0)
+
+
+# (problem, target) of a Hopf study on the bench disk, a barrier run, and
+# two ball shots; the shifted ball reuses its fixture
+SHOTS = {
+    "study_barrier_p2": lambda: (RadialProblem(material=MaterialProfile(p=2.0),
+                                               source=const_source(), radius=0.5,
+                                               mode="barrier"), 0.1),
+    "barrier_p3": lambda: (RadialProblem(material=MaterialProfile(p=3.0),
+                                         source=const_source(), radius=1.0,
+                                         mode="barrier"), 1.0),
+    "shifted_ball_p3": lambda: (ball(3.0, k=0.5), 0.0),
+    "ball_p1.5_n3": lambda: (RadialProblem(material=MaterialProfile(p=1.5),
+                                           source=const_source(), radius=1.0,
+                                           mode="ball", n=3), 0.0),
+}
+
+
+@pytest.fixture(scope="module", params=list(SHOTS))
+def shot(request):
+    """(problem, target, profile, marches by shooting parameter)."""
+    prob, target = SHOTS[request.param]()
+    if request.param == "shifted_ball_p3":
+        return (prob, target, *request.getfixturevalue("shifted_ball"))
+    return (prob, target, *shoot_counted(prob, target))
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +211,28 @@ class TestLift:
         vals = evaluate(prof, prof.grid)
         assert np.abs(vals - prof.w).max() < 1e-12
 
+    @staticmethod
+    def assert_pchip_equal(prof):
+        from scipy.interpolate import PchipInterpolator
+
+        g = prof.grid
+        between = np.concatenate([0.5 * (g[1:] + g[:-1]), g[:-1] + 0.3 * np.diff(g),
+                                  g[1:] - 1e-3 * np.diff(g)])
+        outside = np.array([g[0] - 1.0, g[0] - 1e-9, g[-1] + 1e-9, g[-1] + 2.0])
+        interp = PchipInterpolator(g, prof.w)
+        for rho in (g, g[[0, -1]], between, outside):
+            ref = interp(np.clip(rho, g[0], g[-1]))
+            assert np.array_equal(evaluate(prof, rho), ref)
+
+    def test_evaluate_equals_pchip(self, shot):
+        self.assert_pchip_equal(shot[2])
+
+    # one barrier step is a two-point grid, which PCHIP interpolates linearly
+    @pytest.mark.parametrize("prob, n_steps", [(barrier(), 1), (ball(2.0), 1), (ball(2.0), 2)],
+                             ids=["two_points", "three_points", "four_points"])
+    def test_evaluate_equals_pchip_on_short_grids(self, prob, n_steps):
+        self.assert_pchip_equal(integrate(prob, 0.3, n_steps=n_steps))
+
 
 class TestHopf:
     def test_isotropic_margin(self, barrier_p2):
@@ -195,13 +257,58 @@ class TestShootRoot:
     @pytest.mark.parametrize("prob, target", [(barrier(), 0.1), (ball(3.0), 0.0)],
                              ids=["barrier_p2", "ball_p3"])
     def test_few_marches_per_shot(self, prob, target):
-        prof, marches = shoot_counted(prob, target)
-        assert prof.marches == marches <= 12
+        prof, marched = shoot_counted(prob, target)
+        assert prof.marches == len(marched) <= 12
         assert prof.bracket == (1e-6, 1.0)
 
     def test_few_marches_shifted(self, shifted_ball):
-        prof, marches = shifted_ball
-        assert prof.marches == marches <= 12
+        prof, marched = shifted_ball
+        assert prof.marches == len(marched) <= 12
+
+    def test_brent_equals_brentq_on_shooting_function(self, shot):
+        # Brent is handed the bracket ends' values, so it tries only the
+        # points after brentq's first two; the profile is the root's march
+        prob, target, prof, marched = shot
+        n_marches = len(marched)
+
+        def miss(s):
+            if s not in marched:
+                marched[s] = radial._march(prob, s, radial.N_STEPS)
+            ws, _ = marched[s]
+            return min(math.inf if ws is None else float(ws[-1]), radial._W_CAP) - target
+
+        (ref, ref_tried), (root, tried) = brent_pair(miss, *prof.bracket)
+        assert root == ref
+        assert tried == ref_tried
+        assert len(marched) == n_marches  # nothing tried that shoot did not march
+        expect = radial._profile(prob, root, *marched[root])
+        assert np.array_equal(prof.w, expect.w)
+        assert np.array_equal(prof.w_prime, expect.w_prime)
+
+    # exp: interpolation, extrapolation and rejected-interpolation bisection;
+    # tanh: interpolation and bisection where |f| fails to shrink; the ninth
+    # power: every kind of step, and maxiter runs out before convergence
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: math.exp(x) - 1e4, 0.0, 20.0),
+        (lambda x: math.tanh(50.0 * (x - 0.1234)), -1.0, 3.0),
+        (lambda x: (x - 1.0) ** 9, 0.0, 1.7)], ids=["exp", "tanh", "ninth_power"])
+    def test_brent_equals_brentq_on_analytic_functions(self, f, lo, hi):
+        (ref, ref_tried), (root, tried) = brent_pair(f, lo, hi)
+        assert root == ref
+        assert tried == ref_tried
+
+    def test_brent_stops_at_maxiter_like_brentq(self):
+        (ref, ref_tried), (root, tried) = brent_pair(lambda x: (x - 1.0) ** 9, 0.0, 1.7,
+                                                     maxiter=5)
+        assert root == ref and tried == ref_tried and len(tried) == 7
+
+    def test_brent_returns_an_end_where_f_vanishes(self):
+        def never(x):
+            raise AssertionError("f was called")
+        assert _brent(never, 0.5, 2.0, 0.0, 1.0, 1e-12, 1e-15) == 0.5
+        assert _brent(never, 0.5, 2.0, -1.0, 0.0, 1e-12, 1e-15) == 2.0
+        with pytest.raises(ValueError, match="signs"):
+            _brent(never, 0.5, 2.0, 1.0, 2.0, 1e-12, 1e-15)
 
     def test_integrate_is_one_march(self):
         prof = integrate(barrier(), 0.3)

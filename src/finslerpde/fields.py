@@ -10,16 +10,19 @@ amplifies the O(h) structure of interpolant gradients by 1/h) and too
 small at the 4-triangle interior vertices of the union-jack pattern.
 
 All patches are fitted at once from the mesh's vertex-triangle incidence
-matrix A.  The 2-ring pattern is S = A A^T A with unit entries, and one
-sparse product S F, with F holding per triangle 1, the barycenter c, the
-products of c with itself and with the gradient g, and g, gives every
-patch's moment sums.  Eliminating the constant term of the normal
-equations leaves, per vertex, a 2x2 system in the patch-centred moments
-(centred on the patch mean, so no shift to the vertex is needed), solved
-in one batch.  Vertices whose patch has fewer than three triangles or
-collinear barycenters fall back to averaging the neighbours' recovered
-Hessians and are counted.  Callers that need the Hessian more than once
-recover it once per field and pass it on.
+A.  The 2-ring pattern, that of A A^T A, comes from sorting (vertex,
+triangle) keys and dropping repeats with a mask: first the 1-ring
+vertices of each vertex, then the triangles at those.  The moment sums of
+every patch (count, barycenter c, the products of c with itself and with
+the gradient g, and g) are sums over contiguous runs of that pattern, one
+np.add.reduceat per moment, so no (pattern, 12) block is held at once.
+Eliminating the constant term of the normal equations leaves, per
+vertex, a 2x2 system in the patch-centred moments (centred on the patch
+mean, so no shift to the vertex is needed), solved in one batch.
+Vertices whose patch has fewer than three triangles or collinear
+barycenters fall back to averaging the neighbours' recovered Hessians and
+are counted.  Callers that need the Hessian more than once recover it
+once per field and pass it on.
 """
 
 from __future__ import annotations
@@ -59,9 +62,48 @@ def recover_gradient(field):
 def nodal_gradient(field):
     """Area-weighted average of incident triangle gradients per vertex."""
     mesh = field.mesh
-    inc = mesh.incidence()
     wg = mesh.areas[:, None] * recover_gradient(field)
-    return (inc @ wg) / (inc @ mesh.areas)[:, None]
+    # the flattened triangles list each vertex's triangles in ascending order
+    vertex = mesh.triangles.ravel()
+    n = mesh.n_vertices
+    total = np.column_stack([np.bincount(vertex, weights=np.repeat(wg[:, d], 3), minlength=n)
+                             for d in range(2)])
+    weight = np.bincount(vertex, weights=np.repeat(mesh.areas, 3), minlength=n)
+    return total / weight[:, None]
+
+
+def _distinct_pairs(key, n_rows, n_cols):
+    """Distinct pairs from keys row * n_cols + col, as compressed rows
+    (indptr, indices) with each row's columns ascending.  Sorts key in place."""
+    key.sort()
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
+    key -= np.repeat(np.arange(n_rows) * n_cols, np.diff(indptr))
+    return indptr, key
+
+
+def _two_ring(mesh):
+    """2-ring patches in compressed rows: (indptr, indices).
+
+    indices[indptr[v]:indptr[v + 1]] are the triangles that share a vertex
+    with a triangle at v, ascending: the pattern of A A^T A.
+    """
+    indptr, indices = mesh.incidence()
+    counts = np.diff(indptr)
+    n, n_tri = mesh.n_vertices, mesh.n_triangles
+    # 1-ring: the vertices of the triangles at v, v included
+    key = np.repeat(np.arange(n) * n, 3 * counts)
+    key += mesh.triangles[indices].ravel()
+    ring_ptr, ring = _distinct_pairs(key, n, n)
+    # 2-ring: the triangles at those vertices.  The keys are built in place,
+    # since these arrays are the largest of a recovery.
+    per_u = counts[ring]
+    key = np.repeat(np.repeat(np.arange(n) * n_tri, np.diff(ring_ptr)), per_u)
+    at_u = np.repeat(indptr[:-1][ring] - (np.cumsum(per_u) - per_u), per_u)
+    at_u += np.arange(len(at_u))
+    key += indices[at_u]
+    del at_u
+    return _distinct_pairs(key, n, n_tri)
 
 
 # Patch barycenters count as collinear when det(C) <= _COLLINEAR_RTOL tr(C)^2
@@ -78,16 +120,14 @@ def recover_hessian(field, with_stats=False):
     the averaging fallback.
     """
     mesh = field.mesh
-    inc = mesh.incidence()
-    two_ring = inc @ inc.T @ inc
-    two_ring.data[:] = 1.0
+    ring_ptr, ring_tris = _two_ring(mesh)
     # moments about the vertex centroid: centring on each patch mean below
     # cancels digits in proportion to (distance from origin / patch size)^2
-    c = mesh.barycenters - mesh.vertices.mean(axis=0)
-    g = recover_gradient(field)
-    cx, cy = c[:, :1], c[:, 1:]
-    mom = two_ring @ np.hstack([np.ones_like(cx), c, cx * cx, cx * cy, cy * cy,
-                                g, cx * g, cy * g])
+    cx, cy = (mesh.barycenters - mesh.vertices.mean(axis=0)).T
+    gx, gy = recover_gradient(field).T
+    moments = (np.ones_like(cx), cx, cy, cx * cx, cx * cy, cy * cy,
+               gx, gy, cx * gx, cx * gy, cy * gx, cy * gy)
+    mom = np.column_stack([np.add.reduceat(m[ring_tris], ring_ptr[:-1]) for m in moments])
     count = mom[:, 0]
     mean_c = mom[:, 1:3] / count[:, None]
     mean_g = mom[:, 6:8] / count[:, None]
@@ -102,8 +142,9 @@ def recover_hessian(field, with_stats=False):
     slope = np.linalg.solve(cov[fitted], cov_g[fitted])  # d g_k / d x_i
     hess[fitted] = 0.5 * (slope + slope.transpose(0, 2, 1))
     needs_avg = np.flatnonzero(~fitted)
+    indptr, indices = mesh.incidence()
     for v in needs_avg:
-        ring = np.unique(mesh.triangles[inc[v].indices])
+        ring = np.unique(mesh.triangles[indices[indptr[v]:indptr[v + 1]]])
         good = ring[fitted[ring]]
         if good.size:
             hess[v] = hess[good].mean(axis=0)

@@ -20,7 +20,6 @@ import math
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericError
 from .finsler import FinslerNorm
@@ -153,25 +152,23 @@ class Mesh2D:
         return self._interior_mask
 
     def incidence(self):
-        """Vertex-triangle incidence, (n_vertices, n_triangles) CSR of ones.
+        """Vertex-triangle incidence in compressed rows: (indptr, indices).
 
-        Row v lists the triangles touching v in ascending order; every other
-        piece of connectivity (1-ring, 2-ring, vertex averages) is a product
-        of this matrix.
+        The triangles touching vertex v are indices[indptr[v]:indptr[v + 1]],
+        in ascending order; every other piece of connectivity (1-ring,
+        2-ring, vertex sums) is built from these two arrays.
         """
         if self._incidence is None:
             flat = self.triangles.ravel()
             order = np.argsort(flat, kind="stable")
             counts = np.bincount(flat, minlength=self.n_vertices)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self._incidence = sp.csr_matrix((np.ones(flat.size), order // 3, indptr),
-                                            shape=(self.n_vertices, self.n_triangles))
+            self._incidence = (np.concatenate([[0], np.cumsum(counts)]), order // 3)
         return self._incidence
 
     def vertex_patches(self):
         """List of triangle-index arrays, one per vertex (1-ring)."""
-        inc = self.incidence()
-        return np.split(inc.indices.astype(np.int64), inc.indptr[1:-1])
+        indptr, indices = self.incidence()
+        return np.split(indices, indptr[1:-1])
 
     def inner_normal(self, vertex):
         """Unit inner normal at a boundary vertex, or (k, 2) for an array of them."""

@@ -22,8 +22,9 @@ Integration is classical 4-stage Runge-Kutta on 4096 uniform steps.
 The shooting parameter is bracketed geometrically and then found by
 Brent's method, each trial being one full march; the bracket ends are
 not marched again, and the returned profile is the march made at the
-root.  Phi is inverted in closed form for power-law profiles and by
-scalar bisection otherwise.
+root.  Phi is inverted in closed form for power-law profiles and
+otherwise by Newton's method on B'(t) = |y|, with B''(t) = (k + t)^(p-3)
+((p - 1) t + k) in closed form, safeguarded by geometric bisection.
 In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
 center, so integration starts at rho0 = R * 1e-6 with the series value
 Psi(rho0) = -f(w(0)) rho0^n / n; the exact center point
@@ -54,6 +55,8 @@ _SLOPE_MIN, _SLOPE_MAX = 1e-12, 1e6
 _W_CAP = 1e12  # treat profiles beyond this as diverged (Keller-Osserman trials)
 _CENTER_CUT = 1e-6  # ball mode starts at R * this
 _RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance scipy's brentq accepts
+_NEWTON_RTOL = 2.0 * np.finfo(float).eps  # Phi^{-1}: a Newton step this small ends it
+_NEWTON_STEPS = 200  # Phi^{-1}: more than bisection alone needs from any bracket
 
 
 @dataclasses.dataclass
@@ -140,14 +143,24 @@ def _phi_inverse_scalar(material):
         lo = hi
         while (k + lo) ** (p - 2.0) * lo >= ay and lo > 1e-320:
             lo *= 0.5
-        # geometric bisection: relative accuracy survives tiny roots
-        for _ in range(120):
-            mid = math.sqrt(lo * hi)
-            if (k + mid) ** (p - 2.0) * mid < ay:
-                lo = mid
+        # Newton on B'(t) = ay from the upper end.  B' increases, so each
+        # iterate tightens the bracket; a step that would leave it is replaced
+        # by a geometric bisection step (relative accuracy survives tiny roots)
+        t = hi
+        for _ in range(_NEWTON_STEPS):
+            excess = (k + t) ** (p - 2.0) * t - ay
+            if excess < 0.0:
+                lo = t
+            elif excess > 0.0:
+                hi = t
             else:
-                hi = mid
-        return math.copysign(math.sqrt(lo * hi), y)
+                break
+            step = excess / ((k + t) ** (p - 3.0) * ((p - 1.0) * t + k))
+            if abs(step) <= _NEWTON_RTOL * t:
+                t -= step
+                break
+            t = t - step if lo < t - step < hi else math.sqrt(lo * hi)
+        return math.copysign(t, y)
     return inv
 
 

@@ -38,11 +38,23 @@ steepest descent.  The initial iterate solves the Euclidean p = 2
 problem to 1e-12; if CG fails there, Newton starts from zero interior
 values, a warning is logged and the report keeps the CG status.
 
-Every stiffness matrix of one solve shares the sparsity pattern of the
-interior block, so the element-to-CSR scatter is built once and each
-assembly is one bincount into fixed indices.  The module needs numpy and
-scipy.sparse only: the source primitive is tabulated by composite Simpson
-and evaluated as a cubic Hermite interpolant in numpy.
+Every mesh builder makes a logically structured grid, so the interior
+block of a stiffness matrix has a few diagonals (9, or 11 on the annulus
+with its seam) and is stored by them, the DIA format of Saad ("Iterative
+Methods for Sparse Linear Systems", 2nd ed., SIAM 2003, sec. 3.4): a
+(D, n_int) array for D distinct column - row offsets.  A mesh numbered
+without such structure could need up to 2 n_int - 1 diagonals, so solve
+rejects a mesh whose diagonals would hold more numbers than the element
+entries summed into them; no builder here makes one.  Every stiffness
+matrix of one solve shares the offsets, so the element-to-diagonal
+scatter is built once and each assembly is one bincount into fixed
+slots.  The product adds the diagonals in ascending offset order, the
+summation order of a sorted CSR row, and the conjugate gradient loop is
+that of scipy.sparse.linalg.cg with a Jacobi preconditioner, so both
+return scipy's floats bit for bit.  It also counts its iterations, which
+the report records.  The module needs numpy only: the source primitive
+is tabulated by composite Simpson and evaluated as a cubic Hermite
+interpolant in numpy.
 """
 
 from __future__ import annotations
@@ -51,8 +63,6 @@ import dataclasses
 import logging
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NonconvergenceError
 from .fields import ScalarField, element_gradients
@@ -88,9 +98,10 @@ class SolveReport:
     h: float
     n_vertices: int
     n_triangles: int
-    init_cg_info: int  # CG status of the initial p = 2 solve; nonzero starts from zero
-    steps: list        # per accepted Newton step: residual, eta, cg_info, direction,
-                       # alpha, backtracks
+    init_cg_info: int        # CG status of the initial p = 2 solve; nonzero starts from zero
+    init_cg_iterations: int  # CG iterations of the initial p = 2 solve
+    steps: list              # per accepted Newton step: residual, eta, cg_info,
+                             # cg_iterations, direction, alpha, backtracks
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -168,11 +179,13 @@ def _element_matrices(mesh, cell_tensors):
 
 
 def _interior_pattern(mesh):
-    """CSR pattern of the interior block of a P1 stiffness matrix.
+    """Diagonal layout of the interior block of a P1 stiffness matrix.
 
-    Returns (slot, indices, indptr).  Entry j of the flattened (T, 3, 3)
-    element matrices adds into data slot slot[j]; entries that touch the
-    boundary go to slot nnz, one past the pattern, which assembly drops.
+    Returns (slot, offsets): offsets are the distinct column - row offsets
+    of the block, ascending, and entry j of the flattened (T, 3, 3) element
+    matrices adds into slot[j] = d n_int + row of the (D, n_int) diagonal
+    data, d the index of its offset; entries that touch the boundary go to
+    slot D n_int, one past the data, which assembly drops.
     """
     interior = mesh.interior_mask
     n_int = int(np.count_nonzero(interior))
@@ -181,16 +194,42 @@ def _interior_pattern(mesh):
     tri = local[mesh.triangles]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    key = rows * n_int + cols
-    key[(rows < 0) | (cols < 0)] = n_int * n_int
-    # np.sort and a mask: np.unique took ten times as long on these keys
-    ordered = np.sort(key)
-    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
-    keys = ordered[first & (ordered < n_int * n_int)]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_int, minlength=n_int))])
-    # scipy picks the index dtype once here, so no assembly converts them
-    pattern = sp.csr_matrix((np.empty(len(keys)), keys % n_int, indptr), shape=(n_int, n_int))
-    return np.searchsorted(keys, key), pattern.indices, pattern.indptr
+    inside = (rows >= 0) & (cols >= 0)
+    shift = cols[inside] - rows[inside]
+    offsets = np.unique(shift)
+    if len(offsets) * n_int > len(shift):
+        # without grid numbering the diagonals, and their storage, grow with n_int
+        raise ValueError(f"the interior stiffness block has {len(offsets)} diagonals for "
+                         f"{n_int} interior vertices: number the vertices along a grid")
+    slot = np.full(rows.size, len(offsets) * n_int)
+    slot[inside] = np.searchsorted(offsets, shift) * n_int + rows[inside]
+    return slot, offsets
+
+
+class _Diagonals:
+    """Square matrix stored by diagonals: data[d, i] is entry (i, i + offsets[d]).
+
+    Slots outside the matrix hold zeros.  The product adds the diagonals in
+    ascending offset order, so each row sums its entries by ascending
+    column, starting from zero: the order of a CSR row with sorted indices.
+    """
+
+    def __init__(self, offsets, data):
+        self.offsets = offsets
+        self.data = data
+
+    def diagonal(self):
+        return self.data[np.searchsorted(self.offsets, 0)]
+
+    def __matmul__(self, x):
+        n = len(x)
+        out = np.zeros(n)
+        for off, diag in zip(self.offsets.tolist(), self.data):
+            if off >= 0:
+                out[:n - off] += diag[:n - off] * x[off:]
+            else:
+                out[-off:] += diag[-off:] * x[:n + off]
+        return out
 
 
 def _floor_spd(mats, floor):
@@ -205,9 +244,37 @@ def _floor_spd(mats, floor):
 
 
 def _cg_solve(k_mat, rhs, rtol):
-    precond = sp.diags(1.0 / k_mat.diagonal())
-    x, info = spla.cg(k_mat, rhs, rtol=rtol, atol=0.0, M=precond)
-    return x, info
+    """Jacobi-preconditioned conjugate gradients from a zero start.
+
+    Returns (x, info, iterations).  The loop is that of
+    scipy.sparse.linalg.cg with atol = 0, operation for operation: it stops
+    when |r| < rtol |rhs| (info 0) or after 10 n iterations (info 10 n),
+    and a zero right-hand side returns at once.
+    """
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0, 0
+    atol = float(rtol) * float(rhs_norm)
+    maxiter = 10 * len(rhs)
+    inv_diag = 1.0 / k_mat.diagonal()
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0, iteration
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = k_mat @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 def _forcing_term(residual, previous, target):
@@ -228,14 +295,14 @@ class _EnergyProblem:
         self.norm = norm
         self.source = source
         self.primitive = _Primitive(source.f_vals)
-        self._slot, self._indices, self._indptr = _interior_pattern(mesh)
+        self._slot, self._offsets = _interior_pattern(mesh)
 
     def stiffness(self, element_mats):
-        """Interior block of sum_T (element matrix of T), as CSR."""
-        nnz = len(self._indices)
-        data = np.bincount(self._slot, weights=element_mats.ravel(), minlength=nnz + 1)
-        n_int = len(self._indptr) - 1
-        return sp.csr_matrix((data[:nnz], self._indices, self._indptr), shape=(n_int, n_int))
+        """Interior block of sum_T (element matrix of T), stored by diagonals."""
+        shape = (len(self._offsets), int(np.count_nonzero(self.mesh.interior_mask)))
+        size = shape[0] * shape[1]
+        data = np.bincount(self._slot, weights=element_mats.ravel(), minlength=size + 1)
+        return _Diagonals(self._offsets, data[:size].reshape(shape))
 
     def scatter(self, contrib):
         """Sum per-triangle vertex contributions (T, 3) into vertex values."""
@@ -302,7 +369,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     # data to the right-hand side
     load -= np.einsum("tab,tb->ta", ke0, values[mesh.triangles])
     rhs_i = problem.scatter(load)[interior]
-    init, init_info = _cg_solve(problem.stiffness(ke0), rhs_i, _CG_RTOL)
+    init, init_info, init_iterations = _cg_solve(problem.stiffness(ke0), rhs_i, _CG_RTOL)
     if init_info == 0:
         values[interior] = init
     else:
@@ -327,7 +394,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         eta = _CG_RTOL if singular else _forcing_term(final_residual, previous, target)
 
         kii = problem.tangent(values, c1_est)
-        step, info = _cg_solve(kii, -r, eta)
+        step, info, iterations = _cg_solve(kii, -r, eta)
         directions = []
         if info == 0 and float(r @ step) < 0.0:
             directions.append(("newton", step))
@@ -354,19 +421,21 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
                 energy = e_trial
                 history.append(energy)
                 steps.append({"residual": final_residual, "eta": eta, "cg_info": int(info),
-                              "direction": kind, "alpha": alpha, "backtracks": backtracks})
+                              "cg_iterations": iterations, "direction": kind,
+                              "alpha": alpha, "backtracks": backtracks})
                 break
         if not accepted:
             field = ScalarField(mesh, values)
             report = _make_report(problem, values, history, steps, final_residual,
-                                  converged=False, init_cg_info=init_info)
+                                  converged=False, init_cg_info=init_info,
+                                  init_cg_iterations=init_iterations)
             raise NonconvergenceError(
                 f"line search failed after {len(steps)} accepted steps "
                 f"(residual {final_residual:.3e})", last_iterate=field, report=report)
 
     field = ScalarField(mesh, values)
     report = _make_report(problem, values, history, steps, final_residual, converged,
-                          init_info)
+                          init_info, init_iterations)
     if not converged:
         raise NonconvergenceError(
             f"no convergence in {opts.max_iter} iterations "
@@ -375,7 +444,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
 
 
 def _make_report(problem, values, history, steps, final_residual, converged,
-                 init_cg_info):
+                 init_cg_info, init_cg_iterations):
     g = element_gradients(problem.mesh, values)
     gnorm = np.linalg.norm(g, axis=1)
     frac = float(np.count_nonzero(gnorm < _EPS_GRAD) / len(gnorm))
@@ -390,5 +459,6 @@ def _make_report(problem, values, history, steps, final_residual, converged,
         n_vertices=problem.mesh.n_vertices,
         n_triangles=problem.mesh.n_triangles,
         init_cg_info=int(init_cg_info),
+        init_cg_iterations=init_cg_iterations,
         steps=steps,
     )

@@ -172,35 +172,41 @@ class TestCli:
         assert len(hashes) == 4
         assert variants[0]["config"]["h"] == 0.25
 
-    def test_runs_import_numpy_and_scipy_sparse_only(self, tmp_path):
+    def test_runs_import_numpy_only(self, tmp_path):
         # A fresh interpreter, since this one has imported all of scipy already.
+        # The top-level scipy package stays: the manifest records its version.
         script = textwrap.dedent("""
             import json, sys
             from finslerpde.cli import main
             lazy = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
-                    "scipy.spatial", "scipy.special")
+                    "scipy.spatial", "scipy.special", "scipy.sparse", "scipy.linalg")
             runs = []
-            for command, cfg, out in zip(("solve", "barrier", "regularity"),
-                                         sys.argv[1::2], sys.argv[2::2]):
+            commands = ("solve", "barrier", "wulff", "verify", "regularity")
+            for command, cfg, out in zip(commands, sys.argv[1::2], sys.argv[2::2]):
                 code = main([command, "--config", cfg, "--out", out])
-                runs.append([command, code, [m for m in lazy if m in sys.modules]])
+                loaded = sorted({m for m in lazy for name in sys.modules
+                                 if name == m or name.startswith(m + ".")})
+                runs.append([command, code, loaded])
             print(json.dumps(runs))
         """)
         cfg = write_config(tmp_path / "config.json", dict(BASE, h=0.2))
         study = write_config(tmp_path / "study.json", dict(
             BASE, h=0.2, verify={"levels": 2, "t": 0.5, "hopf": {"radius": 0.5, "m": 0.1}}))
+        commands = ("solve", "barrier", "wulff", "verify", "regularity")
+        argv = []
+        for command in commands:
+            argv += [study if command == "regularity" else cfg, str(tmp_path / command)]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script,
-                               cfg, str(tmp_path / "solve"), cfg, str(tmp_path / "barrier"),
-                               study, str(tmp_path / "study")],
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         runs = json.loads(proc.stdout.splitlines()[-1])
-        assert runs == [["solve", 0, []], ["barrier", 0, []], ["regularity", 0, []]]
+        assert runs == [[command, 0, []] for command in commands]
         assert os.path.exists(tmp_path / "barrier" / "profile.csv")
-        assert os.path.exists(tmp_path / "study" / "hopf_report.json")
+        assert os.path.exists(tmp_path / "wulff" / "wulff.csv")
+        assert os.path.exists(tmp_path / "regularity" / "hopf_report.json")
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc, _ = self.run(tmp_path, "solve", dict(BASE, mystery=1))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from finslerpde import (DomainSpec, FinslerNorm, MaterialProfile, Mesh2D, ScalarField,
                         boundary_normal_derivative, build_domain, fields,
@@ -48,6 +49,21 @@ def loop_recover_hessian(field):
     return hess, len(needs_avg)
 
 
+def incidence_csr(mesh):
+    indptr, indices = mesh.incidence()
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                         shape=(mesh.n_vertices, mesh.n_triangles))
+
+
+RECOVERY_MESHES = [
+    (DomainSpec(kind="disk", radius=1.0), 0.05),
+    (DomainSpec(kind="rectangle"), 0.05),
+    (DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+    (DomainSpec(kind="annulus_wulff", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+]
+RECOVERY_IDS = ["disk", "rectangle", "lp4_ball", "lp4_annulus"]
+
+
 def loop_nodal_gradient(field):
     mesh = field.mesh
     acc = np.zeros((mesh.n_vertices, 2))
@@ -71,6 +87,15 @@ class TestGradient:
         field = interpolate(build_domain(DomainSpec(kind="disk", radius=1.0), 0.1), smooth)
         ref = loop_nodal_gradient(field)
         assert np.abs(nodal_gradient(field) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dom, h", RECOVERY_MESHES, ids=RECOVERY_IDS)
+    def test_nodal_equals_incidence_product(self, dom, h):
+        field = interpolate(build_domain(dom, h), smooth)
+        mesh = field.mesh
+        inc = incidence_csr(mesh)
+        wg = mesh.areas[:, None] * recover_gradient(field)
+        ref = (inc @ wg) / (inc @ mesh.areas)[:, None]
+        assert np.array_equal(nodal_gradient(field), ref)
 
     def test_quadratic_converges(self):
         errs = []
@@ -128,12 +153,17 @@ class TestHessian:
         assert fallback == 3
         assert np.all(hess == 0.0)
 
-    @pytest.mark.parametrize("dom, h", [
-        (DomainSpec(kind="disk", radius=1.0), 0.05),
-        (DomainSpec(kind="rectangle"), 0.05),
-        (DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
-        (DomainSpec(kind="annulus_wulff", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
-    ], ids=["disk", "rectangle", "lp4_ball", "lp4_annulus"])
+    @pytest.mark.parametrize("dom, h", RECOVERY_MESHES, ids=RECOVERY_IDS)
+    def test_two_ring_equals_incidence_product(self, dom, h):
+        mesh = build_domain(dom, h)
+        inc = incidence_csr(mesh)
+        ref = inc @ inc.T @ inc
+        ref.sort_indices()
+        indptr, indices = fields._two_ring(mesh)
+        assert np.array_equal(indptr, ref.indptr)
+        assert np.array_equal(indices, ref.indices)
+
+    @pytest.mark.parametrize("dom, h", RECOVERY_MESHES, ids=RECOVERY_IDS)
     def test_matches_loop_reference(self, dom, h):
         field = interpolate(build_domain(dom, h), smooth)
         ref, ref_fallbacks = loop_recover_hessian(field)

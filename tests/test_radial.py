@@ -61,6 +61,26 @@ def shoot_bisection(prob, target_m, n_steps):
     return integrate(prob, 0.5 * (lo + hi), n_steps)
 
 
+def bisection_phi_inverse(material, y):
+    """Reference Phi^{-1} for a shifted profile: bracket B'(t) = |y| by doubling
+    and halving from 1, then 120 geometric bisection steps."""
+    p, k = material.p, material.k
+    ay = abs(y)
+    hi = 1.0
+    while (k + hi) ** (p - 2.0) * hi < ay:
+        hi *= 2.0
+    lo = hi
+    while (k + lo) ** (p - 2.0) * lo >= ay and lo > 1e-320:
+        lo *= 0.5
+    for _ in range(120):
+        mid = math.sqrt(lo * hi)
+        if (k + mid) ** (p - 2.0) * mid < ay:
+            lo = mid
+        else:
+            hi = mid
+    return math.copysign(math.sqrt(lo * hi), y)
+
+
 def ball(p, k=0.0):
     kind = "shifted" if k else "power"
     return RadialProblem(material=MaterialProfile(p=p, k=k, kind=kind),
@@ -188,6 +208,28 @@ class TestBall:
         # (k + t) t = rho/2 with k = 1/2 integrates to w(0) = 7/24
         prof, _ = shifted_ball
         assert prof.central_value == pytest.approx(7.0 / 24.0, abs=1e-6)
+        # the shot with bisection_phi_inverse made 5 marches to this centre value
+        assert prof.marches == 5
+        assert prof.central_value == pytest.approx(0.2916666666602928, rel=1e-12, abs=0.0)
+
+
+class TestPhiInverse:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("k", [1e-3, 0.5, 1.0])
+    def test_matches_bisection(self, p, k):
+        material = MaterialProfile(p=p, k=k, kind="shifted")
+        inv = radial._phi_inverse_scalar(material)
+        ys = np.concatenate([np.geomspace(1e-150, 1e10, 97), -np.geomspace(1e-8, 1e8, 17)])
+        got = np.array([inv(y) for y in ys])
+        ref = np.array([bisection_phi_inverse(material, y) for y in ys])
+        assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * np.abs(ref))
+        assert inv(0.0) == 0.0
+
+    def test_unreachable_value_raises(self):
+        # B'(t) ~ t^0.2 stays below 1e13 up to t = 2^200
+        inv = radial._phi_inverse_scalar(MaterialProfile(p=1.2, k=0.5, kind="shifted"))
+        with pytest.raises(NumericError, match="Phi inversion failed"):
+            inv(1e13)
 
 
 class TestLift:

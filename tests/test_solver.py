@@ -3,10 +3,11 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from finslerpde import solver
 
-from finslerpde import (AdmissibilityError, DomainSpec, FinslerNorm, MaterialProfile,
+from finslerpde import (AdmissibilityError, DomainSpec, FinslerNorm, MaterialProfile, Mesh2D,
                         NonconvergenceError, SolveOptions, SourceTerm, build_domain, solve)
 from conftest import const_source
 
@@ -93,6 +94,15 @@ class TestFailureModes:
         assert err.value.report is not None
         assert not err.value.report.converged
 
+    def test_mesh_without_grid_numbering_rejected(self, euclid, unit_source):
+        # the same disk with its vertices numbered at random
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        perm = np.random.default_rng(0).permutation(mesh.n_vertices)
+        new_id = np.argsort(perm)
+        shuffled = Mesh2D(mesh.vertices[perm], new_id[mesh.triangles])
+        with pytest.raises(ValueError, match="number the vertices along a grid"):
+            solve(shuffled, MaterialProfile(p=2.0), euclid, unit_source)
+
     def test_boundary_data_shapes(self, euclid, unit_source):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
         field, _ = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source, bc=0.1)
@@ -113,8 +123,10 @@ class TestInitialSolve:
 
         def fail_first(k_mat, rhs, rtol):
             calls.append(rtol)
-            x, info = cg_solve(k_mat, rhs, rtol)
-            return (np.zeros_like(rhs), 7) if len(calls) == 1 else (x, info)
+            x, info, iterations = cg_solve(k_mat, rhs, rtol)
+            if len(calls) == 1:
+                return np.zeros_like(rhs), 7, iterations
+            return x, info, iterations
 
         monkeypatch.setattr(solver, "_cg_solve", fail_first)
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
@@ -171,13 +183,27 @@ class TestForcing:
         (_, report), _ = lp4_p3_pair
         assert len(report.steps) == report.iterations > 0
         for step in report.steps:
-            assert set(step) == {"residual", "eta", "cg_info", "direction", "alpha",
-                                 "backtracks"}
+            assert set(step) == {"residual", "eta", "cg_info", "cg_iterations", "direction",
+                                 "alpha", "backtracks"}
             assert step["direction"] in ("newton", "descent")
+            assert step["cg_iterations"] > 0
             assert 0.0 < step["alpha"] <= 1.0 and step["backtracks"] >= 0
         residuals = [step["residual"] for step in report.steps]
         assert report.final_residual < residuals[-1]
         assert torsion_coarse[1].steps == []
+
+    def test_cg_iterations_count_the_products(self, lp4, unit_source, monkeypatch):
+        # every CG iteration takes one matrix product, and nothing else in a
+        # solve takes one
+        products = []
+        matmul = solver._Diagonals.__matmul__
+        monkeypatch.setattr(solver._Diagonals, "__matmul__",
+                            lambda k, x: products.append(1) or matmul(k, x))
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.2)
+        _, report = solve(mesh, MaterialProfile(p=3.0), lp4, unit_source)
+        assert report.converged and report.init_cg_iterations > 0
+        assert report.init_cg_iterations + sum(
+            step["cg_iterations"] for step in report.steps) == len(products)
 
     def test_final_residual_meets_tolerance(self, lp4_p3_pair):
         (_, report), _ = lp4_p3_pair
@@ -201,6 +227,31 @@ def _coo_stiffness(mesh, cell_tensors):
     k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     interior = mesh.interior_mask
     return k[interior][:, interior]
+
+
+def _spd_tensors(mesh):
+    a = np.random.default_rng(5).standard_normal((mesh.n_triangles, 2, 2))
+    return a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(2)
+
+
+def _stiffness_pair(problem, cell_tensors):
+    """The diagonal-stored stiffness and a CSR matrix with its entries on the
+    pattern of the COO build."""
+    mesh = problem.mesh
+    k = problem.stiffness(solver._element_matrices(mesh, cell_tensors))
+    pattern = _coo_stiffness(mesh, cell_tensors)
+    pattern.sort_indices()
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    data = k.data[np.searchsorted(k.offsets, pattern.indices - rows), rows]
+    return k, sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def _scipy_cg(csr, rhs, rtol):
+    """(x, info, iterations) of scipy's Jacobi-preconditioned cg."""
+    iterations = []
+    x, info = spla.cg(csr, rhs, rtol=rtol, atol=0.0, M=sp.diags(1.0 / csr.diagonal()),
+                      callback=iterations.append)
+    return x, info, len(iterations)
 
 
 def _scipy_primitive(f, hi):
@@ -240,16 +291,61 @@ class TestKernels:
 
     def test_stiffness_matches_coo_build(self, problem):
         mesh = problem.mesh
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((mesh.n_triangles, 2, 2))
-        mats = a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(2)
+        mats = _spd_tensors(mesh)
         ref = _coo_stiffness(mesh, mats)
         ref.sort_indices()
         k = problem.stiffness(solver._element_matrices(mesh, mats))
-        assert k.shape == ref.shape
-        assert np.array_equal(k.indptr, ref.indptr)
-        assert np.array_equal(k.indices, ref.indices)
-        assert np.abs(k.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+        rows = np.repeat(np.arange(ref.shape[0]), np.diff(ref.indptr))
+        d = np.searchsorted(k.offsets, ref.indices - rows)
+        assert k.data.shape == (len(k.offsets), ref.shape[0])
+        assert np.array_equal(k.offsets[np.minimum(d, len(k.offsets) - 1)], ref.indices - rows)
+        assert np.abs(k.data[d, rows] - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+        outside = k.data.copy()
+        outside[d, rows] = 0.0
+        assert not outside.any()
+
+    @pytest.mark.parametrize("case, count", zip(KERNEL_MESHES, [9, 9, 9, 11]), ids=KERNEL_IDS)
+    def test_diagonal_count(self, case, count):
+        # a union-jack grid couples each vertex to its 8 grid neighbours; the
+        # annulus seam adds the two offsets of the closing column
+        _, offsets = solver._interior_pattern(build_domain(*case))
+        assert len(offsets) == count
+        assert np.array_equal(offsets, -offsets[::-1])
+
+    def test_product_equals_csr(self, problem):
+        k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
+        x = np.random.default_rng(3).standard_normal(csr.shape[0])
+        assert np.array_equal(k @ x, csr @ x)
+        assert np.array_equal(k.diagonal(), csr.diagonal())
+
+    @pytest.mark.parametrize("rtol", [0.5, 1e-2, 1e-12])
+    def test_cg_equals_scipy_cg(self, problem, rtol):
+        k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
+        rhs = np.random.default_rng(4).standard_normal(csr.shape[0])
+        x, info, iterations = solver._cg_solve(k, rhs, rtol)
+        ref_x, ref_info, ref_iterations = _scipy_cg(csr, rhs, rtol)
+        assert info == ref_info == 0
+        assert iterations == ref_iterations > 0
+        assert np.array_equal(x, ref_x)
+
+    def test_cg_zero_rhs_returns_at_once(self, problem):
+        k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
+        rhs = np.zeros(csr.shape[0])
+        x, info, iterations = solver._cg_solve(k, rhs, 1e-12)
+        ref_x, ref_info, ref_iterations = _scipy_cg(csr, rhs, 1e-12)
+        assert (info, iterations) == (ref_info, ref_iterations) == (0, 0)
+        assert np.array_equal(x, ref_x) and not x.any()
+
+    def test_cg_exhausts_iterations_as_scipy_cg(self, problem):
+        # symmetric indefinite element tensors: CG runs out of iterations on these
+        a = np.random.default_rng(6).standard_normal((problem.mesh.n_triangles, 2, 2))
+        k, csr = _stiffness_pair(problem, a + np.transpose(a, (0, 2, 1)))
+        rhs = np.random.default_rng(7).standard_normal(csr.shape[0])
+        x, info, iterations = solver._cg_solve(k, rhs, 1e-12)
+        ref_x, ref_info, ref_iterations = _scipy_cg(csr, rhs, 1e-12)
+        assert info == iterations == ref_info == ref_iterations == 10 * csr.shape[0]
+        assert np.all(np.isfinite(x))
+        assert np.array_equal(x, ref_x)
 
     def test_residual_scatter_matches_add_at(self, problem):
         mesh = problem.mesh

@@ -16,10 +16,10 @@ from .errors import (AdmissibilityError, ConfigError, FitError, NonconvergenceEr
                      NumericError)
 from .fields import (ScalarField, boundary_normal_derivative, hessian_at_barycenters,
                      nodal_gradient, recover_gradient, recover_hessian)
-from .finsler import (FinslerNorm, WulffShape, dual_norm, ellipticity_constant,
+from .finsler import (FinslerNorm, WulffShape, ellipticity_constant,
                       verify_duality_identities, wulff_boundary)
 from .hypotheses import HYPOTHESES
-from .material import (MaterialProfile, SourceTerm, admissibility_report, b_eval,
+from .material import (MaterialProfile, SourceTerm, admissibility_report,
                        check_flux_bound, check_flux_monotonicity, check_osserman,
                        check_structural_bounds, flux, linearized_tensor,
                        sample_vectors)
@@ -38,10 +38,10 @@ __all__ = [
     "FinslerNorm", "FitError", "HYPOTHESES", "HopfReport", "MaterialProfile", "Mesh2D",
     "NonconvergenceError", "NumericError", "RadialProblem", "RegularityReport",
     "ScalarField", "SolveOptions", "SolveReport", "SourceTerm", "StudyResult",
-    "WulffShape", "admissibility_report", "b_eval", "boundary_normal_derivative",
+    "WulffShape", "admissibility_report", "boundary_normal_derivative",
     "build_domain", "check_flux_bound", "check_flux_monotonicity",
     "check_osserman", "check_structural_bounds", "critical_set_fraction",
-    "dual_norm", "ellipticity_constant", "evaluate", "flux",
+    "ellipticity_constant", "evaluate", "flux",
     "hessian_at_barycenters", "hopf_check",
     "hopf_margin", "integrate", "lift", "linearized_tensor", "nodal_gradient",
     "ode_residual", "recover_gradient", "recover_hessian", "refinement_study",

@@ -16,9 +16,6 @@ Supported kinds:
   * ``euclidean``              H(xi) = |xi|
   * ``ellipsoidal``            H(xi) = sqrt(xi^T A xi), A symmetric positive definite
   * ``lp``                     H(xi) = (sum |xi_i|^q)^(1/q), q > 1
-  * ``custom``                 any callable satisfying the axioms; derivatives
-                               by central finite differences, dual by angular
-                               scan (dim 2 only)
 
 All evaluators accept a single vector ``(n,)`` or a batch ``(m, n)``.
 """
@@ -31,14 +28,7 @@ import numpy as np
 
 from .errors import NumericError
 
-# Accuracy targets for the numerically computed quantities.
-TOL_DUAL = 1e-6     # numeric dual norm / duality identity residue
 TOL_SHAPE = 1e-10   # boundary point on-level-set tolerance
-
-_FD_GRAD_STEP = 1e-5   # relative central-difference step for custom gradients
-_FD_HESS_STEP = 1e-4   # relative step for custom Hessians
-_DUAL_SCAN = 4096      # angular resolution of the dual-norm scan (dim 2)
-_DUAL_REFINE = 50      # bracket-shrinking iterations after the scan
 
 
 def _as_batch(xi, dim):
@@ -53,10 +43,10 @@ def _as_batch(xi, dim):
 
 
 class FinslerNorm:
-    """A norm on R^n with closed-form or user-supplied evaluation."""
+    """A norm on R^n with closed-form evaluation, derivatives and dual."""
 
-    def __init__(self, kind, dim, *, a=None, q=None, func=None):
-        if kind not in ("euclidean", "ellipsoidal", "lp", "custom"):
+    def __init__(self, kind, dim, *, a=None, q=None):
+        if kind not in ("euclidean", "ellipsoidal", "lp"):
             raise ValueError(f"unknown norm kind {kind!r}")
         if dim < 2:
             raise ValueError("dimension must be at least 2")
@@ -64,7 +54,6 @@ class FinslerNorm:
         self.dim = int(dim)
         self._a = None
         self._q = None
-        self._func = None
         self._dual = None
         if kind == "ellipsoidal":
             a = np.asarray(a, dtype=float)
@@ -79,10 +68,6 @@ class FinslerNorm:
             if q is None or not q > 1:
                 raise ValueError("lp norm requires exponent q > 1")
             self._q = float(q)
-        elif kind == "custom":
-            if func is None:
-                raise ValueError("custom norm requires a callable")
-            self._func = func
 
     # -- constructors ------------------------------------------------------
 
@@ -98,10 +83,6 @@ class FinslerNorm:
     @classmethod
     def lp(cls, q, dim=2):
         return cls("lp", dim, q=q)
-
-    @classmethod
-    def custom(cls, func, dim=2):
-        return cls("custom", dim, func=func)
 
     @property
     def matrix(self):
@@ -120,13 +101,6 @@ class FinslerNorm:
 
     # -- evaluation --------------------------------------------------------
 
-    def _eval_custom(self, x):
-        out = np.asarray(self._func(x), dtype=float)
-        if out.shape != x.shape[:-1]:
-            # tolerate callables that only handle single vectors
-            out = np.array([float(self._func(row)) for row in x])
-        return out
-
     def eval(self, xi):
         """H(xi).  Accepts (n,) or (m, n)."""
         x, single = _as_batch(xi, self.dim)
@@ -135,10 +109,8 @@ class FinslerNorm:
         elif self.kind == "ellipsoidal":
             ax = x @ self._a
             h = np.sqrt(np.einsum("ij,ij->i", x, ax))
-        elif self.kind == "lp":
-            h = np.power(np.sum(np.abs(x) ** self._q, axis=-1), 1.0 / self._q)
         else:
-            h = self._eval_custom(x)
+            h = np.power(np.sum(np.abs(x) ** self._q, axis=-1), 1.0 / self._q)
         return float(h[0]) if single else h
 
     __call__ = eval
@@ -155,26 +127,12 @@ class FinslerNorm:
             ax = x @ self._a
             h = np.sqrt(np.einsum("ij,ij->i", x, ax))
             g = ax / h[:, None]
-        elif self.kind == "lp":
+        else:
             q = self._q
             h = np.power(np.sum(np.abs(x) ** q, axis=-1), 1.0 / q)
             u = np.abs(x) ** (q - 1.0) * np.sign(x)
             g = u * (h ** (1.0 - q))[:, None]
-        else:
-            g = self._grad_fd(x)
         return g[0] if single else g
-
-    def _grad_fd(self, x):
-        r = np.linalg.norm(x, axis=-1)
-        step = _FD_GRAD_STEP * r
-        g = np.empty_like(x)
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            hp = self._eval_custom(x + step[:, None] * e)
-            hm = self._eval_custom(x - step[:, None] * e)
-            g[:, j] = (hp - hm) / (2.0 * step)
-        return g
 
     def hess(self, xi):
         """Hessian of H at xi; undefined (raises) at the origin.
@@ -197,7 +155,7 @@ class FinslerNorm:
             hmat = self._a[None, :, :] / h[:, None, None] - (
                 ax[:, :, None] * ax[:, None, :]
             ) / (h ** 3)[:, None, None]
-        elif self.kind == "lp":
+        else:
             q = self._q
             h = np.power(np.sum(np.abs(x) ** q, axis=-1), 1.0 / q)
             u = np.abs(x) ** (q - 1.0) * np.sign(x)
@@ -207,112 +165,25 @@ class FinslerNorm:
                 diag[:, :, None] * eye[None, :, :] * (h ** (1.0 - q))[:, None, None]
                 - (u[:, :, None] * u[:, None, :]) * (h ** (1.0 - 2.0 * q))[:, None, None]
             )
-        else:
-            hmat = self._hess_fd(x)
         return hmat[0] if single else hmat
-
-    def _hess_fd(self, x):
-        m = x.shape[0]
-        r = np.linalg.norm(x, axis=-1)
-        step = _FD_HESS_STEP * r
-        hmat = np.empty((m, self.dim, self.dim))
-        h0 = self._eval_custom(x)
-        for i in range(self.dim):
-            ei = np.zeros(self.dim)
-            ei[i] = 1.0
-            hp = self._eval_custom(x + step[:, None] * ei)
-            hm = self._eval_custom(x - step[:, None] * ei)
-            hmat[:, i, i] = (hp - 2.0 * h0 + hm) / step ** 2
-            for j in range(i + 1, self.dim):
-                ej = np.zeros(self.dim)
-                ej[j] = 1.0
-                spp = self._eval_custom(x + step[:, None] * (ei + ej))
-                spm = self._eval_custom(x + step[:, None] * (ei - ej))
-                smp = self._eval_custom(x - step[:, None] * (ei - ej))
-                smm = self._eval_custom(x - step[:, None] * (ei + ej))
-                off = (spp - spm - smp + smm) / (4.0 * step ** 2)
-                hmat[:, i, j] = off
-                hmat[:, j, i] = off
-        return hmat
 
     # -- duality -----------------------------------------------------------
 
     @property
     def dual(self):
-        """The dual norm, closed-form where available.
+        """The dual norm, in closed form.
 
         euclidean is self-dual, ellipsoidal maps A to A^-1, lp maps q to its
-        conjugate exponent.  Custom kinds get a custom norm backed by the
-        numeric scan; taking .dual of that computes the bidual numerically.
+        conjugate exponent.
         """
         if self._dual is None:
             if self.kind == "euclidean":
                 self._dual = FinslerNorm.euclidean(self.dim)
             elif self.kind == "ellipsoidal":
                 self._dual = FinslerNorm.ellipsoidal(np.linalg.inv(self._a))
-            elif self.kind == "lp":
-                self._dual = FinslerNorm.lp(self._q / (self._q - 1.0), self.dim)
             else:
-                primal = self
-                self._dual = FinslerNorm.custom(
-                    lambda x: _dual_scan(primal, np.asarray(x, dtype=float)),
-                    self.dim,
-                )
+                self._dual = FinslerNorm.lp(self._q / (self._q - 1.0), self.dim)
         return self._dual
-
-
-def _dual_scan(h, x):
-    """sup <xi, x> over {H(xi) = 1} by angular scan plus bracket refinement.
-
-    Only the planar case is supported; the supremum is a one-dimensional
-    problem over the norm sphere there.
-    """
-    if h.dim != 2:
-        raise ValueError("numeric dual norm is implemented for dim 2 only")
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    out = np.zeros(pts.shape[0])
-    nz = np.linalg.norm(pts, axis=-1) > 0.0
-    if np.any(nz):
-        out[nz] = _dual_scan_nonzero(h, pts[nz])
-    return float(out[0]) if single else out
-
-
-def _dual_scan_nonzero(h, pts):
-    m = pts.shape[0]
-    thetas = (np.arange(_DUAL_SCAN) + 0.5) * (2.0 * np.pi / _DUAL_SCAN)
-    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    cands = dirs / h.eval(dirs)[:, None]
-    out = np.empty(m)
-    # chunk so the scan matrix stays modest even for large batches
-    chunk = max(1, 4_000_000 // _DUAL_SCAN)
-    for lo in range(0, m, chunk):
-        sub = pts[lo:lo + chunk]
-        vals = cands @ sub.T                       # (scan, chunk)
-        best = np.argmax(vals, axis=0)
-        tlo = thetas[best] - 2.0 * np.pi / _DUAL_SCAN
-        thi = thetas[best] + 2.0 * np.pi / _DUAL_SCAN
-
-        def support(t):
-            d = np.column_stack([np.cos(t), np.sin(t)])
-            return np.einsum("ij,ij->i", d, sub) / h.eval(d)
-
-        for _ in range(_DUAL_REFINE):
-            m1 = tlo + (thi - tlo) / 3.0
-            m2 = thi - (thi - tlo) / 3.0
-            keep_lo = support(m1) < support(m2)
-            tlo = np.where(keep_lo, m1, tlo)
-            thi = np.where(keep_lo, thi, m2)
-        out[lo:lo + chunk] = support(0.5 * (tlo + thi))
-    return out
-
-
-def dual_norm(h, x):
-    """H_dual(x) = sup { <xi, x> : H(xi) <= 1 }.  Returns 0 at x = 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim == 1 and np.linalg.norm(x_arr) == 0.0:
-        return 0.0
-    return h.dual.eval(x)
 
 
 def verify_duality_identities(h, samples):
@@ -334,20 +205,18 @@ def ellipticity_constant(h, n_samples=4096, seed=0):
     Minimum over sampled xi with H(xi) = 1 of <D2H(xi) v, v> for unit v
     orthogonal to grad H(xi).  In dim 2 the sphere is swept with a
     half-step-offset angular grid (avoiding the coordinate axes, where
-    lp Hessians degenerate or blow up); in higher dimension closed-form
-    kinds are sampled with a seeded generator.  A sampled minimum <= 0
-    means the ball has a flat or crystalline spot and the norm is not
-    admissible for the estimates downstream.
+    lp Hessians degenerate or blow up); in higher dimension it is sampled
+    with a seeded generator.  A sampled minimum <= 0 means the ball has a
+    flat or crystalline spot and the norm is not admissible for the
+    estimates downstream.
     """
     if h.dim == 2:
         thetas = (np.arange(n_samples) + 0.5) * (2.0 * np.pi / n_samples)
         dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    elif h.kind != "custom":
+    else:
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((n_samples, h.dim))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    else:
-        raise ValueError("ellipticity sweep for custom norms needs dim 2")
     xi = dirs / h.eval(dirs)[:, None]
     g = h.grad(xi)
     d2 = h.hess(xi)

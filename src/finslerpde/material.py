@@ -105,12 +105,19 @@ class MaterialProfile:
         return float(out) if out.ndim == 0 else out
 
     def ell_inverse(self, y):
-        """Inverse of the increasing function L, by monotone bisection."""
+        """Inverse of the increasing function L.
+
+        Closed form for the power family, L(s) = (1 - 1/p) s^p; monotone
+        bisection for shifted profiles.
+        """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 0
         vals = np.atleast_1d(y).astype(float)
         if np.any(vals < 0.0):
             raise ValueError("L is nonnegative; cannot invert a negative value")
+        if self.k == 0.0:
+            out = (self.p * vals / (self.p - 1.0)) ** (1.0 / self.p)
+            return float(out[0]) if single else out
         hi = np.ones_like(vals)
         for _ in range(400):
             todo = self.ell(hi) < vals
@@ -127,56 +134,6 @@ class MaterialProfile:
             hi = np.where(small, hi, mid)
         out = 0.5 * (lo + hi)
         return float(out[0]) if single else out
-
-    def b_prime_inverse(self, y):
-        """Inverse of B' on [0, inf).
-
-        Closed form for the pure power family; bisection otherwise (B' is
-        strictly increasing by hypothesis (ii)).
-        """
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 0
-        vals = np.atleast_1d(y).astype(float)
-        if np.any(vals < 0.0):
-            raise ValueError("B' is nonnegative; cannot invert a negative value")
-        if self.k == 0.0:
-            out = vals ** (1.0 / (self.p - 1.0))
-        else:
-            hi = np.ones_like(vals)
-            for _ in range(400):
-                todo = self.b_prime(hi) < vals
-                if not np.any(todo):
-                    break
-                hi[todo] *= 2.0
-            else:
-                raise NumericError("bracket expansion for (B')^{-1} failed")
-            # Geometric bisection keeps relative accuracy when the root is
-            # many orders of magnitude below the bracket top (p near 1).
-            lo = np.copy(hi)
-            pos = vals > 0.0
-            for _ in range(1100):
-                todo = pos & (self.b_prime(lo) >= vals) & (lo > 1e-320)
-                if not np.any(todo):
-                    break
-                lo[todo] *= 0.5
-            for _ in range(120):
-                mid = np.sqrt(lo * hi)
-                small = self.b_prime(mid) < vals
-                lo = np.where(small, mid, lo)
-                hi = np.where(small, hi, mid)
-            out = np.where(pos, np.sqrt(lo * hi), 0.0)
-        return float(out[0]) if single else out
-
-
-def b_eval(material, t):
-    """(B(t), B'(t), B''(t)) for t >= 0.
-
-    Raises for B'' at t = 0 in the singular corner p < 2, k = 0.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("profiles are defined for t >= 0")
-    return material.b(t), material.b_prime(t), material.b_second(t)
 
 
 @dataclasses.dataclass

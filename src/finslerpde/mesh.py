@@ -104,13 +104,9 @@ class Mesh2D:
         self.basis_grads = np.stack([-(g1 + g2), g1, g2], axis=1)  # (M, 3, 2)
 
         edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        tri_of_edge = np.tile(np.arange(tris.shape[0]), 3)
         opposite = np.concatenate([tris[:, 2], tris[:, 0], tris[:, 1]])
         key = np.sort(edges, axis=1)
-        order = np.lexsort((key[:, 1], key[:, 0]))
-        key, edges = key[order], edges[order]
-        tri_of_edge, opposite = tri_of_edge[order], opposite[order]
-        uniq, start, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+        _, start, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
         if counts.max() > 2:
             raise ValueError("non-manifold edge in mesh")
         bmask = counts == 1

@@ -25,6 +25,10 @@ not marched again, and the returned profile is the march made at the
 root.  Phi is inverted in closed form for power-law profiles and
 otherwise by Newton's method on B'(t) = |y|, with B''(t) = (k + t)^(p-3)
 ((p - 1) t + k) in closed form, safeguarded by geometric bisection.
+That is the package's one inverse of B', and the profile does not invert
+it again: its w' at a node is the slope Phi^{-1}(Psi/q) the march took
+there (the first RK4 stage of the step leaving the node), and only the
+last node takes one more inversion.
 In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
 center, so integration starts at rho0 = R * 1e-6 with the series value
 Psi(rho0) = -f(w(0)) rho0^n / n; the exact center point
@@ -95,8 +99,10 @@ class BarrierProfile:
     interior; shoot_slope is the converged boundary slope w'(0).  In
     ball mode the same container holds the decreasing profile from the
     central maximum, with shoot_slope = w'(0) = 0 at the center.
-    ``marches`` counts the distinct shooting parameters marched (the
-    root's march, which the profile is built from, included) and
+    ``w_prime`` holds the slopes Phi^{-1}(Psi/q) the march computed at
+    its nodes (0 at the prepended ball center).  ``marches`` counts the
+    distinct shooting parameters marched (the root's march, which the
+    profile is built from, included) and
     ``bracket`` is the shooting parameter interval the root was sought
     in; a plain ``integrate`` has one march and no bracket.
     """
@@ -187,8 +193,13 @@ def _scalar_rhs(fun):
 
 
 def _march(problem, start, n_steps):
-    """RK4 in (w, Psi).  Returns (w_nodes, psi_nodes) or (None, None) if
-    the trajectory leaves the finite range (a diverged shooting trial)."""
+    """RK4 in (w, Psi).
+
+    Returns (w_nodes, w_prime_nodes), or (None, None) if the trajectory
+    leaves the finite range (a diverged shooting trial).  w' = Phi^{-1}(Psi/q)
+    at a node is the k1 slope of the step leaving it; only the last node
+    takes one more inversion of B'.
+    """
     mat = problem.material
     phi_inv = _phi_inverse_scalar(mat)
     r_pow = problem.n - 1
@@ -219,7 +230,7 @@ def _march(problem, start, n_steps):
 
     w, psi = w0, psi0
     ws = [w0]
-    ps = [psi0]
+    dws = []
     for i in range(n_steps):
         r = a + i * step
         try:
@@ -234,16 +245,17 @@ def _march(problem, start, n_steps):
         if not (math.isfinite(w) and math.isfinite(psi) and abs(w) < _W_CAP):
             return None, None
         ws.append(w)
-        ps.append(psi)
-    return np.array(ws), np.array(ps)
+        dws.append(k1w)
+    try:
+        dws.append(phi_inv(psi / q_at(b)))
+    except OverflowError:
+        return None, None
+    return np.array(ws), np.array(dws)
 
 
-def _profile(problem, start, ws, ps):
-    """BarrierProfile from one march's (w, Psi) nodes."""
-    a, b = problem.span()
-    grid = np.linspace(a, b, len(ws))
-    qv = problem.q(grid)
-    w_prime = problem.material.b_prime_inverse(np.abs(ps) / qv) * np.sign(ps)
+def _profile(problem, start, ws, w_prime):
+    """BarrierProfile from one march's (w, w') nodes."""
+    grid = np.linspace(*problem.span(), len(ws))
     if problem.mode == "ball":
         grid = np.concatenate([[0.0], grid])
         ws = np.concatenate([[float(start)], ws])
@@ -264,10 +276,10 @@ def integrate(problem, start, n_steps=N_STEPS):
     mode it is the central value w(0).  Raises NumericError if the
     trajectory diverges.
     """
-    ws, ps = _march(problem, start, n_steps)
+    ws, dws = _march(problem, start, n_steps)
     if ws is None:
         raise _diverged(start)
-    return _profile(problem, start, ws, ps)
+    return _profile(problem, start, ws, dws)
 
 
 def check_target(problem, target_m):
@@ -380,10 +392,10 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
         return min(hit(s), _W_CAP) - target_m
 
     root = _brent(miss, lo, hi, miss(lo), miss(hi), xtol=_RTOL * _SLOPE_MIN, rtol=_RTOL)
-    ws, ps = marched[root]
+    ws, dws = marched[root]
     if ws is None:
         raise _diverged(root)
-    profile = _profile(problem, root, ws, ps)
+    profile = _profile(problem, root, ws, dws)
     profile.marches = len(marched)
     profile.bracket = (lo, hi)
     missed = abs(float(profile.w[-1]) - target_m)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerpde import (AdmissibilityError, FinslerNorm, MaterialProfile, SourceTerm,
-                        b_eval, check_flux_bound, check_flux_monotonicity,
+                        check_flux_bound, check_flux_monotonicity,
                         check_osserman, check_structural_bounds, flux,
                         linearized_tensor)
+from finslerpde import radial
 from finslerpde.material import G_ZERO_NEAR_0, OSSERMAN_CHECKED, UNCHECKED
 
 
@@ -18,7 +19,8 @@ def const_f(value=1.0):
 
 class TestProfileValues:
     def test_power_p3_closed_forms(self):
-        b, bp, bpp = b_eval(MaterialProfile(p=3.0), 2.0)
+        m = MaterialProfile(p=3.0)
+        b, bp, bpp = m.b(2.0), m.b_prime(2.0), m.b_second(2.0)
         assert b == pytest.approx(8.0 / 3.0)
         assert bp == pytest.approx(4.0)
         assert bpp == pytest.approx(4.0)
@@ -72,7 +74,7 @@ class TestProfileValues:
     def test_b_prime_inverse_roundtrip(self, p, k, y):
         kind = "power" if k == 0.0 else "shifted"
         m = MaterialProfile(p=p, k=k, kind=kind)
-        t = m.b_prime_inverse(np.asarray(y))
+        t = radial._phi_inverse_scalar(m)(y)
         assert m.b_prime(t) == pytest.approx(y, rel=1e-8, abs=1e-12)
 
     def test_ell_is_nonnegative_and_increasing(self):
@@ -83,6 +85,15 @@ class TestProfileValues:
         assert np.all(np.diff(vals) >= 0.0)
         # L(s) = s B'(s) - B(s) = (1 - 1/p) s^p for the power profile
         assert np.allclose(vals, (1.0 - 1.0 / 3.0) * s ** 3.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_ell_inverse_power_closed_form(self, p):
+        # relative accuracy must hold far below the bisection bracket top
+        y = np.geomspace(1e-30, 1e2, 129)
+        expect = (p * y / (p - 1.0)) ** (1.0 / p)
+        got = MaterialProfile(p=p).ell_inverse(y)
+        assert np.all(np.abs(got - expect) <= 1e-13 * expect)
+        assert MaterialProfile(p=p).ell_inverse(0.0) == 0.0
 
 
 class TestStructuralBounds:

@@ -16,7 +16,7 @@ from .errors import (AdmissibilityError, ConfigError, FitError, NonconvergenceEr
                      NumericError)
 from .fields import (ScalarField, boundary_normal_derivative, hessian_at_barycenters,
                      nodal_gradient, recover_gradient, recover_hessian)
-from .finsler import (FinslerNorm, WulffShape, ellipticity_constant,
+from .finsler import (FinslerNorm, WulffShape, ellipticity_constant, ellipticity_verdict,
                       verify_duality_identities, wulff_boundary)
 from .hypotheses import HYPOTHESES
 from .material import (MaterialProfile, SourceTerm, admissibility_report,
@@ -41,7 +41,7 @@ __all__ = [
     "WulffShape", "admissibility_report", "boundary_normal_derivative",
     "build_domain", "check_flux_bound", "check_flux_monotonicity",
     "check_osserman", "check_structural_bounds", "critical_set_fraction",
-    "ellipticity_constant", "evaluate", "flux",
+    "ellipticity_constant", "ellipticity_verdict", "evaluate", "flux",
     "hessian_at_barycenters", "hopf_check",
     "hopf_margin", "integrate", "lift", "linearized_tensor", "nodal_gradient",
     "ode_residual", "recover_gradient", "recover_hessian", "refinement_study",

@@ -25,7 +25,8 @@ import scipy
 from . import __version__
 from .config import build_run, load_config, parse_overrides
 from .errors import FitError, NonconvergenceError, NumericError
-from .finsler import ellipticity_constant, verify_duality_identities, wulff_boundary
+from .finsler import (ellipticity_constant, ellipticity_verdict, verify_duality_identities,
+                      wulff_boundary)
 from .io import (canonical_json, config_sha256, write_field_csv, write_json,
                  write_profile_csv, write_study_csv, write_wulff_csv)
 from .material import admissibility_report, check_source_signs
@@ -117,6 +118,7 @@ def main(argv=None):
         admissibility = admissibility_report(run.material, run.norm, run.source,
                                              n_samples=2048, seed=cfg["seed"])
         admissibility["ellipticity"] = ellipticity_constant(run.norm, seed=cfg["seed"])
+        admissibility["ellipticity_verdict"] = ellipticity_verdict(run.norm)
     except (ValueError, OSError) as exc:  # ConfigError and AdmissibilityError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,6 +42,34 @@ def _as_batch(xi, dim):
     return xi, False
 
 
+def _column_sum(v):
+    """Sum of the columns of v, (m, n) -> (m,)."""
+    out = v[:, 0].copy()
+    for i in range(1, v.shape[1]):
+        out += v[:, i]
+    return out
+
+
+def _scale_rows(v, c):
+    """v * c[:, None], column by column."""
+    out = np.empty_like(v)
+    for i in range(v.shape[1]):
+        np.multiply(v[:, i], c, out=out[:, i])
+    return out
+
+
+def _symmetric(m, n, entry):
+    """(m, n, n) batch of symmetric matrices; entry(i, j) gives the (m,)
+    entries at (i, j) for j <= i, mirrored to (j, i).  Stored entry-major:
+    the result is a transposed view of an (n, n, m) array."""
+    out = np.empty((n, n, m))
+    for i in range(n):
+        for j in range(i + 1):
+            out[i, j] = entry(i, j)
+            out[j, i] = out[i, j]
+    return out.transpose(2, 0, 1)
+
+
 class FinslerNorm:
     """A norm on R^n with closed-form evaluation, derivatives and dual."""
 
@@ -105,34 +133,19 @@ class FinslerNorm:
         """H(xi).  Accepts (n,) or (m, n)."""
         x, single = _as_batch(xi, self.dim)
         if self.kind == "euclidean":
-            h = np.linalg.norm(x, axis=-1)
+            h = np.sqrt(_column_sum(x * x))
         elif self.kind == "ellipsoidal":
-            ax = x @ self._a
-            h = np.sqrt(np.einsum("ij,ij->i", x, ax))
+            h = np.sqrt(_column_sum(x * (x @ self._a)))
         else:
-            h = np.power(np.sum(np.abs(x) ** self._q, axis=-1), 1.0 / self._q)
+            h = np.power(_column_sum(np.abs(x) ** self._q), 1.0 / self._q)
         return float(h[0]) if single else h
 
     __call__ = eval
 
     def grad(self, xi):
         """grad H(xi); undefined (raises) at the origin."""
-        x, single = _as_batch(xi, self.dim)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(r == 0.0):
-            raise ValueError("norm gradient undefined at the origin")
-        if self.kind == "euclidean":
-            g = x / r[:, None]
-        elif self.kind == "ellipsoidal":
-            ax = x @ self._a
-            h = np.sqrt(np.einsum("ij,ij->i", x, ax))
-            g = ax / h[:, None]
-        else:
-            q = self._q
-            h = np.power(np.sum(np.abs(x) ** q, axis=-1), 1.0 / q)
-            u = np.abs(x) ** (q - 1.0) * np.sign(x)
-            g = u * (h ** (1.0 - q))[:, None]
-        return g[0] if single else g
+        _, g = self.jet(xi, order=1)
+        return g
 
     def hess(self, xi):
         """Hessian of H at xi; undefined (raises) at the origin.
@@ -141,31 +154,50 @@ class FinslerNorm:
         kinds with q < 2 the entries blow up on the coordinate axes; callers
         sampling the unit sphere should offset their grids accordingly.
         """
+        return self.jet(xi)[2]
+
+    def jet(self, xi, order=2):
+        """(H, grad H, D2H) at xi from one set of powers; (H, grad H) for
+        order 1.  Shaped like eval, grad and hess; undefined (raises) at the
+        origin.
+
+        For lp, with a = |xi_i| and S = sum a^q = H^q, one power a^(q-1)
+        gives u = sign(xi) a^(q-1), grad H = u H / S and, divided by a, the
+        a^(q-2) of D2H = (q-1) (diag(a^(q-2)) H / S - u u^T H / S^2).  The
+        work runs column by column: numpy is slow along an axis of length n.
+        """
         x, single = _as_batch(xi, self.dim)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(r == 0.0):
-            raise ValueError("norm Hessian undefined at the origin")
-        eye = np.eye(self.dim)
-        if self.kind == "euclidean":
-            u = x / r[:, None]
-            hmat = (eye[None, :, :] - u[:, :, None] * u[:, None, :]) / r[:, None, None]
-        elif self.kind == "ellipsoidal":
-            ax = x @ self._a
-            h = np.sqrt(np.einsum("ij,ij->i", x, ax))
-            hmat = self._a[None, :, :] / h[:, None, None] - (
-                ax[:, :, None] * ax[:, None, :]
-            ) / (h ** 3)[:, None, None]
-        else:
+        at_origin = x[:, 0] == 0.0
+        for i in range(1, self.dim):
+            at_origin &= x[:, i] == 0.0
+        if np.any(at_origin):
+            raise ValueError("norm derivatives undefined at the origin")
+        n = self.dim
+        if self.kind == "lp":
             q = self._q
-            h = np.power(np.sum(np.abs(x) ** q, axis=-1), 1.0 / q)
-            u = np.abs(x) ** (q - 1.0) * np.sign(x)
-            with np.errstate(divide="ignore"):
-                diag = np.abs(x) ** (q - 2.0)
-            hmat = (q - 1.0) * (
-                diag[:, :, None] * eye[None, :, :] * (h ** (1.0 - q))[:, None, None]
-                - (u[:, :, None] * u[:, None, :]) * (h ** (1.0 - 2.0 * q))[:, None, None]
-            )
-        return hmat[0] if single else hmat
+            a = np.abs(x)
+            a_q1 = a ** (q - 1.0)
+            s = _column_sum(a_q1 * a)
+            h = s ** (1.0 / q)
+            u = np.copysign(a_q1, x)
+            scale = h / s
+            g = _scale_rows(u, scale)
+            if order == 2:
+                a_q2 = np.divide(a_q1, a, where=a > 0.0, out=np.full_like(
+                    a, np.inf if q < 2.0 else float(q == 2.0)))
+                c_uu = (1.0 - q) * scale / s
+                c_diag = (q - 1.0) * scale
+                hmat = _symmetric(len(h), n, lambda i, j: c_uu * u[:, i] * u[:, j] + (
+                    c_diag * a_q2[:, i] if i == j else 0.0))
+        else:
+            ax = x if self.kind == "euclidean" else x @ self._a
+            h = np.sqrt(_column_sum(x * ax))
+            g = _scale_rows(ax, 1.0 / h)
+            if order == 2:
+                mat = np.eye(n) if self.kind == "euclidean" else self._a
+                hmat = _symmetric(len(h), n, lambda i, j: (mat[i, j] - g[:, i] * g[:, j]) / h)
+        out = (h, g) if order == 1 else (h, g, hmat)
+        return tuple(v[0] for v in out) if single else out
 
     # -- duality -----------------------------------------------------------
 
@@ -218,8 +250,7 @@ def ellipticity_constant(h, n_samples=4096, seed=0):
         dirs = rng.standard_normal((n_samples, h.dim))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     xi = dirs / h.eval(dirs)[:, None]
-    g = h.grad(xi)
-    d2 = h.hess(xi)
+    _, g, d2 = h.jet(xi)
     if h.dim == 2:
         t = np.column_stack([-g[:, 1], g[:, 0]])
         t /= np.linalg.norm(t, axis=-1, keepdims=True)
@@ -230,6 +261,23 @@ def ellipticity_constant(h, n_samples=4096, seed=0):
         t /= np.linalg.norm(t, axis=-1, keepdims=True)
     lam = np.einsum("ij,ijk,ik->i", t, d2, t)
     return float(lam.min())
+
+
+def ellipticity_verdict(h):
+    """Closed-form verdict on the uniform ellipticity of the unit sphere of H.
+
+    ``uniform`` for the euclidean and ellipsoidal kinds and lp with q = 2.
+    On the coordinate axes the lp Hessian carries a factor a^(q-2), a the
+    off-axis coordinate: it vanishes there for q > 2 (``degenerate on the
+    coordinate axes``) and blows up for q < 2 (``unbounded on the
+    coordinate axes``).  ellipticity_constant samples off the axes, so its
+    positive minimum does not show either.
+    """
+    if h.kind != "lp" or h.exponent == 2.0:
+        return "uniform"
+    if h.exponent > 2.0:
+        return "degenerate on the coordinate axes"
+    return "unbounded on the coordinate axes"
 
 
 @dataclasses.dataclass

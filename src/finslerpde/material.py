@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AdmissibilityError, NumericError
+from .finsler import _scale_rows
 from .hypotheses import violation
 
 # Verdicts for the barrier admissibility of g.
@@ -36,6 +37,8 @@ UNCHECKED = "unchecked"
 
 _RADIUS_RANGE = (1e-4, 1e2)   # log-uniform sampling radii for the checks
 _OSSERMAN_LEVELS = 20         # dyadic halvings in the divergence probe
+_SERIES_TAU = 0.1             # shifted B: binomial series below t / k = this
+_SERIES_TERMS = 400           # cap on the terms of that series
 
 
 class MaterialProfile:
@@ -73,9 +76,39 @@ class MaterialProfile:
         if k == 0.0:
             out = t ** p / p
         else:
-            # split (k+s)^(p-2) s = (k+s)^(p-1) - k (k+s)^(p-2) and integrate
-            out = ((k + t) ** p - k ** p) / p - k * ((k + t) ** (p - 1) - k ** (p - 1)) / (p - 1)
+            out = self._b_shifted(np.atleast_1d(t)).reshape(t.shape)
         return float(out) if out.ndim == 0 else out
+
+    def _b_shifted(self, t):
+        """B(t) = int_0^t (k+s)^(p-2) s ds without cancellation, t a 1-d array.
+
+        With tau = t / k, B = k^p G(tau), G(tau) = int_0^tau (1+x)^(p-2) x dx
+        ~ tau^2 / 2.  Below tau = _SERIES_TAU, G is its binomial series
+        sum_n binom(p-2, n) tau^(n+2) / (n+2).  Above, the closed form
+        ((k+t)^p - k^p) / p - k ((k+t)^(p-1) - k^(p-1)) / (p-1) is taken with
+        each difference as (k+t)^a (1 - (1+tau)^-a), the bracket from
+        expm1 and log1p; the two terms then cancel by at most 4 / tau.
+        """
+        p, k = self.p, self.k
+        tau = t / k
+        out = np.empty_like(t)
+        low = tau < _SERIES_TAU
+        x = tau[low]
+        total = np.zeros_like(x)
+        coef = np.ones_like(x)            # binom(p-2, n) tau^n
+        for n in range(_SERIES_TERMS):
+            term = coef / (n + 2)
+            total += term
+            if np.all(np.abs(term) <= 1e-17 * total):
+                break
+            coef = coef * x * ((p - 2.0 - n) / (n + 1))
+        out[low] = t[low] ** 2 * k ** (p - 2.0) * total
+        th = t[~low]
+        log_ratio = np.log1p(tau[~low])   # log((k + t) / k)
+        out[~low] = (k + th) ** (p - 1.0) * (
+            (k + th) * -np.expm1(-p * log_ratio) / p
+            - k * -np.expm1(-(p - 1.0) * log_ratio) / (p - 1.0))
+        return out
 
     def b_prime(self, t):
         t = np.asarray(t, dtype=float)
@@ -97,6 +130,16 @@ class MaterialProfile:
         else:
             out = (k + t) ** (p - 3.0) * ((p - 1.0) * t + k)
         return float(out) if out.ndim == 0 else out
+
+    def b_derivatives(self, t):
+        """(B'(t), B''(t)) for t > 0, from one power of t (or of k + t)."""
+        t = np.asarray(t, dtype=float)
+        p, k = self.p, self.k
+        if k == 0.0:
+            c = t ** (p - 2.0)
+            return c * t, (p - 1.0) * c
+        c = (k + t) ** (p - 3.0)
+        return c * (k + t) * t, c * ((p - 1.0) * t + k)
 
     def ell(self, s):
         """L(s) = s B'(s) - B(s), the barrier Legendre-type transform."""
@@ -165,14 +208,19 @@ def sample_vectors(dim, count, seed, r_range=_RADIUS_RANGE):
 
 
 def linearized_tensor(material, h, xi):
-    """M(xi) = B''(H) gradH (x) gradH + B'(H) D2H, batched over rows of xi."""
+    """M(xi) = B''(H) gradH (x) gradH + B'(H) D2H, batched over rows of xi.
+
+    H and its derivatives come from one set of powers (FinslerNorm.jet),
+    B' and B'' from one more (MaterialProfile.b_derivatives).
+    """
     pts, single = (xi[None, :], True) if np.asarray(xi).ndim == 1 else (np.asarray(xi, float), False)
-    hv = h.eval(pts)
-    g = h.grad(pts)
-    d2 = h.hess(pts)
-    b2 = np.atleast_1d(material.b_second(hv))
-    b1 = np.atleast_1d(material.b_prime(hv))
-    mats = b2[:, None, None] * (g[:, :, None] * g[:, None, :]) + b1[:, None, None] * d2
+    hv, g, mats = h.jet(pts)
+    b1, b2 = material.b_derivatives(hv)
+    # entry by entry (numpy is slow along axes of length 2); exactly symmetric
+    for i in range(h.dim):
+        for j in range(i + 1):
+            mats[:, i, j] = b1 * mats[:, i, j] + b2 * g[:, i] * g[:, j]
+            mats[:, j, i] = mats[:, i, j]
     return mats[0] if single else mats
 
 
@@ -224,11 +272,17 @@ def check_flux_bound(material, h, samples=None, n_samples=10000, seed=0):
 def flux(material, h, xi):
     """a(xi) = B'(H(xi)) grad H(xi), extended by 0 at xi = 0."""
     pts, single = (xi[None, :], True) if np.asarray(xi).ndim == 1 else (np.asarray(xi, float), False)
-    out = np.zeros_like(pts)
-    nz = np.linalg.norm(pts, axis=-1) > 0.0
-    if np.any(nz):
-        sub = pts[nz]
-        out[nz] = np.atleast_1d(material.b_prime(h.eval(sub)))[:, None] * h.grad(sub)
+    nz = pts[:, 0] != 0.0
+    for i in range(1, pts.shape[1]):
+        nz |= pts[:, i] != 0.0
+    if np.all(nz):
+        hv, g = h.jet(pts, order=1)
+        out = _scale_rows(g, material.b_prime(hv))
+    else:
+        out = np.zeros_like(pts)
+        if np.any(nz):
+            hv, g = h.jet(pts[nz], order=1)
+            out[nz] = _scale_rows(g, material.b_prime(hv))
     return out[0] if single else out
 
 

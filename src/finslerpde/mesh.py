@@ -11,13 +11,18 @@ an even angular count so the alternating diagonal pattern closes up.
 All generators retriangulate with more resolution until the longest edge
 is at most the requested spacing.  Candidates are checked from their
 vertices and triangles alone; only the accepted one becomes a Mesh2D.
+
+Every generator numbers its vertices along a grid, so the interior
+vertices, in ascending order, fill a rows x cols lattice row by row and
+each couples only to its 8 lattice neighbours.  The mesh records that
+lattice; on the annulus its columns follow the angle and wrap around.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -61,15 +66,27 @@ class DomainSpec:
                              f"[0, 0], got {list(self.center)!r}")
 
 
+class Lattice(NamedTuple):
+    """Logical grid of the interior vertices: interior vertex number
+    i cols + j (ascending vertex order) sits at row i, column j.  Columns
+    wrap around when periodic."""
+
+    rows: int
+    cols: int
+    periodic: bool = False
+
+
 class Mesh2D:
     """Conforming triangle mesh with boundary metadata.
 
     vertices: (N, 2) float, triangles: (M, 3) int with positive signed
     area, boundary_vertices: sorted index array, boundary_normals: unit
-    inner normals aligned with boundary_vertices, h: longest edge.
+    inner normals aligned with boundary_vertices, h: longest edge,
+    lattice: the Lattice of the interior vertices, or None for a mesh
+    built by hand.
     """
 
-    def __init__(self, vertices, triangles):
+    def __init__(self, vertices, triangles, lattice=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         tris = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -119,6 +136,11 @@ class Mesh2D:
         self._interior_mask[self.boundary_vertices] = False
         self.boundary_normals = self._vertex_normals(b_edges, b_opposite)
         self._incidence = None
+        n_interior = n - len(self.boundary_vertices)
+        if lattice is not None and lattice.rows * lattice.cols != n_interior:
+            raise ValueError(f"a {lattice.rows} x {lattice.cols} lattice does not hold "
+                             f"{n_interior} interior vertices")
+        self.lattice = lattice
 
     def _vertex_normals(self, b_edges, b_opposite):
         p = self.vertices
@@ -219,7 +241,7 @@ def _rectangle_mesh(a, b, h):
     xs = np.linspace(0.0, a, nx + 1)
     ys = np.linspace(0.0, b, ny + 1)
     verts = np.column_stack([np.repeat(xs, ny + 1), np.tile(ys, nx + 1)])
-    return Mesh2D(verts, _grid_triangles(nx, ny))
+    return Mesh2D(verts, _grid_triangles(nx, ny), Lattice(nx - 1, ny - 1))
 
 
 def _ball_vertices(norm, radius, center, n):
@@ -247,7 +269,7 @@ def _ball_mesh(norm, radius, center, h):
         tris = _grid_triangles(2 * n, 2 * n)
         longest = _longest_edge(verts, tris)
         if longest <= h:
-            return Mesh2D(verts, tris)
+            return Mesh2D(verts, tris, Lattice(2 * n - 1, 2 * n - 1))
         n = math.ceil(n * longest / h) + 1
     raise NumericError("ball meshing failed to reach the target spacing")
 
@@ -269,7 +291,7 @@ def _annulus_mesh(norm, radius, center, h):
         tris = _annulus_triangles(n_r, n_t)
         longest = _longest_edge(verts, tris)
         if longest <= h:
-            return Mesh2D(verts, tris)
+            return Mesh2D(verts, tris, Lattice(n_r - 1, n_t, periodic=True))
         grow = longest / h
         n_r = math.ceil(n_r * grow) + 1
         n_t = 2 * math.ceil(n_t * grow / 2) + 2

@@ -13,8 +13,8 @@ that gets recorded.  Near-critical elements (|grad u| < eps_grad) get the
 gradient nudged off the singularity and their elementwise tensor floored
 to C1_est (k + eps_grad)^(p-2) I; elsewhere the structural lower bound
 keeps the tensor positive definite on its own.  Tangent systems go to
-conjugate gradients with Jacobi preconditioning, solved inexactly: step k
-stops CG at the relative residual
+conjugate gradients preconditioned by a multigrid V-cycle, solved
+inexactly: step k stops CG at the relative residual
 
     eta_k = min(0.5, max(0.9 (|r_k| / |r_{k-1}|)^2, tol / (2 |r_k|))),
 
@@ -33,34 +33,53 @@ linearly, the residual ratio stays near 1 and choice 2 would hold every
 solve at 0.5; such solves stall runs that converge with exact steps
 (lp q = 4, p = 1.5).  The
 convergence test stays on the exact energy gradient.  If CG stalls or
-returns an ascent direction the step falls back to preconditioned
+returns an ascent direction the step falls back to Jacobi-scaled
 steepest descent.  The initial iterate solves the Euclidean p = 2
 problem to 1e-12; if CG fails there, Newton starts from zero interior
 values, a warning is logged and the report keeps the CG status.
 
-Every mesh builder makes a logically structured grid, so the interior
-block of a stiffness matrix has a few diagonals (9, or 11 on the annulus
-with its seam) and is stored by them, the DIA format of Saad ("Iterative
-Methods for Sparse Linear Systems", 2nd ed., SIAM 2003, sec. 3.4): a
-(D, n_int) array for D distinct column - row offsets.  A mesh numbered
-without such structure could need up to 2 n_int - 1 diagonals, so solve
-rejects a mesh whose diagonals would hold more numbers than the element
-entries summed into them; no builder here makes one.  Every stiffness
-matrix of one solve shares the offsets, so the element-to-diagonal
-scatter is built once and each assembly is one bincount into fixed
-slots.  The product adds the diagonals in ascending offset order, the
-summation order of a sorted CSR row, and the conjugate gradient loop is
-that of scipy.sparse.linalg.cg with a Jacobi preconditioner, so both
-return scipy's floats bit for bit.  It also counts its iterations, which
-the report records.  The module needs numpy only: the source primitive
-is tabulated by composite Simpson and evaluated as a cubic Hermite
-interpolant in numpy.
+Every mesh builder numbers its vertices along a grid and records the
+lattice of the interior vertices (mesh.Lattice; the annulus wraps around
+its angle), and a P1 stiffness matrix couples each lattice point only to
+its 8 neighbours.  So each tangent is stored as a 3 x 3 stencil per
+lattice point, a (3, 3, rows, cols) array; solve rejects a mesh without
+a lattice.  The element-to-stencil scatter is built once per solve and
+each assembly is one bincount into fixed slots.  The product sums each
+row by ascending vertex number, the order of a sorted CSR row, so it
+returns scipy's floats bit for bit.
+
+The preconditioner is one V(1,1)-cycle from a zero start, built once per
+tangent (Trottenberg, Oosterlee and Schueller, "Multigrid", Academic
+Press 2001; for p-Laplacians, Bermejo and Infante, SIAM J. Sci. Comput.
+21, 2000).  Coarse lattice point I sits on fine point 2 I + 1, the
+prolongation P is bilinear in lattice index and the coarse operator is
+the Galerkin product P^T A P, again a 9-point stencil, computed axis by
+axis as 13 strided sums.  An axis is coarsened while it has two or more
+points, a periodic one while its length is even and at least 4; the
+coarsening stops at _COARSEST unknowns, and that level is solved with a
+dense Cholesky factor from numpy.linalg.  Every other level smooths with
+one damped Jacobi sweep, weight 2/3, before its coarse correction and
+one after.  Each element matrix is positive semidefinite, so its entries
+obey |a_ij| <= sqrt(a_ii a_jj) and D^{-1/2} A D^{-1/2} has eigenvalues
+at most 3; with weight 2/3 the sweep is contractive in the energy norm
+and the cycle is symmetric positive definite, as CG needs.  The coarse
+Galerkin levels carry no such proof; there the largest eigenvalue of
+D^{-1} A measured 1.7 to 2.6 on lp q = 4, ellipsoidal and Euclidean
+tangents and on random positive definite element tensors.  If the
+Cholesky factor fails, the solve reports CG status -1 and takes the
+failure path (descent fallback, or zero start).  The conjugate gradient
+loop is that of scipy.sparse.linalg.cg with the preconditioner as an
+argument, operation for operation, and counts its iterations, which the
+report records with the wall time of each stage.  The module needs numpy
+only: the source primitive is tabulated by composite Simpson and
+evaluated as a cubic Hermite interpolant in numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import time
 
 import numpy as np
 
@@ -78,6 +97,12 @@ _EW_GAMMA = 0.9                # Eisenstat-Walker choice 2 factor
 _MAX_BACKTRACKS = 40
 _ARMIJO_C1 = 1e-4
 _ADMISSIBILITY_SAMPLES = 2048
+_OMEGA = 2.0 / 3.0             # damped Jacobi weight of the multigrid smoother
+_COARSEST = 150                # multigrid coarsening stops at this many unknowns
+_FACTOR_FAILED = -1            # CG status when the multigrid set-up fails
+# wall-time stages of a solve, as SolveReport.seconds records them
+_STAGES = ("admissibility", "init", "tangent", "preconditioner", "linear_solve",
+           "line_search")
 
 
 @dataclasses.dataclass
@@ -102,6 +127,7 @@ class SolveReport:
     init_cg_iterations: int  # CG iterations of the initial p = 2 solve
     steps: list              # per accepted Newton step: residual, eta, cg_info,
                              # cg_iterations, direction, alpha, backtracks
+    seconds: dict            # wall time per stage of the solve, keys _STAGES
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -173,63 +199,254 @@ def _boundary_values(mesh, bc):
 
 
 def _element_matrices(mesh, cell_tensors):
-    """|T| grad phi_a . M_T grad phi_b for every triangle T, shape (T, 3, 3)."""
-    return np.einsum("t,tad,tde,tbe->tab", mesh.areas, mesh.basis_grads,
-                     cell_tensors, mesh.basis_grads, optimize=True)
+    """|T| grad phi_a . M_T grad phi_b for every triangle T, from the
+    symmetric part of M_T.  Entry-major, shape (3, 3, T), and built entry
+    by entry: numpy is slow along axes of length 2 or 3."""
+    area, grads = mesh.areas, mesh.basis_grads
+    m01 = 0.5 * area * (cell_tensors[:, 0, 1] + cell_tensors[:, 1, 0])
+    m00 = area * cell_tensors[:, 0, 0]
+    m11 = area * cell_tensors[:, 1, 1]
+    out = np.empty((3, 3, len(area)))
+    for a in range(3):
+        # |T| M_T grad phi_a, then its product with each grad phi_b
+        wx = grads[:, a, 0] * m00 + grads[:, a, 1] * m01
+        wy = grads[:, a, 0] * m01 + grads[:, a, 1] * m11
+        for b in range(3):
+            np.multiply(wx, grads[:, b, 0], out=out[a, b])
+            out[a, b] += wy * grads[:, b, 1]
+    return out
 
 
-def _interior_pattern(mesh):
-    """Diagonal layout of the interior block of a P1 stiffness matrix.
+def _stencil_slots(mesh):
+    """Place of every element-matrix entry in the lattice stencil.
 
-    Returns (slot, offsets): offsets are the distinct column - row offsets
-    of the block, ascending, and entry j of the flattened (T, 3, 3) element
-    matrices adds into slot[j] = d n_int + row of the (D, n_int) diagonal
-    data, d the index of its offset; entries that touch the boundary go to
-    slot D n_int, one past the data, which assembly drops.
+    Entry k of the flattened (3, 3, T) element matrices couples the interior
+    vertices at lattice points (i, j) and (i + a - 1, j + b - 1) and adds
+    into slot (3 a + b) n_int + i cols + j of the (3, 3, rows, cols) stencil
+    data; entries that touch the boundary go to slot 9 n_int, one past the
+    data, which assembly drops.  Raises ValueError for a mesh without a
+    lattice or with a coupling past a lattice neighbour.
     """
-    interior = mesh.interior_mask
-    n_int = int(np.count_nonzero(interior))
-    local = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    local[interior] = np.arange(n_int)
-    tri = local[mesh.triangles]
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    inside = (rows >= 0) & (cols >= 0)
-    shift = cols[inside] - rows[inside]
-    offsets = np.unique(shift)
-    if len(offsets) * n_int > len(shift):
-        # without grid numbering the diagonals, and their storage, grow with n_int
-        raise ValueError(f"the interior stiffness block has {len(offsets)} diagonals for "
-                         f"{n_int} interior vertices: number the vertices along a grid")
-    slot = np.full(rows.size, len(offsets) * n_int)
-    slot[inside] = np.searchsorted(offsets, shift) * n_int + rows[inside]
-    return slot, offsets
+    lattice = mesh.lattice
+    if lattice is None:
+        raise ValueError("the mesh records no vertex lattice: number the vertices along a "
+                         "grid, as build_domain does")
+    cols = lattice.cols
+    n_int = lattice.rows * cols
+    # int32 keeps the (3, 3, T) temporaries small; the slots are intp for bincount
+    local = np.full(mesh.n_vertices, -1, dtype=np.int32)
+    local[mesh.interior_mask] = np.arange(n_int, dtype=np.int32)
+    tri = local[mesh.triangles].T
+    row, col = np.divmod(tri, np.int32(cols))
+    di = row[None, :, :] - row[:, None, :]
+    dj = col[None, :, :] - col[:, None, :]
+    if lattice.periodic:
+        dj += 1
+        dj %= cols
+        dj -= 1
+    inside = (tri[:, None, :] >= 0) & (tri[None, :, :] >= 0)
+    if np.any(inside & ((np.abs(di) > 1) | (np.abs(dj) > 1))):
+        raise ValueError("the stiffness matrix couples vertices that are not lattice "
+                         "neighbours: number the vertices along a grid")
+    di *= 3
+    di += dj + 4
+    slot = np.where(inside, di.astype(np.intp) * n_int + tri[:, None, :], 9 * n_int)
+    return slot.ravel()
 
 
-class _Diagonals:
-    """Square matrix stored by diagonals: data[d, i] is entry (i, i + offsets[d]).
+# Neighbours of a lattice point by ascending vertex number: in every column
+# but the seam of a periodic lattice, and on its first and last column.
+_ORDER = tuple((a, b) for a in range(3) for b in range(3))
+_SEAM_ORDERS = ((0, (1, 2, 0)), (-1, (2, 0, 1)))
 
-    Slots outside the matrix hold zeros.  The product adds the diagonals in
-    ascending offset order, so each row sums its entries by ascending
-    column, starting from zero: the order of a CSR row with sorted indices.
+
+class _Stencil:
+    """Square matrix on the mesh lattice, stored as a 3 x 3 stencil per point.
+
+    data[a, b, i, j] is the entry coupling lattice point (i, j) to
+    (i + a - 1, j + b - 1), the column taken modulo cols when the lattice
+    is periodic; entries that reach past the lattice are zero.  The
+    product sums each row over its neighbours by ascending vertex number,
+    starting from zero: the order of a CSR row with sorted indices.  That
+    is the (a, b) order except on the first and last column of a periodic
+    lattice, where the wrapped neighbour has the largest or the smallest
+    number.
     """
 
-    def __init__(self, offsets, data):
-        self.offsets = offsets
+    def __init__(self, data, periodic):
         self.data = data
+        self.periodic = periodic
+        self.shape = data.shape[2:]
 
     def diagonal(self):
-        return self.data[np.searchsorted(self.offsets, 0)]
+        return self.data[1, 1].ravel()
 
     def __matmul__(self, x):
-        n = len(x)
-        out = np.zeros(n)
-        for off, diag in zip(self.offsets.tolist(), self.data):
-            if off >= 0:
-                out[:n - off] += diag[:n - off] * x[off:]
-            else:
-                out[-off:] += diag[-off:] * x[:n + off]
+        return self.apply(x.reshape(self.shape)).ravel()
+
+    def apply(self, x):
+        """Product with a field on the lattice, shape (rows, cols)."""
+        rows, cols = self.shape
+        data = self.data
+        xp = np.zeros((rows + 2, cols + 2))
+        xp[1:-1, 1:-1] = x
+        if self.periodic:
+            xp[1:-1, 0] = x[:, -1]
+            xp[1:-1, -1] = x[:, 0]
+        out = data[0, 0] * xp[:rows, :cols]
+        term = np.empty_like(out)
+        for a, b in _ORDER[1:]:
+            np.multiply(data[a, b], xp[a:a + rows, b:b + cols], out=term)
+            out += term
+        if self.periodic:
+            for j, order in _SEAM_ORDERS:
+                column = np.zeros(rows)
+                for a in range(3):
+                    for b in order:
+                        column += data[a, b, :, j] * xp[a:a + rows, j % cols + b]
+                out[:, j] = column
         return out
+
+
+def _pad(f, n_coarse, periodic):
+    """f along its last axis, extended to length 2 n_coarse + 1 by zeros
+    (the boundary) or, on a periodic axis, by its first entry."""
+    n = f.shape[-1]
+    g = np.zeros(f.shape[:-1] + (2 * n_coarse + 1,))
+    g[..., :n] = f
+    if periodic:
+        g[..., n] = f[..., 0]
+    return g
+
+
+def _restrict_axis(f, periodic):
+    """P^T f along the last axis: coarse point I sits on fine point 2 I + 1
+    and takes half of each fine neighbour."""
+    g = _pad(f, f.shape[-1] // 2, periodic)
+    return g[..., 1::2] + 0.5 * (g[..., :-1:2] + g[..., 2::2])
+
+
+def _prolong_axis(c, n, periodic):
+    """P c along the last axis, to n fine points: linear interpolation in
+    lattice index, zero on the boundary."""
+    m = c.shape[-1]
+    padded = np.zeros(c.shape[:-1] + (m + 2,))
+    padded[..., 1:-1] = c
+    if periodic:
+        padded[..., 0] = c[..., -1]
+    f = np.empty(c.shape[:-1] + (n,))
+    f[..., 1::2] = c
+    even = (n + 1) // 2
+    f[..., ::2] = 0.5 * (padded[..., :even] + padded[..., 1:even + 1])
+    return f
+
+
+# The 13 terms (e, s, d, weight) of a one-axis Galerkin product P^T M P:
+# weight M_d[2 I + 1 + s] adds into the coarse coupling of I to I + e, where
+# M_d[j] couples fine point j to j + d and P gives coarse point I weight 1
+# on fine point 2 I + 1 and 1/2 on 2 I and 2 I + 2.
+_WEIGHT = {-1: 0.5, 0: 1.0, 1: 0.5}
+_GALERKIN_TERMS = tuple((e, s, 2 * e + t - s, _WEIGHT[s] * _WEIGHT[t])
+                        for e in (-1, 0, 1) for s in (-1, 0, 1) for t in (-1, 0, 1)
+                        if abs(2 * e + t - s) <= 1)
+
+
+def _galerkin_axis(stencil, periodic):
+    """P^T M P along the last axis of stencil[d + 1, ..., j], the coupling
+    of fine point j to j + d; the other axes ride along."""
+    m = stencil.shape[-1] // 2
+    g = _pad(stencil, m, periodic)
+    out = np.zeros(stencil.shape[:-1] + (m,))
+    for e, s, d, weight in _GALERKIN_TERMS:
+        out[e + 1] += weight * g[d + 1, ..., 1 + s:1 + s + 2 * m:2]
+    if not periodic:
+        # couplings to coarse points past the ends, which do not exist
+        out[0, ..., 0] = 0.0
+        out[2, ..., -1] = 0.0
+    return out
+
+
+def _coarsen(stencil, axes):
+    """Galerkin operator P^T A P of the stencil, P bilinear along the axes
+    (rows, cols) flagged in ``axes`` and the identity along the other."""
+    data = stencil.data
+    if axes[1]:
+        data = _galerkin_axis(data.transpose(1, 0, 2, 3), stencil.periodic).transpose(1, 0, 2, 3)
+    if axes[0]:
+        data = _galerkin_axis(data.transpose(0, 1, 3, 2), False).transpose(0, 1, 3, 2)
+    return _Stencil(np.ascontiguousarray(data), stencil.periodic)
+
+
+def _dense(stencil):
+    """The stencil as a dense matrix."""
+    rows, cols = stencil.shape
+    n = rows * cols
+    i, j = np.indices((rows, cols))
+    out = np.zeros((n, n))
+    for a, b in _ORDER:
+        ni, nj = i + a - 1, j + b - 1
+        if stencil.periodic:
+            nj %= cols
+        ok = (ni >= 0) & (ni < rows) & (nj >= 0) & (nj < cols)
+        np.add.at(out, ((i * cols + j)[ok], (ni * cols + nj)[ok]), stencil.data[a, b][ok])
+    return out
+
+
+class _VCycle:
+    """One V(1,1)-cycle from a zero start: the preconditioner of CG.
+
+    Levels are Galerkin operators P^T A P on ever coarser lattices, down
+    to at most _COARSEST unknowns or a lattice that cannot be coarsened;
+    the coarsest level is solved with a dense Cholesky factor.  Each other
+    level smooths with one damped Jacobi sweep, weight _OMEGA, before and
+    one after its coarse correction, so the cycle is symmetric.  Raises
+    numpy.linalg.LinAlgError when a level's diagonal is not positive or the
+    coarsest factor fails.
+    """
+
+    def __init__(self, stencil):
+        levels, axes = [stencil], []
+        while True:
+            rows, cols = levels[-1].shape
+            wide = cols >= 4 and cols % 2 == 0 if stencil.periodic else cols >= 2
+            can = (rows >= 2, wide)
+            if rows * cols <= _COARSEST or not any(can):
+                break
+            levels.append(_coarsen(levels[-1], can))
+            axes.append(can)
+        self._levels, self._axes = levels, axes
+        self._weights = []
+        for level in levels[:-1]:
+            diag = level.data[1, 1]
+            if not np.all(diag > 0.0):
+                raise np.linalg.LinAlgError("a multigrid level has a nonpositive diagonal")
+            self._weights.append(_OMEGA / diag)
+        linv = np.linalg.inv(np.linalg.cholesky(_dense(levels[-1])))
+        if not np.all(np.isfinite(linv)):
+            raise np.linalg.LinAlgError("the coarsest Cholesky factor is not finite")
+        self._linv, self._linv_t = linv, np.ascontiguousarray(linv.T)
+
+    def __call__(self, r):
+        return self._cycle(0, r.reshape(self._levels[0].shape)).ravel()
+
+    def _cycle(self, k, b):
+        if k == len(self._axes):
+            return (self._linv_t @ (self._linv @ b.ravel())).reshape(b.shape)
+        level, weight, axes = self._levels[k], self._weights[k], self._axes[k]
+        x = weight * b
+        coarse = b - level.apply(x)
+        if axes[1]:
+            coarse = _restrict_axis(coarse, level.periodic)
+        if axes[0]:
+            coarse = _restrict_axis(coarse.T, False).T
+        coarse = self._cycle(k + 1, coarse)
+        if axes[0]:
+            coarse = _prolong_axis(coarse.T, b.shape[0], False).T
+        if axes[1]:
+            coarse = _prolong_axis(coarse, b.shape[1], level.periodic)
+        x += coarse
+        x += weight * (b - level.apply(x))
+        return x
 
 
 def _floor_spd(mats, floor):
@@ -243,9 +460,10 @@ def _floor_spd(mats, floor):
     return out
 
 
-def _cg_solve(k_mat, rhs, rtol):
-    """Jacobi-preconditioned conjugate gradients from a zero start.
+def _cg_solve(k_mat, rhs, rtol, precondition):
+    """Preconditioned conjugate gradients from a zero start.
 
+    ``precondition`` maps a residual to its preconditioned residual.
     Returns (x, info, iterations).  The loop is that of
     scipy.sparse.linalg.cg with atol = 0, operation for operation: it stops
     when |r| < rtol |rhs| (info 0) or after 10 n iterations (info 10 n),
@@ -256,13 +474,12 @@ def _cg_solve(k_mat, rhs, rtol):
         return np.zeros_like(rhs), 0, 0
     atol = float(rtol) * float(rhs_norm)
     maxiter = 10 * len(rhs)
-    inv_diag = 1.0 / k_mat.diagonal()
     x = np.zeros_like(rhs)
     r = rhs.copy()
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, 0, iteration
-        z = inv_diag * r
+        z = precondition(r)
         rho = np.dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev
@@ -295,14 +512,14 @@ class _EnergyProblem:
         self.norm = norm
         self.source = source
         self.primitive = _Primitive(source.f_vals)
-        self._slot, self._offsets = _interior_pattern(mesh)
+        self._slot = _stencil_slots(mesh)
 
     def stiffness(self, element_mats):
-        """Interior block of sum_T (element matrix of T), stored by diagonals."""
-        shape = (len(self._offsets), int(np.count_nonzero(self.mesh.interior_mask)))
-        size = shape[0] * shape[1]
+        """Interior block of sum_T (element matrix of T), as a lattice stencil."""
+        rows, cols, periodic = self.mesh.lattice
+        size = 9 * rows * cols
         data = np.bincount(self._slot, weights=element_mats.ravel(), minlength=size + 1)
-        return _Diagonals(self._offsets, data[:size].reshape(shape))
+        return _Stencil(data[:size].reshape(3, 3, rows, cols), periodic)
 
     def scatter(self, contrib):
         """Sum per-triangle vertex contributions (T, 3) into vertex values."""
@@ -328,17 +545,46 @@ class _EnergyProblem:
         return self.scatter(contrib)
 
     def tangent(self, values, c1_floor):
-        g = element_gradients(self.mesh, values)
-        gnorm = np.linalg.norm(g, axis=1)
-        small = gnorm < _EPS_GRAD
-        xi = g.copy()
+        xi = element_gradients(self.mesh, values)
+        small = np.linalg.norm(xi, axis=1) < _EPS_GRAD
         xi[small, 0] += _EPS_GRAD
+        # exactly symmetric (its entries are mirrored, not recomputed)
         mats = linearized_tensor(self.material, self.norm, xi)
-        mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
         if np.any(small):
             floor = c1_floor * (self.material.k + _EPS_GRAD) ** (self.material.p - 2.0)
             mats[small] = _floor_spd(mats[small], floor)
         return self.stiffness(_element_matrices(self.mesh, mats))
+
+
+class _Stopwatch:
+    """Wall time per stage: each lap charges the time since the last one."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(_STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
+
+
+def _linear_solve(k_mat, rhs, rtol, watch):
+    """CG on k_mat x = rhs, preconditioned by a V-cycle built for k_mat.
+
+    Returns (x, info, iterations) as _cg_solve does; when the multigrid
+    set-up fails, x is zero and info is _FACTOR_FAILED.
+    """
+    try:
+        vcycle = _VCycle(k_mat)
+    except np.linalg.LinAlgError as exc:
+        watch.lap("preconditioner")
+        logger.warning("multigrid set-up failed: %s", exc)
+        return np.zeros_like(rhs), _FACTOR_FAILED, 0
+    watch.lap("preconditioner")
+    solution = _cg_solve(k_mat, rhs, rtol, vcycle)
+    watch.lap("linear_solve")
+    return solution
 
 
 def solve(mesh, material, norm, source, bc=0.0, options=None):
@@ -348,6 +594,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     inputs and NonconvergenceError (carrying the last iterate) when the
     iteration fails; the caller can still write partial artifacts from it.
     """
+    watch = _Stopwatch()
     opts = options or SolveOptions()
     if norm.dim != 2:
         raise ValueError("the 2D solver needs a planar norm")
@@ -355,6 +602,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     c1_est, _ = check_structural_bounds(
         material, norm, n_samples=_ADMISSIBILITY_SAMPLES, seed=opts.seed)
     check_source_signs(source)
+    watch.lap("admissibility")
 
     problem = _EnergyProblem(mesh, material, norm, source)
     interior = mesh.interior_mask
@@ -367,9 +615,11 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     load = np.repeat((mesh.areas * fbar / 3.0)[:, None], 3, axis=1)
     # interior values are still zero: subtracting K0 @ values moves the boundary
     # data to the right-hand side
-    load -= np.einsum("tab,tb->ta", ke0, values[mesh.triangles])
+    load -= np.einsum("abt,tb->ta", ke0, values[mesh.triangles])
     rhs_i = problem.scatter(load)[interior]
-    init, init_info, init_iterations = _cg_solve(problem.stiffness(ke0), rhs_i, _CG_RTOL)
+    k0 = problem.stiffness(ke0)
+    watch.lap("init")
+    init, init_info, init_iterations = _linear_solve(k0, rhs_i, _CG_RTOL, watch)
     if init_info == 0:
         values[interior] = init
     else:
@@ -383,6 +633,12 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     steps = []
     converged = False
     final_residual = np.inf
+    watch.lap("init")
+
+    def report(done):
+        watch.lap("tangent")  # the last residual
+        return _make_report(problem, values, history, steps, final_residual, done,
+                            init_info, init_iterations, watch.seconds)
 
     for _ in range(opts.max_iter):
         r = problem.residual(values)[interior]
@@ -394,7 +650,8 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         eta = _CG_RTOL if singular else _forcing_term(final_residual, previous, target)
 
         kii = problem.tangent(values, c1_est)
-        step, info, iterations = _cg_solve(kii, -r, eta)
+        watch.lap("tangent")
+        step, info, iterations = _linear_solve(kii, -r, eta, watch)
         directions = []
         if info == 0 and float(r @ step) < 0.0:
             directions.append(("newton", step))
@@ -424,27 +681,23 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
                               "cg_iterations": iterations, "direction": kind,
                               "alpha": alpha, "backtracks": backtracks})
                 break
+        watch.lap("line_search")
         if not accepted:
-            field = ScalarField(mesh, values)
-            report = _make_report(problem, values, history, steps, final_residual,
-                                  converged=False, init_cg_info=init_info,
-                                  init_cg_iterations=init_iterations)
             raise NonconvergenceError(
                 f"line search failed after {len(steps)} accepted steps "
-                f"(residual {final_residual:.3e})", last_iterate=field, report=report)
+                f"(residual {final_residual:.3e})", last_iterate=ScalarField(mesh, values),
+                report=report(False))
 
     field = ScalarField(mesh, values)
-    report = _make_report(problem, values, history, steps, final_residual, converged,
-                          init_info, init_iterations)
     if not converged:
         raise NonconvergenceError(
             f"no convergence in {opts.max_iter} iterations "
-            f"(residual {final_residual:.3e})", last_iterate=field, report=report)
-    return field, report
+            f"(residual {final_residual:.3e})", last_iterate=field, report=report(False))
+    return field, report(True)
 
 
 def _make_report(problem, values, history, steps, final_residual, converged,
-                 init_cg_info, init_cg_iterations):
+                 init_cg_info, init_cg_iterations, seconds):
     g = element_gradients(problem.mesh, values)
     gnorm = np.linalg.norm(g, axis=1)
     frac = float(np.count_nonzero(gnorm < _EPS_GRAD) / len(gnorm))
@@ -461,4 +714,5 @@ def _make_report(problem, values, history, steps, final_residual, converged,
         init_cg_info=int(init_cg_info),
         init_cg_iterations=init_cg_iterations,
         steps=steps,
+        seconds=dict(seconds),
     )

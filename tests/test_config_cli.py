@@ -175,14 +175,16 @@ class TestCli:
     def test_runs_import_numpy_only(self, tmp_path):
         # A fresh interpreter, since this one has imported all of scipy already.
         # The top-level scipy package stays: the manifest records its version.
+        # The annulus solve runs the periodic lattice of the multigrid
+        # preconditioner, whose coarsest factor comes from numpy.linalg.
         script = textwrap.dedent("""
             import json, sys
             from finslerpde.cli import main
             lazy = ("scipy.optimize", "scipy.interpolate", "scipy.integrate",
                     "scipy.spatial", "scipy.special", "scipy.sparse", "scipy.linalg")
             runs = []
-            commands = ("solve", "barrier", "wulff", "verify", "regularity")
-            for command, cfg, out in zip(commands, sys.argv[1::2], sys.argv[2::2]):
+            args = sys.argv[1:]
+            for command, cfg, out in zip(args[::3], args[1::3], args[2::3]):
                 code = main([command, "--config", cfg, "--out", out])
                 loaded = sorted({m for m in lazy for name in sys.modules
                                  if name == m or name.startswith(m + ".")})
@@ -190,20 +192,27 @@ class TestCli:
             print(json.dumps(runs))
         """)
         cfg = write_config(tmp_path / "config.json", dict(BASE, h=0.2))
+        annulus = write_config(tmp_path / "annulus.json", dict(
+            BASE, h=0.1, domain={"kind": "annulus_wulff", "radius": 1.0},
+            norm={"kind": "lp", "q": 4.0}, material={"p": 3.0}))
         study = write_config(tmp_path / "study.json", dict(
             BASE, h=0.2, verify={"levels": 2, "t": 0.5, "hopf": {"radius": 0.5, "m": 0.1}}))
-        commands = ("solve", "barrier", "wulff", "verify", "regularity")
+        runs = [("solve", cfg, "solve"), ("solve", annulus, "annulus"), ("barrier", cfg, "barrier"),
+                ("wulff", cfg, "wulff"), ("verify", cfg, "verify"),
+                ("regularity", study, "regularity")]
         argv = []
-        for command in commands:
-            argv += [study if command == "regularity" else cfg, str(tmp_path / command)]
+        for command, config, out in runs:
+            argv += [command, config, str(tmp_path / out)]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        runs = json.loads(proc.stdout.splitlines()[-1])
-        assert runs == [[command, 0, []] for command in commands]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            [command, 0, []] for command, _, _ in runs]
+        with open(tmp_path / "annulus" / "solve_report.json") as fh:
+            assert json.load(fh)["converged"]
         assert os.path.exists(tmp_path / "barrier" / "profile.csv")
         assert os.path.exists(tmp_path / "wulff" / "wulff.csv")
         assert os.path.exists(tmp_path / "regularity" / "hopf_report.json")
@@ -298,6 +307,8 @@ class TestCli:
             report = json.load(fh)
         assert report["duality_residual"] <= 1e-6
         assert report["ellipticity"] > 0.0
+        assert report["ellipticity_verdict"] == "uniform"
+        assert manifest["admissibility"]["ellipticity_verdict"] == "uniform"
 
     def test_regularity_command(self, tmp_path):
         body = dict(BASE, h=0.2,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerpde import (FinslerNorm, NumericError, ellipticity_constant,
+from finslerpde import (FinslerNorm, NumericError, ellipticity_constant, ellipticity_verdict,
                         verify_duality_identities, wulff_boundary)
 
 RNG = np.random.default_rng(7)
@@ -128,6 +128,23 @@ class TestEllipticity:
     def test_dimension_three(self):
         lam = ellipticity_constant(FinslerNorm.euclidean(3), n_samples=512)
         assert lam == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("norm, verdict", [
+        (FinslerNorm.euclidean(2), "uniform"),
+        (FinslerNorm.ellipsoidal(np.diag([4.0, 1.0])), "uniform"),
+        (FinslerNorm.lp(2.0, 2), "uniform"),
+        (FinslerNorm.lp(4.0, 2), "degenerate on the coordinate axes"),
+        (FinslerNorm.lp(1.5, 2), "unbounded on the coordinate axes"),
+    ], ids=["euclidean", "ellipsoidal", "lp2", "lp4", "lp1.5"])
+    def test_verdict(self, norm, verdict):
+        assert ellipticity_verdict(norm) == verdict
+
+    @pytest.mark.parametrize("q, limit", [(4.0, 0.0), (1.5, np.inf)])
+    def test_verdict_matches_the_hessian_on_the_axis(self, q, limit):
+        # the tangential curvature at (1, eps) tends to 0 (q > 2) or inf (q < 2)
+        h = FinslerNorm.lp(q, 2)
+        curv = [h.hess(np.array([1.0, eps]))[1, 1] for eps in (1e-2, 1e-4, 1e-6)]
+        assert np.all(np.diff(curv) < 0.0) if limit == 0.0 else np.all(np.diff(curv) > 0.0)
 
 
 def _wulff_bisection(n, dirs, radius):

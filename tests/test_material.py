@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,6 +47,27 @@ class TestProfileValues:
             step = 1e-6
             fd = (m.b(t + step) - m.b(t - step)) / (2 * step)
             assert np.allclose(fd, m.b_prime(t), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("k", [0.05, 0.5, 1.0])
+    def test_shifted_b_and_ell_match_closed_forms(self, p, k):
+        # B and L = t B' - B against their closed forms at 60 digits; for
+        # t << k the closed form of B is a difference of O(t) terms
+        def exact(t):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                pd, kd, td = Decimal(p), Decimal(k), Decimal(t)
+                b = (((kd + td) ** pd - kd ** pd) / pd
+                     - kd * ((kd + td) ** (pd - 1) - kd ** (pd - 1)) / (pd - 1))
+                return float(b), float(td * td * (kd + td) ** (pd - 2) - b)
+
+        m = MaterialProfile(p=p, k=k, kind="shifted")
+        t = np.geomspace(1e-12, 10.0, 97)
+        ref = np.array([exact(x) for x in t])
+        assert np.all(np.abs(m.b(t) - ref[:, 0]) <= 1e-12 * ref[:, 0])
+        assert np.all(np.abs(m.ell(t) - ref[:, 1]) <= 1e-12 * ref[:, 1])
+        assert m.b(float(t[0])) == pytest.approx(ref[0, 0], rel=1e-12)
+        assert m.b(0.0) == m.ell(0.0) == 0.0
 
     def test_gamma_bounds_enclose_b_prime(self):
         for m in (MaterialProfile(p=1.5), MaterialProfile(p=3.0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslerpde import DomainSpec, FinslerNorm, Mesh2D, build_domain
-from finslerpde.mesh import _annulus_triangles, _ball_vertices, _grid_triangles
+from finslerpde.mesh import Lattice, _annulus_triangles, _ball_vertices, _grid_triangles
 
 
 def loop_union_jack(n_i, n_j, vid, corners):
@@ -190,3 +190,32 @@ class TestMeshIntegrity:
         for kind, norm in (("disk", None), ("wulff_ball", ellipsoidal)):
             mesh = build_domain(DomainSpec(kind=kind, radius=1.0, norm=norm), 0.1)
             assert mesh.h <= 0.1 + 1e-12
+
+
+class TestLattice:
+    @pytest.mark.parametrize("dom, h, periodic", [
+        (DomainSpec(kind="rectangle", a=1.0, b=2.0), 0.2, False),
+        (DomainSpec(kind="disk", radius=1.0), 0.2, False),
+        (DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.2, False),
+        (DomainSpec(kind="annulus_wulff", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.2, True),
+    ], ids=["rectangle", "disk", "lp4_ball", "lp4_annulus"])
+    def test_builders_record_the_interior_lattice(self, dom, h, periodic):
+        # interior vertices in ascending order fill the lattice row by row, and
+        # lattice neighbours along each axis share a mesh edge
+        mesh = build_domain(dom, h)
+        rows, cols, wraps = mesh.lattice
+        assert wraps == periodic
+        ids = np.flatnonzero(mesh.interior_mask).reshape(rows, cols)
+        t = mesh.triangles
+        edges = {tuple(sorted(e)) for e in np.concatenate([t[:, [0, 1]], t[:, [1, 2]],
+                                                          t[:, [2, 0]]]).tolist()}
+        right = np.roll(ids, -1, axis=1) if periodic else ids[:, 1:]
+        pairs = np.concatenate([np.stack([ids[:-1], ids[1:]], -1).reshape(-1, 2),
+                                np.stack([ids[:, :right.shape[1]], right], -1).reshape(-1, 2)])
+        assert all(tuple(sorted(pair)) in edges for pair in pairs.tolist())
+
+    def test_hand_built_mesh_has_no_lattice(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert Mesh2D(verts, np.array([[0, 1, 2]])).lattice is None
+        with pytest.raises(ValueError, match="lattice"):
+            Mesh2D(verts, np.array([[0, 1, 2]]), Lattice(1, 1))

@@ -1,4 +1,5 @@
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from finslerpde import solver
 
 from finslerpde import (AdmissibilityError, DomainSpec, FinslerNorm, MaterialProfile, Mesh2D,
                         NonconvergenceError, SolveOptions, SourceTerm, build_domain, solve)
+from finslerpde.mesh import Lattice
 from conftest import const_source
 
 
@@ -121,9 +123,9 @@ class TestInitialSolve:
         cg_solve = solver._cg_solve
         calls = []
 
-        def fail_first(k_mat, rhs, rtol):
+        def fail_first(k_mat, rhs, rtol, precondition):
             calls.append(rtol)
-            x, info, iterations = cg_solve(k_mat, rhs, rtol)
+            x, info, iterations = cg_solve(k_mat, rhs, rtol, precondition)
             if len(calls) == 1:
                 return np.zeros_like(rhs), 7, iterations
             return x, info, iterations
@@ -140,6 +142,53 @@ class TestInitialSolve:
         assert center_value(field) == pytest.approx(0.25, abs=2e-2)
 
 
+class TestMultigrid:
+    def test_initial_solve_is_mesh_independent(self, euclid, unit_source):
+        # Jacobi-CG took 81, 160 and 320 iterations here
+        for h in (0.1, 0.05, 0.025):
+            mesh = build_domain(DomainSpec(kind="disk", radius=1.0), h)
+            _, report = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source)
+            assert report.init_cg_info == 0
+            assert 0 < report.init_cg_iterations <= 40
+
+    def test_factor_failure_falls_back_to_descent(self, euclid, unit_source, monkeypatch,
+                                                  caplog):
+        def fail(_):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(solver.np.linalg, "cholesky", fail)
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        with caplog.at_level(logging.WARNING, logger="finslerpde.solver"):
+            with pytest.raises(NonconvergenceError) as err:
+                solve(mesh, MaterialProfile(p=3.0), euclid, unit_source,
+                      options=SolveOptions(max_iter=3))
+        report = err.value.report
+        assert report.init_cg_info == solver._FACTOR_FAILED != 0
+        assert [step["direction"] for step in report.steps] == ["descent"] * 3
+        assert all(step["cg_info"] == solver._FACTOR_FAILED for step in report.steps)
+        assert np.all(np.isfinite(err.value.last_iterate.values))
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("multigrid set-up failed" in m for m in messages)
+        assert any("initial Laplacian solve failed" in m for m in messages)
+
+    def test_mesh_with_a_wrong_lattice_rejected(self, euclid, unit_source):
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        rows, cols, _ = mesh.lattice
+        relabelled = Mesh2D(mesh.vertices, mesh.triangles, Lattice(cols * rows, 1))
+        with pytest.raises(ValueError, match="number the vertices along a grid"):
+            solve(relabelled, MaterialProfile(p=2.0), euclid, unit_source)
+
+    def test_stage_seconds(self, lp4, unit_source):
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.1)
+        start = time.perf_counter()
+        _, report = solve(mesh, MaterialProfile(p=3.0), lp4, unit_source)
+        wall = time.perf_counter() - start
+        assert tuple(report.seconds) == solver._STAGES
+        assert all(v >= 0.0 for v in report.seconds.values())
+        assert report.seconds["tangent"] > 0.0 and report.seconds["linear_solve"] > 0.0
+        assert sum(report.seconds.values()) <= wall
+
+
 @pytest.fixture(scope="module")
 def lp4_p3_pair(lp4, unit_source):
     """Coarse lp q=4, p=3 Wulff ball, solved with the forcing terms and with
@@ -149,8 +198,8 @@ def lp4_p3_pair(lp4, unit_source):
     forced = solve(*args)
     cg_solve = solver._cg_solve
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_cg_solve",
-                   lambda k_mat, rhs, rtol: cg_solve(k_mat, rhs, solver._CG_RTOL))
+        mp.setattr(solver, "_cg_solve", lambda k_mat, rhs, rtol, precondition:
+                   cg_solve(k_mat, rhs, solver._CG_RTOL, precondition))
         tight = solve(*args)
     return forced, tight
 
@@ -193,17 +242,20 @@ class TestForcing:
         assert torsion_coarse[1].steps == []
 
     def test_cg_iterations_count_the_products(self, lp4, unit_source, monkeypatch):
-        # every CG iteration takes one matrix product, and nothing else in a
-        # solve takes one
-        products = []
-        matmul = solver._Diagonals.__matmul__
-        monkeypatch.setattr(solver._Diagonals, "__matmul__",
+        # every CG iteration takes one matrix product and one V-cycle, and
+        # nothing else in a solve takes either (the V-cycle smooths with apply)
+        products, cycles = [], []
+        matmul = solver._Stencil.__matmul__
+        monkeypatch.setattr(solver._Stencil, "__matmul__",
                             lambda k, x: products.append(1) or matmul(k, x))
-        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.2)
+        cycle = solver._VCycle.__call__
+        monkeypatch.setattr(solver._VCycle, "__call__",
+                            lambda v, r: cycles.append(1) or cycle(v, r))
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.1)
         _, report = solve(mesh, MaterialProfile(p=3.0), lp4, unit_source)
         assert report.converged and report.init_cg_iterations > 0
         assert report.init_cg_iterations + sum(
-            step["cg_iterations"] for step in report.steps) == len(products)
+            step["cg_iterations"] for step in report.steps) == len(products) == len(cycles)
 
     def test_final_residual_meets_tolerance(self, lp4_p3_pair):
         (_, report), _ = lp4_p3_pair
@@ -234,24 +286,57 @@ def _spd_tensors(mesh):
     return a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(2)
 
 
+def _stencil_index(mesh, rows, cols):
+    """Index into the stencil data of the interior entries (rows, cols)."""
+    n_cols, periodic = mesh.lattice.cols, mesh.lattice.periodic
+    ir, jr = np.divmod(rows, n_cols)
+    ic, jc = np.divmod(cols, n_cols)
+    dj = jc - jr
+    if periodic:
+        dj = (dj + 1) % n_cols - 1
+    return ic - ir + 1, dj + 1, ir, jr
+
+
 def _stiffness_pair(problem, cell_tensors):
-    """The diagonal-stored stiffness and a CSR matrix with its entries on the
+    """The lattice-stencil stiffness and a CSR matrix with its entries on the
     pattern of the COO build."""
     mesh = problem.mesh
     k = problem.stiffness(solver._element_matrices(mesh, cell_tensors))
     pattern = _coo_stiffness(mesh, cell_tensors)
     pattern.sort_indices()
     rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    data = k.data[np.searchsorted(k.offsets, pattern.indices - rows), rows]
+    data = k.data[_stencil_index(mesh, rows, pattern.indices)]
     return k, sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-def _scipy_cg(csr, rhs, rtol):
-    """(x, info, iterations) of scipy's Jacobi-preconditioned cg."""
+def _jacobi(k):
+    inv_diag = 1.0 / k.diagonal()
+    return lambda r: inv_diag * r
+
+
+def _scipy_cg(csr, rhs, rtol, m=None):
+    """(x, info, iterations) of scipy's cg, Jacobi-preconditioned unless a
+    preconditioner is given."""
+    if m is None:
+        m = sp.diags(1.0 / csr.diagonal())
     iterations = []
-    x, info = spla.cg(csr, rhs, rtol=rtol, atol=0.0, M=sp.diags(1.0 / csr.diagonal()),
-                      callback=iterations.append)
+    x, info = spla.cg(csr, rhs, rtol=rtol, atol=0.0, M=m, callback=iterations.append)
     return x, info, len(iterations)
+
+
+def _interpolation(n, periodic):
+    """Dense bilinear interpolation from n // 2 coarse points to n fine ones:
+    coarse point I sits on fine point 2 I + 1 and gives half to each fine
+    neighbour."""
+    m = n // 2
+    p = np.zeros((n, m))
+    for i in range(m):
+        for fine, weight in ((2 * i, 0.5), (2 * i + 1, 1.0), (2 * i + 2, 0.5)):
+            if periodic:
+                p[fine % n, i] += weight
+            elif fine < n:
+                p[fine, i] += weight
+    return p
 
 
 def _scipy_primitive(f, hi):
@@ -296,21 +381,24 @@ class TestKernels:
         ref.sort_indices()
         k = problem.stiffness(solver._element_matrices(mesh, mats))
         rows = np.repeat(np.arange(ref.shape[0]), np.diff(ref.indptr))
-        d = np.searchsorted(k.offsets, ref.indices - rows)
-        assert k.data.shape == (len(k.offsets), ref.shape[0])
-        assert np.array_equal(k.offsets[np.minimum(d, len(k.offsets) - 1)], ref.indices - rows)
-        assert np.abs(k.data[d, rows] - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+        index = _stencil_index(mesh, rows, ref.indices)
+        assert k.data.shape == (3, 3, mesh.lattice.rows, mesh.lattice.cols)
+        assert all(np.all((i >= 0) & (i < n)) for i, n in zip(index, k.data.shape))
+        assert np.abs(k.data[index] - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
         outside = k.data.copy()
-        outside[d, rows] = 0.0
+        outside[index] = 0.0
         assert not outside.any()
 
-    @pytest.mark.parametrize("case, count", zip(KERNEL_MESHES, [9, 9, 9, 11]), ids=KERNEL_IDS)
+    @pytest.mark.parametrize("case, count", zip(KERNEL_MESHES, [9, 9, 9, 9]), ids=KERNEL_IDS)
     def test_diagonal_count(self, case, count):
-        # a union-jack grid couples each vertex to its 8 grid neighbours; the
-        # annulus seam adds the two offsets of the closing column
-        _, offsets = solver._interior_pattern(build_domain(*case))
-        assert len(offsets) == count
-        assert np.array_equal(offsets, -offsets[::-1])
+        # a union-jack grid couples each vertex to its 8 lattice neighbours, so
+        # every slot of the 3 x 3 stencil is used; the annulus seam wraps
+        mesh = build_domain(*case)
+        n_int = mesh.lattice.rows * mesh.lattice.cols
+        slot = solver._stencil_slots(mesh)
+        used = np.unique(slot[slot < 9 * n_int] // n_int)
+        assert len(used) == count
+        assert np.array_equal(used, 8 - used[::-1])
 
     def test_product_equals_csr(self, problem):
         k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
@@ -322,7 +410,7 @@ class TestKernels:
     def test_cg_equals_scipy_cg(self, problem, rtol):
         k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
         rhs = np.random.default_rng(4).standard_normal(csr.shape[0])
-        x, info, iterations = solver._cg_solve(k, rhs, rtol)
+        x, info, iterations = solver._cg_solve(k, rhs, rtol, _jacobi(k))
         ref_x, ref_info, ref_iterations = _scipy_cg(csr, rhs, rtol)
         assert info == ref_info == 0
         assert iterations == ref_iterations > 0
@@ -331,7 +419,7 @@ class TestKernels:
     def test_cg_zero_rhs_returns_at_once(self, problem):
         k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
         rhs = np.zeros(csr.shape[0])
-        x, info, iterations = solver._cg_solve(k, rhs, 1e-12)
+        x, info, iterations = solver._cg_solve(k, rhs, 1e-12, _jacobi(k))
         ref_x, ref_info, ref_iterations = _scipy_cg(csr, rhs, 1e-12)
         assert (info, iterations) == (ref_info, ref_iterations) == (0, 0)
         assert np.array_equal(x, ref_x) and not x.any()
@@ -341,11 +429,52 @@ class TestKernels:
         a = np.random.default_rng(6).standard_normal((problem.mesh.n_triangles, 2, 2))
         k, csr = _stiffness_pair(problem, a + np.transpose(a, (0, 2, 1)))
         rhs = np.random.default_rng(7).standard_normal(csr.shape[0])
-        x, info, iterations = solver._cg_solve(k, rhs, 1e-12)
+        x, info, iterations = solver._cg_solve(k, rhs, 1e-12, _jacobi(k))
         ref_x, ref_info, ref_iterations = _scipy_cg(csr, rhs, 1e-12)
         assert info == iterations == ref_info == ref_iterations == 10 * csr.shape[0]
         assert np.all(np.isfinite(x))
         assert np.array_equal(x, ref_x)
+
+    @pytest.mark.parametrize("rtol", [0.5, 1e-2, 1e-12])
+    def test_vcycle_cg_equals_scipy_cg(self, problem, rtol):
+        # the same loop as scipy's cg, given the V-cycle as its preconditioner M
+        k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
+        vcycle = solver._VCycle(k)
+        assert len(vcycle._levels) > 1
+        m = spla.LinearOperator(csr.shape, matvec=vcycle, dtype=float)
+        rhs = np.random.default_rng(4).standard_normal(csr.shape[0])
+        x, info, iterations = solver._cg_solve(k, rhs, rtol, vcycle)
+        ref_x, ref_info, ref_iterations = _scipy_cg(csr, rhs, rtol, m)
+        assert info == ref_info == 0
+        assert iterations == ref_iterations > 0
+        assert np.array_equal(x, ref_x)
+
+    def test_galerkin_matches_dense(self, problem):
+        # every coarse stencil is P^T A P of the level above, P bilinear along
+        # the coarsened axes; the annulus coarsens its periodic columns while
+        # their count is even
+        k, csr = _stiffness_pair(problem, _spd_tensors(problem.mesh))
+        assert np.array_equal(solver._dense(k), csr.toarray())
+        vcycle = solver._VCycle(k)
+        for fine, coarse, axes in zip(vcycle._levels, vcycle._levels[1:], vcycle._axes):
+            (rows, cols), periodic = fine.shape, fine.periodic
+            p_rows = _interpolation(rows, False) if axes[0] else np.eye(rows)
+            p_cols = _interpolation(cols, periodic) if axes[1] else np.eye(cols)
+            p = np.kron(p_rows, p_cols)
+            ref = p.T @ solver._dense(fine) @ p
+            assert coarse.shape == (p_rows.shape[1], p_cols.shape[1])
+            assert np.abs(solver._dense(coarse) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert vcycle._levels[-1].shape[0] * vcycle._levels[-1].shape[1] <= solver._COARSEST
+
+    def test_vcycle_is_symmetric_positive(self, problem):
+        k, _ = _stiffness_pair(problem, _spd_tensors(problem.mesh))
+        vcycle = solver._VCycle(k)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            x, y = rng.standard_normal((2, k.data[0, 0].size))
+            vx, vy = vcycle(x), vcycle(y)
+            assert abs(x @ vy - y @ vx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(vy)
+            assert x @ vx > 0.0 and y @ vy > 0.0
 
     def test_residual_scatter_matches_add_at(self, problem):
         mesh = problem.mesh

@@ -237,7 +237,7 @@ def _stencil_slots(mesh):
     local = np.full(mesh.n_vertices, -1, dtype=np.int32)
     local[mesh.interior_mask] = np.arange(n_int, dtype=np.int32)
     tri = local[mesh.triangles].T
-    row, col = np.divmod(tri, np.int32(cols))
+    row, col = np.divmod(tri, np.int32(max(cols, 1)))  # a lattice may have no points
     di = row[None, :, :] - row[:, None, :]
     dj = col[None, :, :] - col[:, None, :]
     if lattice.periodic:

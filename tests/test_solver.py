@@ -1,5 +1,6 @@
 import logging
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestFailureModes:
         shuffled = Mesh2D(mesh.vertices[perm], new_id[mesh.triangles])
         with pytest.raises(ValueError, match="number the vertices along a grid"):
             solve(shuffled, MaterialProfile(p=2.0), euclid, unit_source)
+
+    def test_mesh_without_interior_vertices(self, euclid, unit_source):
+        # a 1 x 1 union-jack rectangle has an empty 0 x 0 lattice
+        mesh = build_domain(DomainSpec(kind="rectangle", a=1.0, b=1.0), 1.5)
+        assert mesh.lattice.rows * mesh.lattice.cols == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field, report = solve(mesh, MaterialProfile(p=3.0), euclid, unit_source, bc=0.5)
+        assert report.converged and report.iterations == 0
+        assert np.all(field.values == 0.5)
 
     def test_boundary_data_shapes(self, euclid, unit_source):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)

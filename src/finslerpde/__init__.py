@@ -14,8 +14,8 @@ integrability.
 
 from .errors import (AdmissibilityError, ConfigError, FitError, NonconvergenceError,
                      NumericError)
-from .fields import (ScalarField, boundary_normal_derivative, hessian_at_barycenters,
-                     nodal_gradient, recover_gradient, recover_hessian)
+from .fields import (ScalarField, boundary_normal_derivative, nodal_gradient,
+                     recover_gradient, recover_hessian)
 from .finsler import (FinslerNorm, WulffShape, ellipticity_constant, ellipticity_verdict,
                       verify_duality_identities, wulff_boundary)
 from .hypotheses import HYPOTHESES
@@ -42,8 +42,7 @@ __all__ = [
     "build_domain", "check_flux_bound", "check_flux_monotonicity",
     "check_osserman", "check_structural_bounds", "critical_set_fraction",
     "ellipticity_constant", "ellipticity_verdict", "evaluate", "flux",
-    "hessian_at_barycenters", "hopf_check",
-    "hopf_margin", "integrate", "lift", "linearized_tensor", "nodal_gradient",
+    "hopf_check", "hopf_margin", "integrate", "lift", "linearized_tensor", "nodal_gradient",
     "ode_residual", "recover_gradient", "recover_hessian", "refinement_study",
     "sample_vectors", "shoot", "sobolev_scan", "solve",
     "verify_duality_identities", "weight_integral", "weighted_hessian_integral",

@@ -108,7 +108,7 @@ class Mesh2D:
             raise ValueError("degenerate triangle in mesh")
         self.triangles = tris
         self.areas = signed
-        if np.unique(tris).size != n:
+        if np.bincount(tris.ravel(), minlength=n).min() == 0:
             raise ValueError("mesh has orphan vertices")
 
         self.barycenters = p[tris].mean(axis=1)
@@ -122,8 +122,16 @@ class Mesh2D:
 
         edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
         opposite = np.concatenate([tris[:, 2], tris[:, 0], tris[:, 1]])
-        key = np.sort(edges, axis=1)
-        _, start, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+        # each edge keyed by its sorted ends; runs of equal keys, in stable
+        # order, give each distinct edge's first occurrence and its count
+        key = np.minimum(edges[:, 0], edges[:, 1])
+        key *= n
+        key += np.maximum(edges[:, 0], edges[:, 1])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        start = order[first]
+        counts = np.diff(np.append(first, len(key)))
         if counts.max() > 2:
             raise ValueError("non-manifold edge in mesh")
         bmask = counts == 1
@@ -173,8 +181,7 @@ class Mesh2D:
         """Vertex-triangle incidence in compressed rows: (indptr, indices).
 
         The triangles touching vertex v are indices[indptr[v]:indptr[v + 1]],
-        in ascending order; every other piece of connectivity (1-ring,
-        2-ring, vertex sums) is built from these two arrays.
+        in ascending order.
         """
         if self._incidence is None:
             flat = self.triangles.ravel()

@@ -1,8 +1,7 @@
 """Estimate checkers: weighted integrals, critical set, Hopf and comparison.
 
 All reductions are one-point (barycenter) quadratures over the mesh,
-with gradients taken per triangle and Hessians from patch recovery
-averaged back to barycenters.
+with gradients and recovered Hessians both taken per triangle.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FitError
-from .fields import boundary_normal_derivative, hessian_at_barycenters, recover_gradient
+from . import fields  # recover_hessian is looked up per call, so wrappers see it
+from .fields import boundary_normal_derivative, recover_gradient
 from .mesh import build_domain
 from .radial import RadialProblem, check_target, evaluate, hopf_margin, shoot
 from .solver import solve
@@ -89,13 +89,13 @@ def check_study(material, source, levels, beta, t, q_grid, hopf):
 def weighted_hessian_integral(u, material, beta=0.0, hess=None):
     """Quadrature of (k+|grad u|)^(p-2-beta) |D2 u|^2.
 
-    ``hess`` is ``hessian_at_barycenters(u)`` when the caller already has it.
+    ``hess`` is ``fields.recover_hessian(u)`` when the caller already has it.
     """
     _check_beta(beta)
     grads = recover_gradient(u)
     gnorm = np.linalg.norm(grads, axis=1)
     if hess is None:
-        hess = hessian_at_barycenters(u)
+        hess = fields.recover_hessian(u)
     hnorm2 = np.einsum("tij,tij->t", hess, hess)
     weight = (material.k + gnorm) ** (material.p - 2.0 - beta)
     return float((u.mesh.areas * (weight * hnorm2)).sum())
@@ -119,12 +119,12 @@ def critical_set_fraction(u, eps_grad):
 def sobolev_scan(u, material, q_grid, hess=None):
     """Quadratures of |D2 u|^q for each q; pairs (q, integral).
 
-    ``hess`` is ``hessian_at_barycenters(u)`` when the caller already has it.
+    ``hess`` is ``fields.recover_hessian(u)`` when the caller already has it.
     """
     q_grid = [float(q) for q in q_grid]
     _check_q(q_grid)
     if hess is None:
-        hess = hessian_at_barycenters(u)
+        hess = fields.recover_hessian(u)
     hnorm = np.sqrt(np.einsum("tij,tij->t", hess, hess))
     return [(q, float((u.mesh.areas * hnorm ** q).sum())) for q in q_grid]
 
@@ -224,20 +224,20 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
     """
     check_study(material, source, levels, beta, t, q_grid, hopf)
     h_levels = [h_coarsest / 2 ** i for i in range(levels)]
-    fields, reports, rows = [], [], []
+    solved, reports, rows = [], [], []
     for h in h_levels:
         mesh = build_domain(dom, h)
         field, report = solve(mesh, material, norm, source, options=options)
-        hess = hessian_at_barycenters(field)
+        hess = fields.recover_hessian(field)
         hess_int = weighted_hessian_integral(field, material, beta, hess)
         w_int = weight_integral(field, material, t)
         frac = critical_set_fraction(field, 0.5 * h)
-        fields.append(field)
+        solved.append(field)
         reports.append(report)
         rows.append({"h": h, "hessian_integral": hess_int,
                      "weight_integral": w_int, "critical_fraction": frac})
 
-    finest = fields[-1]
+    finest = solved[-1]
     regularity = RegularityReport(
         beta=beta, t=t,
         hessian_integral_finest=rows[-1]["hessian_integral"],
@@ -250,4 +250,4 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
         radius, m = hopf
         hopf_report = hopf_check(finest, norm, material, source, radius, m)
     return StudyResult(regularity=regularity, hopf=hopf_report, rows=rows,
-                       fields=fields, reports=reports)
+                       fields=solved, reports=reports)

@@ -5,6 +5,16 @@ from finslerpde import (DomainSpec, FinslerNorm, MaterialProfile, SourceTerm,
                         build_domain, refinement_study, solve)
 
 
+# one mesh of each domain kind, shared by the recovery and mesh-edge tests
+RECOVERY_MESHES = [
+    (DomainSpec(kind="disk", radius=1.0), 0.05),
+    (DomainSpec(kind="rectangle"), 0.05),
+    (DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+    (DomainSpec(kind="annulus_wulff", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.1),
+]
+RECOVERY_IDS = ["disk", "rectangle", "lp4_ball", "lp4_annulus"]
+
+
 def const_source(value=1.0, g=0.0):
     def fill(c):
         return lambda s: np.full_like(np.asarray(s, dtype=float), c)

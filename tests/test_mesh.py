@@ -5,6 +5,7 @@ import pytest
 
 from finslerpde import DomainSpec, FinslerNorm, Mesh2D, build_domain
 from finslerpde.mesh import Lattice, _annulus_triangles, _ball_vertices, _grid_triangles
+from conftest import RECOVERY_IDS, RECOVERY_MESHES
 
 
 def loop_union_jack(n_i, n_j, vid, corners):
@@ -171,7 +172,35 @@ class TestTriangulation:
             assert np.array_equal(patch, np.flatnonzero((mesh.triangles == v).any(axis=1)))
 
 
+def unique_rows_boundary(mesh):
+    """Boundary vertices and normals from np.unique over the sorted edge rows."""
+    tris = mesh.triangles
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    opposite = np.concatenate([tris[:, 2], tris[:, 0], tris[:, 1]])
+    _, start, counts = np.unique(np.sort(edges, axis=1), axis=0, return_index=True,
+                                 return_counts=True)
+    first = start[counts == 1]
+    return np.unique(edges[first]), mesh._vertex_normals(edges[first], opposite[first])
+
+
 class TestMeshIntegrity:
+    @pytest.mark.parametrize("dom, h", RECOVERY_MESHES, ids=RECOVERY_IDS)
+    def test_boundary_matches_unique_rows(self, dom, h):
+        mesh = build_domain(dom, h)
+        vertices, normals = unique_rows_boundary(mesh)
+        assert np.array_equal(mesh.boundary_vertices, vertices)
+        assert np.array_equal(mesh.boundary_normals, normals)
+
+    def test_orphan_vertex_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="orphan"):
+            Mesh2D(verts, np.array([[0, 1, 2]]))
+
+    def test_non_manifold_edge_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="non-manifold"):
+            Mesh2D(verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+
     def test_degenerate_triangle_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError):

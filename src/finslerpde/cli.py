@@ -4,12 +4,13 @@ Commands share one JSON config schema (see config.DEFAULTS) and write
 their artifacts plus a manifest.json into --out.  The manifest holds the
 resolved config (after --set and --seed) with the sha256 of its canonical
 JSON, the package, Python, numpy and scipy versions, the seed, the
-admissibility verdicts and the artifact list.  Exit status: 0 on success,
-1 for rejected input (single-line diagnostic; found before any compute,
-except a Hopf ball that does not fit the solved domain, a FitError, which
-marks the manifest ``rejected``), 2 for any other failure during compute
-(numeric, shooting or meshing) with whatever partial artifacts were
-produced retained and the manifest flagged ``numeric-failure``.
+admissibility verdicts, the artifact list and the wall time of each
+stage.  Exit status: 0 on success, 1 for rejected input (single-line
+diagnostic; found before any compute, except a Hopf ball that does not
+fit the solved domain, a FitError, which marks the manifest
+``rejected``), 2 for any other failure during compute (numeric, shooting
+or meshing) with whatever partial artifacts were produced retained and
+the manifest flagged ``numeric-failure``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import os
 import platform
 import sys
+import time
 
 import numpy as np
 import scipy
@@ -44,8 +46,10 @@ def _cmd_solve(run, out, manifest):
         if exc.last_iterate is not None:
             _emit(out, manifest, "field.csv", write_field_csv, exc.last_iterate)
         if exc.report is not None:
+            manifest["seconds"]["solve"] = dict(exc.report.seconds)
             _emit(out, manifest, "solve_report.json", write_json, exc.report.to_dict())
         raise
+    manifest["seconds"]["solve"] = dict(report.seconds)
     _emit(out, manifest, "field.csv", write_field_csv, field)
     _emit(out, manifest, "solve_report.json", write_json, report.to_dict())
 
@@ -111,6 +115,7 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    start = time.perf_counter()
     try:
         cfg = load_config(args.config, parse_overrides(args.set), args.seed)
         run = build_run(cfg, args.command)
@@ -122,6 +127,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:  # ConfigError and AdmissibilityError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    seconds = {"setup": time.perf_counter() - start}
 
     os.makedirs(args.out, exist_ok=True)
     manifest = {
@@ -134,8 +140,10 @@ def main(argv=None):
         "admissibility": admissibility,
         "artifacts": [],
         "status": "ok",
+        "seconds": seconds,
     }
     code = 0
+    start = time.perf_counter()
     try:
         _COMMANDS[args.command](run, args.out, manifest)
     except (NumericError, ValueError) as exc:
@@ -146,6 +154,7 @@ def main(argv=None):
         manifest["failure"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
         code = 1 if rejected else 2
+    seconds["command"] = time.perf_counter() - start
     write_json(os.path.join(args.out, "manifest.json"), manifest)
     return code
 

@@ -36,8 +36,20 @@ class ScalarField:
 
 
 def element_gradients(mesh, values):
-    """Per-triangle gradients of bare vertex values (no ScalarField checks)."""
-    return np.einsum("tv,tvd->td", values[mesh.triangles], mesh.basis_grads)
+    """Per-triangle gradients of bare vertex values (no ScalarField checks).
+
+    Summed vertex by vertex over whole columns, as einsum sums them: numpy
+    is slow along axes of length 2 and 3.
+    """
+    u = values[mesh.triangles].T
+    grads = mesh.basis_grads.transpose(1, 2, 0)  # (3, 2, M), contiguous
+    columns = []
+    for d in range(2):
+        g = u[0] * grads[0, d]
+        g += u[1] * grads[1, d]
+        g += u[2] * grads[2, d]
+        columns.append(g)
+    return np.column_stack(columns)
 
 
 def recover_gradient(field):

@@ -83,10 +83,11 @@ class Mesh2D:
     area, boundary_vertices: sorted index array, boundary_normals: unit
     inner normals aligned with boundary_vertices, h: longest edge,
     lattice: the Lattice of the interior vertices, or None for a mesh
-    built by hand.
+    built by hand.  A builder that has already measured the longest edge
+    passes it as ``h``; otherwise it is measured here.
     """
 
-    def __init__(self, vertices, triangles, lattice=None):
+    def __init__(self, vertices, triangles, lattice=None, *, h=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         tris = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -111,14 +112,16 @@ class Mesh2D:
         if np.bincount(tris.ravel(), minlength=n).min() == 0:
             raise ValueError("mesh has orphan vertices")
 
-        self.barycenters = p[tris].mean(axis=1)
+        p0, p1, p2 = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
+        self.barycenters = (p0 + p1 + p2) / 3.0
         # P1 basis gradients: rows of the inverse edge matrix
-        d1 = p[tris[:, 1]] - p[tris[:, 0]]
-        d2 = p[tris[:, 2]] - p[tris[:, 0]]
+        d1 = p1 - p0
+        d2 = p2 - p0
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        g1 = np.column_stack([d2[:, 1], -d2[:, 0]]) / det[:, None]
-        g2 = np.column_stack([-d1[:, 1], d1[:, 0]]) / det[:, None]
-        self.basis_grads = np.stack([-(g1 + g2), g1, g2], axis=1)  # (M, 3, 2)
+        g1 = np.stack([d2[:, 1], -d2[:, 0]]) / det
+        g2 = np.stack([-d1[:, 1], d1[:, 0]]) / det
+        # stored as (3, 2, M), so each column basis_grads[:, a, d] is contiguous
+        self.basis_grads = np.stack([-(g1 + g2), g1, g2]).transpose(2, 0, 1)  # (M, 3, 2)
 
         edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
         opposite = np.concatenate([tris[:, 2], tris[:, 0], tris[:, 1]])
@@ -137,7 +140,7 @@ class Mesh2D:
         bmask = counts == 1
         b_edges = edges[start[bmask]]
         b_opposite = opposite[start[bmask]]
-        self.h = _longest_edge(p, tris)
+        self.h = _longest_edge(p, tris) if h is None else h
 
         self.boundary_vertices = np.unique(b_edges)
         self._interior_mask = np.ones(n, dtype=bool)
@@ -276,7 +279,7 @@ def _ball_mesh(norm, radius, center, h):
         tris = _grid_triangles(2 * n, 2 * n)
         longest = _longest_edge(verts, tris)
         if longest <= h:
-            return Mesh2D(verts, tris, Lattice(2 * n - 1, 2 * n - 1))
+            return Mesh2D(verts, tris, Lattice(2 * n - 1, 2 * n - 1), h=longest)
         n = math.ceil(n * longest / h) + 1
     raise NumericError("ball meshing failed to reach the target spacing")
 
@@ -298,7 +301,7 @@ def _annulus_mesh(norm, radius, center, h):
         tris = _annulus_triangles(n_r, n_t)
         longest = _longest_edge(verts, tris)
         if longest <= h:
-            return Mesh2D(verts, tris, Lattice(n_r - 1, n_t, periodic=True))
+            return Mesh2D(verts, tris, Lattice(n_r - 1, n_t, periodic=True), h=longest)
         grow = longest / h
         n_r = math.ceil(n_r * grow) + 1
         n_t = 2 * math.ceil(n_t * grow / 2) + 2

@@ -16,27 +16,33 @@ keeps the tensor positive definite on its own.  Tangent systems go to
 conjugate gradients preconditioned by a multigrid V-cycle, solved
 inexactly: step k stops CG at the relative residual
 
-    eta_k = min(0.5, max(0.9 (|r_k| / |r_{k-1}|)^2, tol / (2 |r_k|))),
+    eta_k = min(0.5, max(0.9 (|r_k| / |r_{k-1}|)^2, s_k, tol / (2 |r_k|))),
 
-floored at 1e-12, where r is the interior energy gradient and tol the
-convergence threshold tol_solve (1 + |I_h|).  The first term is choice 2
-of Eisenstat and Walker ("Choosing the forcing terms in an inexact Newton
-method", SIAM J. Sci. Comput. 17, 1996): loose solves while the residual
-falls slowly, tight ones as Newton turns quadratic.  The second keeps CG
-from solving past what the convergence test can see (Kelley, "Iterative
-Methods for Linear and Nonlinear Equations", SIAM 1995, sec. 6.3); with
-no history it is the first step's tolerance alone, so a problem that is
-quadratic in the interior values still converges in one step.  In the
-singular corner p < 2, k = 0 every system is solved to 1e-12: there the
-tangent is unbounded near critical points, Newton converges only
-linearly, the residual ratio stays near 1 and choice 2 would hold every
-solve at 0.5; such solves stall runs that converge with exact steps
-(lp q = 4, p = 1.5).  The
-convergence test stays on the exact energy gradient.  If CG stalls or
-returns an ascent direction the step falls back to Jacobi-scaled
-steepest descent.  The initial iterate solves the Euclidean p = 2
-problem to 1e-12; if CG fails there, Newton starts from zero interior
-values, a warning is logged and the report keeps the CG status.
+floored at 1e-12, where r is the interior energy gradient, tol the
+convergence threshold tol_solve (1 + |I_h|) and s_k = 0.9 eta_{k-1}^2
+when that exceeds 0.1, else 0.  The first term is choice 2 of Eisenstat
+and Walker ("Choosing the forcing terms in an inexact Newton method",
+SIAM J. Sci. Comput. 17, 1996) and s_k its safeguard: loose solves while
+the residual falls slowly, tight ones as Newton turns quadratic, and no
+sudden tight solve after a loose one.  The last term keeps CG from
+solving past what the convergence test can see (Kelley, "Iterative
+Methods for Linear and Nonlinear Equations", SIAM 1995, sec. 6.3).  With
+no history the first step is solved to 0.5, as Eisenstat and Walker
+start.  In the singular corner p < 2, k = 0 every system is solved to
+1e-12: there the tangent is unbounded near critical points, Newton
+converges only linearly, the residual ratio stays near 1 and choice 2
+would hold every solve at 0.5; such solves stall runs that converge with
+exact steps (lp q = 4, p = 1.5).  The convergence test stays on the exact
+energy gradient.  If CG stalls or returns an ascent direction the step
+falls back to Jacobi-scaled steepest descent.
+
+The initial iterate solves the p = 2 problem of the norm's quadratic
+part to 1e-12: the tensor is the matrix A of an ellipsoidal norm,
+H(xi)^2 = xi . A xi, and the identity for the other kinds.  So a problem
+that is quadratic in the interior values (p = 2, a Euclidean or
+ellipsoidal norm, a constant source) needs no Newton step.  If CG fails
+there, Newton starts from zero interior values, a warning is logged and
+the report keeps the CG status.
 
 Every mesh builder numbers its vertices along a grid and records the
 lattice of the interior vertices (mesh.Lattice; the annulus wraps around
@@ -123,8 +129,8 @@ class SolveReport:
     h: float
     n_vertices: int
     n_triangles: int
-    init_cg_info: int        # CG status of the initial p = 2 solve; nonzero starts from zero
-    init_cg_iterations: int  # CG iterations of the initial p = 2 solve
+    init_cg_info: int        # CG status of the initial quadratic solve; nonzero starts from zero
+    init_cg_iterations: int  # CG iterations of the initial quadratic solve
     steps: list              # per accepted Newton step: residual, eta, cg_info,
                              # cg_iterations, direction, alpha, backtracks
     seconds: dict            # wall time per stage of the solve, keys _STAGES
@@ -494,14 +500,23 @@ def _cg_solve(k_mat, rhs, rtol, precondition):
     return x, maxiter, maxiter
 
 
-def _forcing_term(residual, previous, target):
+def _forcing_term(residual, previous, last_eta, target):
     """Relative CG tolerance of a Newton step with residual norm ``residual``:
-    Eisenstat-Walker choice 2, no tighter than the convergence test needs.
+    Eisenstat-Walker choice 2 with its safeguard, no tighter than the
+    convergence test needs.
 
     ``previous`` is the residual norm before the last step (inf before the
-    first) and ``target`` the norm the convergence test accepts.
+    first), ``last_eta`` the last step's term and ``target`` the norm the
+    convergence test accepts.  With no history the step is solved to
+    _ETA_MAX.
     """
-    eta = max(_EW_GAMMA * (residual / previous) ** 2, 0.5 * target / residual)
+    if previous == np.inf:
+        return _ETA_MAX
+    eta = _EW_GAMMA * (residual / previous) ** 2
+    # the safeguard keeps the term from falling far below a large last one
+    if _EW_GAMMA * last_eta ** 2 > 0.1:
+        eta = max(eta, _EW_GAMMA * last_eta ** 2)
+    eta = max(eta, 0.5 * target / residual)
     return max(_CG_RTOL, min(_ETA_MAX, eta))
 
 
@@ -527,7 +542,12 @@ class _EnergyProblem:
                            minlength=self.mesh.n_vertices)
 
     def cell_means(self, values):
-        return values[self.mesh.triangles].mean(axis=1)
+        """Mean vertex value per triangle, summed as .mean(axis=1) sums it."""
+        u = values[self.mesh.triangles].T
+        mean = u[0] + u[1]
+        mean += u[2]
+        mean /= 3.0
+        return mean
 
     def energy(self, values):
         g = element_gradients(self.mesh, values)
@@ -539,9 +559,17 @@ class _EnergyProblem:
         """Gradient of the energy with respect to vertex values (full)."""
         mesh = self.mesh
         cell_flux = flux(self.material, self.norm, element_gradients(mesh, values))
-        fbar = self.source.f_vals(self.cell_means(values))
-        contrib = mesh.areas[:, None] * np.einsum("td,tvd->tv", cell_flux, mesh.basis_grads)
-        contrib -= (mesh.areas * fbar / 3.0)[:, None]
+        load = mesh.areas * self.source.f_vals(self.cell_means(values)) / 3.0
+        fx, fy = cell_flux[:, 0], cell_flux[:, 1]
+        grads = mesh.basis_grads.transpose(1, 2, 0)  # (3, 2, T), contiguous
+        # |T| flux . grad phi_v - |T| f / 3, vertex by vertex
+        contrib = np.empty((len(load), 3))
+        for v in range(3):
+            column = fx * grads[v, 0]
+            column += fy * grads[v, 1]
+            column *= mesh.areas
+            column -= load
+            contrib[:, v] = column
         return self.scatter(contrib)
 
     def tangent(self, values, c1_floor):
@@ -610,7 +638,9 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
 
     values = np.zeros(mesh.n_vertices)
     values[mesh.boundary_vertices] = bvals
-    ke0 = _element_matrices(mesh, np.tile(np.eye(2), (mesh.n_triangles, 1, 1)))
+    # the p = 2 problem of the norm's quadratic part, H^2 = xi . A xi
+    quadratic = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
+    ke0 = _element_matrices(mesh, np.tile(quadratic, (mesh.n_triangles, 1, 1)))
     fbar = source.f_vals(problem.cell_means(values))
     load = np.repeat((mesh.areas * fbar / 3.0)[:, None], 3, axis=1)
     # interior values are still zero: subtracting K0 @ values moves the boundary
@@ -633,6 +663,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     steps = []
     converged = False
     final_residual = np.inf
+    eta = _ETA_MAX  # the last step's forcing term; the first step has no history
     watch.lap("init")
 
     def report(done):
@@ -647,7 +678,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         if final_residual <= target:
             converged = True
             break
-        eta = _CG_RTOL if singular else _forcing_term(final_residual, previous, target)
+        eta = _CG_RTOL if singular else _forcing_term(final_residual, previous, eta, target)
 
         kii = problem.tangent(values, c1_est)
         watch.lap("tangent")

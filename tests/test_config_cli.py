@@ -12,7 +12,7 @@ from finslerpde import ConfigError, cli
 from finslerpde.cli import main
 from finslerpde.config import (build_material, build_norm, build_source,
                                load_config, parse_overrides)
-from finslerpde import io
+from finslerpde import io, solver
 from finslerpde.io import _write_rows, canonical_json, config_sha256, write_json
 
 
@@ -148,6 +148,20 @@ class TestCli:
             header = fh.readline().strip().split(",")
         assert header == ["x", "y", "u", "ux", "uy"]
 
+    def test_manifest_records_stage_seconds(self, tmp_path):
+        rc, out = self.run(tmp_path, "solve", BASE)
+        assert rc == 0
+        seconds = self.read_manifest(out)["seconds"]
+        assert set(seconds) == {"setup", "command", "solve"}
+        with open(os.path.join(out, "solve_report.json")) as fh:
+            assert seconds["solve"] == json.load(fh)["seconds"]
+        assert set(seconds["solve"]) == set(solver._STAGES)
+        assert seconds["setup"] > 0.0 and seconds["command"] > 0.0
+        assert sum(seconds["solve"].values()) <= seconds["command"]
+        rc, out = self.run(tmp_path, "verify", BASE)
+        assert rc == 0
+        assert set(self.read_manifest(out)["seconds"]) == {"setup", "command"}
+
     def test_manifest_hash_tracks_resolved_config(self, tmp_path):
         def manifest(name, body, *extra):
             cfg = write_config(tmp_path / f"{name}.json", body)
@@ -277,6 +291,7 @@ class TestCli:
         assert manifest["status"] == "numeric-failure"
         assert "failure" in manifest
         assert "field.csv" in manifest["artifacts"]
+        assert set(manifest["seconds"]) == {"setup", "command", "solve"}
 
     def test_barrier_command(self, tmp_path):
         body = dict(BASE, radial={"mode": "barrier", "radius": 1.0, "m": 0.1})

@@ -243,6 +243,10 @@ class TestLattice:
                                 np.stack([ids[:, :right.shape[1]], right], -1).reshape(-1, 2)])
         assert all(tuple(sorted(pair)) in edges for pair in pairs.tolist())
 
+    def test_hand_built_mesh_measures_h(self):
+        verts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0], [3.0, 1.0]])
+        assert Mesh2D(verts, np.array([[0, 1, 2], [1, 3, 2]])).h == np.sqrt(10.0)
+
     def test_hand_built_mesh_has_no_lattice(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert Mesh2D(verts, np.array([[0, 1, 2]])).lattice is None

@@ -175,7 +175,7 @@ class MaterialProfile:
             small = self.ell(mid) < vals
             lo = np.where(small, mid, lo)
             hi = np.where(small, hi, mid)
-        out = 0.5 * (lo + hi)
+        out = np.where(vals == 0.0, 0.0, 0.5 * (lo + hi))
         return float(out[0]) if single else out
 
 
@@ -224,7 +224,7 @@ def linearized_tensor(material, h, xi):
     return mats[0] if single else mats
 
 
-def check_structural_bounds(material, h, samples=None, n_samples=10000, seed=0):
+def check_structural_bounds(material, h, n_samples=10000, seed=0):
     """Sampled ellipticity/boundedness constants of the linearized tensor.
 
     Returns (C1_est, C2_est) with
@@ -232,14 +232,12 @@ def check_structural_bounds(material, h, samples=None, n_samples=10000, seed=0):
         C1_est = min <M(xi) v, v> / ((k + |xi|)^(p-2) |v|^2)
         C2_est = max |M(xi)|_F   /  (k + |xi|)^(p-2)
 
-    over the given (xi, v) sample pairs.  A nonpositive C1_est is an
-    admissibility failure and raises, naming the witnessing sample.
+    over n_samples seeded (xi, v) pairs, v of unit length.  A nonpositive
+    C1_est is an admissibility failure and raises, naming the witnessing
+    sample.
     """
-    if samples is None:
-        xi = sample_vectors(h.dim, n_samples, seed)
-        v = sample_vectors(h.dim, n_samples, seed + 1, r_range=(1.0, 1.0))
-    else:
-        xi, v = (np.asarray(s, dtype=float) for s in samples)
+    xi = sample_vectors(h.dim, n_samples, seed)
+    v = sample_vectors(h.dim, n_samples, seed + 1, r_range=(1.0, 1.0))
     mats = linearized_tensor(material, h, xi)
     quad = np.einsum("ij,ijk,ik->i", v, mats, v)
     weight = (material.k + np.linalg.norm(xi, axis=-1)) ** (material.p - 2.0)
@@ -255,15 +253,14 @@ def check_structural_bounds(material, h, samples=None, n_samples=10000, seed=0):
     return c1, c2
 
 
-def check_flux_bound(material, h, samples=None, n_samples=10000, seed=0):
+def check_flux_bound(material, h, n_samples=10000, seed=0):
     """Sampled growth constant of the flux magnitude:
 
-        C_flux = max B'(H(xi)) / (k + |xi|)^(p-1).
+        C_flux = max B'(H(xi)) / (k + |xi|)^(p-1)
+
+    over n_samples seeded vectors xi.
     """
-    if samples is None:
-        xi = sample_vectors(h.dim, n_samples, seed)
-    else:
-        xi = np.asarray(samples, dtype=float)
+    xi = sample_vectors(h.dim, n_samples, seed)
     num = material.b_prime(h.eval(xi))
     den = (material.k + np.linalg.norm(xi, axis=-1)) ** (material.p - 1.0)
     return float((num / den).max())

@@ -34,12 +34,13 @@ center, so integration starts at rho0 = R * 1e-6 with the series value
 Psi(rho0) = -f(w(0)) rho0^n / n; the exact center point
 (w(0), w'(0) = 0) is prepended to the returned grid.
 
-Brent's method (_brent) and the PCHIP interpolant of evaluate are ports
-of scipy.optimize.brentq and scipy.interpolate.PchipInterpolator to plain
-Python and numpy.  They take the same floating-point steps, so they give
-the same roots and values bit for bit.  Importing those two scipy modules
-cost a barrier shot about 0.15 s and 18 MB of peak memory, several times
-the RK4 work of the shot.
+Brent's method (_brent) is a port of scipy.optimize.brentq to plain
+Python.  It takes the same floating-point steps, so it gives the same
+roots bit for bit.  Importing scipy.optimize costs a process about 0.5 s
+and 47 MB of peak memory on a 2-vCPU host, more than the RK4 work of a
+barrier shot.  Profiles are interpolated by the cubic Hermite spline
+through the nodes' (w, w') pairs, so the slopes the march took are
+reused there as well.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class BarrierProfile:
     ball mode the same container holds the decreasing profile from the
     central maximum, with shoot_slope = w'(0) = 0 at the center.
     ``w_prime`` holds the slopes Phi^{-1}(Psi/q) the march computed at
-    its nodes (0 at the prepended ball center).  ``marches`` counts the
+    its nodes (0 at the prepended ball center); they are also the node
+    slopes of the interpolant ``evaluate``.  ``marches`` counts the
     distinct shooting parameters marched (the root's march, which the
     profile is built from, included) and
     ``bracket`` is the shooting parameter interval the root was sought
@@ -404,50 +406,15 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
     return profile
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope at an end, limited to keep the shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_slopes(x, y):
-    """Node slopes of the Fritsch-Carlson monotone cubic.
-
-    Interior slopes are the weighted harmonic mean of the neighbouring
-    secants, or zero where those change sign or vanish.  The arithmetic
-    is that of scipy.interpolate.PchipInterpolator (_find_derivatives and
-    _edge_case), two-point grids included.
-    """
-    hk = x[1:] - x[:-1]
-    mk = (y[1:] - y[:-1]) / hk
-    if len(x) == 2:
-        return np.array([mk[0], mk[0]])
-    smk = np.sign(mk)
-    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-    dk = np.zeros_like(y)
-    dk[1:-1][~flat] = 1.0 / whmean[~flat]
-    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
-    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-    return dk
-
-
 def evaluate(profile, rho):
-    """Monotone-cubic interpolation of w at radial coordinates rho.
+    """Cubic Hermite interpolation of w at radial coordinates rho.
 
-    rho is clipped to the grid.  The cubic Hermite coefficients and their
-    evaluation follow scipy's CubicHermiteSpline and PPoly in the same
-    order, so the values equal PchipInterpolator's bit for bit.
+    The node slopes are the profile's w_prime, the slopes the march took.
+    rho is clipped to the grid.  The coefficients and their evaluation
+    follow scipy's CubicHermiteSpline and PPoly in the same order, so the
+    values equal CubicHermiteSpline(grid, w, w_prime)'s bit for bit.
     """
-    x, y = profile.grid, profile.w
-    d = _pchip_slopes(x, y)
+    x, y, d = profile.grid, profile.w, profile.w_prime
     dx = np.diff(x)
     slope = np.diff(y) / dx
     t = (d[:-1] + d[1:] - 2 * slope) / dx

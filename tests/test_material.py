@@ -117,6 +117,17 @@ class TestProfileValues:
         assert np.all(np.abs(got - expect) <= 1e-13 * expect)
         assert MaterialProfile(p=p).ell_inverse(0.0) == 0.0
 
+    @pytest.mark.parametrize("p, k", [(1.5, 0.05), (1.5, 0.5), (3.0, 0.1), (3.0, 1.0)])
+    def test_ell_inverse_shifted_roundtrip(self, p, k):
+        # bisection on [0, hi]: its absolute resolution sets a relative error
+        # that grows below y ~ 1e-12, so the range stops at 1e-8
+        m = MaterialProfile(p=p, k=k, kind="shifted")
+        y = np.geomspace(1e-8, 1e8, 97)
+        assert np.all(np.abs(m.ell(m.ell_inverse(y)) - y) <= 1e-13 * y)
+        assert m.ell_inverse(0.0) == 0.0
+        zero, one = m.ell_inverse(np.array([0.0, 1.0]))
+        assert zero == 0.0 and one > 0.0
+
 
 class TestStructuralBounds:
     def test_quadratic_euclidean_tensor_is_identity(self, euclid):
@@ -131,6 +142,16 @@ class TestStructuralBounds:
 
     def test_flux_zero_at_origin(self, euclid):
         assert np.all(flux(MaterialProfile(p=1.5), euclid, np.zeros(2)) == 0.0)
+
+    @pytest.mark.parametrize("norm", ["euclid", "ellipsoidal", "lp4"])
+    def test_flux_mixed_zero_rows_match_row_by_row(self, norm, request):
+        h = request.getfixturevalue(norm)
+        m = MaterialProfile(p=3.0)
+        xi = np.random.default_rng(1).standard_normal((9, 2))
+        xi[[0, 4, 8]] = 0.0
+        got = flux(m, h, xi)
+        assert np.array_equal(got, np.array([flux(m, h, row) for row in xi]))
+        assert np.all(got[[0, 4, 8]] == 0.0) and np.all(got[[1, 2, 3, 5, 6, 7]] != 0.0)
 
     def test_flux_bound_euclidean_p2(self, euclid):
         assert check_flux_bound(MaterialProfile(p=2.0), euclid,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from finslerpde import (DomainSpec, MaterialProfile, NumericError, RadialProblem,
-                        build_domain, evaluate, hopf_margin, lift, ode_residual,
-                        shoot)
+                        SourceTerm, build_domain, evaluate, hopf_margin, lift,
+                        ode_residual, shoot)
 from finslerpde import radial
 from finslerpde.radial import _brent, integrate
 from conftest import const_source
@@ -213,6 +213,31 @@ class TestBall:
         assert prof.central_value == pytest.approx(0.2916666666602928, rel=1e-12, abs=0.0)
 
 
+class TestVaryingSource:
+    """Shots whose source depends on w, so every RK4 stage calls it."""
+
+    # bounds about 3x the measured residuals: 2.1e-10 and 2.9e-10 for the
+    # barriers, 3.1e-8 and 3.6e-8 for the balls
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("mode, target, bound", [("ball", 0.0, 1e-7),
+                                                     ("barrier", 0.1, 1e-9)],
+                             ids=["ball", "barrier"])
+    def test_shot_converges_with_small_residual(self, p, mode, target, bound):
+        # f(s) = 1 + s for the ball, g(s) = s^2 for the barrier
+        source = SourceTerm(f=lambda s: 1.0 + np.asarray(s, dtype=float),
+                            g=lambda s: np.asarray(s, dtype=float) ** 2)
+        prob = RadialProblem(material=MaterialProfile(p=p), source=source, radius=1.0,
+                             mode=mode)
+        prof = shoot(prob, target)
+        assert prof.marches <= 12
+        assert abs(prof.w[-1] - target) <= 1e-10
+        assert ode_residual(prof, prob) <= bound
+        if mode == "ball" and p == 2.0:
+            # -(rho w')'/rho = 1 + w, w(1) = 0: w = J0(rho)/J0(1) - 1
+            assert prof.central_value == pytest.approx(1.0 / 0.7651976865579666 - 1.0,
+                                                       abs=1e-11)
+
+
 class TestPhiInverse:
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("k", [1e-3, 0.5, 1.0])
@@ -253,27 +278,51 @@ class TestLift:
         vals = evaluate(prof, prof.grid)
         assert np.abs(vals - prof.w).max() < 1e-12
 
+    def test_evaluate_midpoints_match_torsion_closed_form(self, ball_p2):
+        # p = 2 torsion: w(rho) = (1 - rho^2)/4, a cubic Hermite spline
+        # through the march's slopes is exact but for the march's own error
+        _, prof = ball_p2
+        g = prof.grid
+        mid = 0.5 * (g[1:] + g[:-1])
+        assert np.abs(evaluate(prof, mid) - 0.25 * (1.0 - mid * mid)).max() < 1e-12
+
+    def test_evaluate_monotone_within_one_ulp(self, shot):
+        # a ball march starts at rho0 = R * 1e-6 with w(rho0) = w(0) but
+        # w'(rho0) < 0, so on [0, rho0] the cubic rises by up to
+        # 4/27 rho0 |w'(rho0)| (1.5e-13 on the shifted ball) before it falls
+        prof = shot[2]
+        g, sign = prof.grid, (1.0 if prof.mode == "barrier" else -1.0)
+        ulp = np.spacing(np.abs(prof.w).max())
+        if prof.mode == "ball":
+            bump = 4.0 / 27.0 * g[1] * abs(prof.w_prime[1])
+            assert evaluate(prof, np.linspace(0.0, g[1], 65)).max() <= prof.w[0] + bump + ulp
+            g = g[1:]
+        inner = g[:-1] + np.outer([0.25, 0.5, 0.75], np.diff(g))
+        rho = np.sort(np.concatenate([g, inner.ravel()]))
+        assert (sign * np.diff(evaluate(prof, rho))).min() >= -ulp
+
     @staticmethod
-    def assert_pchip_equal(prof):
-        from scipy.interpolate import PchipInterpolator
+    def assert_hermite_equal(prof):
+        from scipy.interpolate import CubicHermiteSpline
 
         g = prof.grid
         between = np.concatenate([0.5 * (g[1:] + g[:-1]), g[:-1] + 0.3 * np.diff(g),
                                   g[1:] - 1e-3 * np.diff(g)])
         outside = np.array([g[0] - 1.0, g[0] - 1e-9, g[-1] + 1e-9, g[-1] + 2.0])
-        interp = PchipInterpolator(g, prof.w)
+        interp = CubicHermiteSpline(g, prof.w, prof.w_prime)
         for rho in (g, g[[0, -1]], between, outside):
             ref = interp(np.clip(rho, g[0], g[-1]))
             assert np.array_equal(evaluate(prof, rho), ref)
 
+    # the ids are kept; the reference is scipy's CubicHermiteSpline through (w, w')
     def test_evaluate_equals_pchip(self, shot):
-        self.assert_pchip_equal(shot[2])
+        self.assert_hermite_equal(shot[2])
 
-    # one barrier step is a two-point grid, which PCHIP interpolates linearly
+    # one barrier step is a two-point grid, interpolated by a single cubic
     @pytest.mark.parametrize("prob, n_steps", [(barrier(), 1), (ball(2.0), 1), (ball(2.0), 2)],
                              ids=["two_points", "three_points", "four_points"])
     def test_evaluate_equals_pchip_on_short_grids(self, prob, n_steps):
-        self.assert_pchip_equal(integrate(prob, 0.3, n_steps=n_steps))
+        self.assert_hermite_equal(integrate(prob, 0.3, n_steps=n_steps))
 
 
 class TestHopf:

@@ -118,8 +118,11 @@ class TestFailureModes:
 
     def test_boundary_data_shapes(self, euclid, unit_source):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
-        field, _ = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source, bc=0.1)
-        assert field.values[mesh.boundary_vertices] == pytest.approx(0.1)
+        scalar, _ = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source, bc=0.1)
+        assert scalar.values[mesh.boundary_vertices] == pytest.approx(0.1)
+        per_vertex = np.full(len(mesh.boundary_vertices), 0.1)
+        field, _ = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source, bc=per_vertex)
+        assert np.array_equal(field.values, scalar.values)
         fun = lambda pts: pts[:, 0] * 0.0 + 0.2
         field, _ = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source, bc=fun)
         assert field.values[mesh.boundary_vertices] == pytest.approx(0.2)

@@ -19,17 +19,18 @@ _BLOCK_ROWS = 2048
 def _write_rows(path, header, rows):
     """CSV in csv's default dialect: comma-separated, CRLF line ends.
 
-    Neither the header names nor the formatted numbers need quoting, so each
-    row is one ``%`` format over the row's Python floats.  Rows are formatted
-    in blocks, which keeps the text held in memory small for large tables.
+    Neither the header names nor the formatted numbers need quoting, so a
+    block of rows is one ``%`` format over its Python floats, the row format
+    repeated once per row.  Blocks keep the text held in memory small for
+    large tables.
     """
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(values), _BLOCK_ROWS):
-            block = values[start:start + _BLOCK_ROWS].tolist()
-            fh.write("".join([line % tuple(row) for row in block]))
+            block = values[start:start + _BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_field_csv(path, field):

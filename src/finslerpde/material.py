@@ -150,8 +150,10 @@ class MaterialProfile:
     def ell_inverse(self, y):
         """Inverse of the increasing function L.
 
-        Closed form for the power family, L(s) = (1 - 1/p) s^p; monotone
-        bisection for shifted profiles.
+        Closed form for the power family, L(s) = (1 - 1/p) s^p.  For shifted
+        profiles s is halved or doubled from 1 until L(s/2) < y <= L(s), and
+        the root is bisected in [s/2, s], which keeps the relative accuracy
+        however small y is.
         """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 0
@@ -161,21 +163,27 @@ class MaterialProfile:
         if self.k == 0.0:
             out = (self.p * vals / (self.p - 1.0)) ** (1.0 / self.p)
             return float(out[0]) if single else out
-        hi = np.ones_like(vals)
-        for _ in range(400):
-            todo = self.ell(hi) < vals
-            if not np.any(todo):
+        out = vals.copy()
+        pos = vals > 0.0
+        target = vals[pos]
+        hi = np.ones_like(target)
+        # 2200 steps span the doubles from the smallest subnormal to the largest
+        for _ in range(2200):
+            grow = self.ell(hi) < target
+            shrink = ~grow & (self.ell(0.5 * hi) >= target)
+            if not (np.any(grow) or np.any(shrink)):
                 break
-            hi[todo] *= 2.0
-        else:
-            raise NumericError("bracket expansion for L^{-1} failed")
-        lo = np.zeros_like(vals)
+            hi[grow] *= 2.0
+            hi[shrink] *= 0.5
+        if not np.all(np.isfinite(hi) & (hi > 0.0)):
+            raise NumericError("bracket search for L^{-1} failed")
+        lo = 0.5 * hi
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            small = self.ell(mid) < vals
+            small = self.ell(mid) < target
             lo = np.where(small, mid, lo)
             hi = np.where(small, hi, mid)
-        out = np.where(vals == 0.0, 0.0, 0.5 * (lo + hi))
+        out[pos] = 0.5 * (lo + hi)
         return float(out[0]) if single else out
 
 

@@ -16,6 +16,9 @@ Every generator numbers its vertices along a grid, so the interior
 vertices, in ascending order, fill a rows x cols lattice row by row and
 each couples only to its 8 lattice neighbours.  The mesh records that
 lattice; on the annulus its columns follow the angle and wrap around.
+Builder meshes nest: ``coarsen`` keeps every other vertex of the grid and
+triangulates it as the builder does; on a ball whose template resolution
+is even that is the builder's own mesh at half the resolution.
 """
 
 from __future__ import annotations
@@ -306,6 +309,45 @@ def _annulus_mesh(norm, radius, center, h):
         n_r = math.ceil(n_r * grow) + 1
         n_t = 2 * math.ceil(n_t * grow / 2) + 2
     raise NumericError("annulus meshing failed to reach the target spacing")
+
+
+def grid_shape(lattice):
+    """Shape of a builder mesh's vertex grid, boundary ring included.
+
+    A builder mesh is its template vertex grid numbered row by row:
+    (rows + 2) x (cols + 2) vertices for a rows x cols interior lattice, or
+    (rows + 2) x cols on the periodic annulus.
+    """
+    rows, cols, periodic = lattice
+    return rows + 2, cols if periodic else cols + 2
+
+
+def coarsen(mesh):
+    """The mesh on every other vertex of a builder mesh's grid, or None.
+
+    The coarse mesh keeps the even rows and columns of the grid_shape grid
+    (vertex ids ``arange(n).reshape(grid_shape(lattice))[::2, ::2]``) and is
+    triangulated as the builder triangulates, so coarse interior point I
+    sits on fine interior point 2 I + 1 (column 2 I along the annulus's
+    angle).  Returns None for a mesh without a lattice or whose vertices
+    do not fill that grid, for a non-periodic axis with an even number of
+    interior points, and for a periodic column count that is not a
+    multiple of 4.
+    """
+    if mesh.lattice is None:
+        return None
+    rows, cols, periodic = mesh.lattice
+    shape = grid_shape(mesh.lattice)
+    if (mesh.n_vertices != shape[0] * shape[1] or rows % 2 == 0
+            or (cols % 4 != 0 if periodic else cols % 2 == 0)):
+        return None
+    keep = np.arange(mesh.n_vertices).reshape(shape)[::2, ::2]
+    n_r, n_c = keep.shape
+    if periodic:
+        return Mesh2D(mesh.vertices[keep.ravel()], _annulus_triangles(n_r - 1, n_c),
+                      Lattice(n_r - 2, n_c, periodic=True))
+    return Mesh2D(mesh.vertices[keep.ravel()], _grid_triangles(n_r - 1, n_c - 1),
+                  Lattice(n_r - 2, n_c - 2))
 
 
 def build_domain(dom, h_target):

@@ -378,3 +378,16 @@ class TestIo:
         # integer rows given as lists format like their float values
         _write_rows(str(out), header, [[1, -7, 2 ** 60]])
         assert out.read_bytes().splitlines()[1] == b"1,-7,1.152921504606847e+18"
+
+    def test_block_format_equals_row_format(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 7)  # 50 rows: seven full blocks and one row
+        rng = np.random.default_rng(11)
+        specials = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
+                             2.2e-310, 1.0, 0.1])
+        rows = np.where(rng.random((50, 5)) < 0.4, rng.choice(specials, (50, 5)),
+                        rng.standard_normal((50, 5)) * 10.0 ** rng.integers(-20, 20, (50, 5)))
+        line = ",".join(["%.17g"] * 5) + "\r\n"
+        ref = "x,y,u,ux,uy\r\n" + "".join(line % tuple(row) for row in rows.tolist())
+        out = tmp_path / "out.csv"
+        _write_rows(str(out), ["x", "y", "u", "ux", "uy"], rows)
+        assert out.read_bytes() == ref.encode()

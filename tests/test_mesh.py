@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from finslerpde import DomainSpec, FinslerNorm, Mesh2D, build_domain
-from finslerpde.mesh import Lattice, _annulus_triangles, _ball_vertices, _grid_triangles
+from finslerpde.mesh import (Lattice, _annulus_triangles, _ball_vertices, _grid_triangles,
+                             coarsen)
+from finslerpde.solver import _stencil_slots
 from conftest import RECOVERY_IDS, RECOVERY_MESHES
 
 
@@ -252,3 +254,57 @@ class TestLattice:
         assert Mesh2D(verts, np.array([[0, 1, 2]])).lattice is None
         with pytest.raises(ValueError, match="lattice"):
             Mesh2D(verts, np.array([[0, 1, 2]]), Lattice(1, 1))
+
+
+class TestCoarsen:
+    @pytest.mark.parametrize("dom, h", [
+        (DomainSpec(kind="disk", radius=1.0), 0.3),
+        (DomainSpec(kind="disk", radius=1.0), 0.12),
+        (DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.025),
+    ], ids=["disk-0.3", "disk-0.12", "lp4_ball-0.025"])
+    def test_ball_equals_the_builder_at_half_resolution(self, dom, h):
+        mesh = build_domain(dom, h)
+        n = (mesh.lattice.rows + 1) // 2  # the template resolution
+        assert n % 2 == 0
+        norm = dom.norm or FinslerNorm.euclidean(2)
+        half = Mesh2D(_ball_vertices(norm, 1.0, (0.0, 0.0), n // 2), _grid_triangles(n, n))
+        coarse = coarsen(mesh)
+        assert coarse.lattice == Lattice(n - 1, n - 1)
+        assert np.array_equal(coarse.vertices, half.vertices)
+        assert np.array_equal(coarse.triangles, half.triangles)
+        # coarse interior point I sits on fine interior point 2 I + 1
+        rows, cols, _ = mesh.lattice
+        fine = mesh.vertices[mesh.interior_mask].reshape(rows, cols, 2)
+        assert np.array_equal(coarse.vertices[coarse.interior_mask],
+                              fine[1::2, 1::2].reshape(-1, 2))
+
+    def test_annulus_gives_a_periodic_mesh(self):
+        mesh = build_domain(DomainSpec(kind="annulus_wulff", radius=1.0,
+                                       norm=FinslerNorm.lp(4.0, 2)), 0.05)
+        rows, cols, _ = mesh.lattice
+        coarse = coarsen(mesh)
+        assert coarse.lattice == Lattice((rows - 1) // 2, cols // 2, periodic=True)
+        rings = mesh.vertices.reshape(rows + 2, cols, 2)
+        assert np.array_equal(coarse.vertices, rings[::2, ::2].reshape(-1, 2))
+        n_r, n_t = (rows + 1) // 2, cols // 2
+        assert np.array_equal(coarse.triangles,
+                              Mesh2D(coarse.vertices, _annulus_triangles(n_r, n_t)).triangles)
+        # two boundary rings, and a lattice the solver accepts
+        assert len(coarse.boundary_vertices) == 2 * n_t
+        _stencil_slots(coarse)
+        assert coarse.areas.sum() == pytest.approx(mesh.areas.sum(), rel=1e-2)
+
+    def test_meshes_that_do_not_coarsen(self):
+        disk = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        rows, cols, _ = disk.lattice
+        assert coarsen(Mesh2D(disk.vertices, disk.triangles)) is None
+        assert coarsen(Mesh2D(disk.vertices, disk.triangles, Lattice(cols * rows, 1))) is None
+        # an even number of interior rows, then of interior columns
+        even_rows = build_domain(DomainSpec(kind="rectangle"), 0.3)
+        assert even_rows.lattice.rows % 2 == 0 and coarsen(even_rows) is None
+        even_cols = build_domain(DomainSpec(kind="rectangle", a=1.0, b=0.7), 0.2)
+        assert even_cols.lattice[:2] == (7, 4) and coarsen(even_cols) is None
+        # 86 angular columns: halving them leaves an odd count
+        annulus = build_domain(DomainSpec(kind="annulus_wulff", radius=1.0,
+                                          norm=FinslerNorm.lp(4.0, 2)), 0.1)
+        assert annulus.lattice.cols % 4 == 2 and coarsen(annulus) is None

@@ -309,6 +309,127 @@ class TestForcing:
         assert report.iterations <= report_tight.iterations
 
 
+@pytest.fixture(scope="module")
+def lp4_p3_fine(lp4, unit_source):
+    """The lp q=4, p=3 Wulff ball at h=0.025, solved from the nested start
+    and from the p = 2 start."""
+    mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.025)
+    args = (mesh, MaterialProfile(p=3.0), lp4, unit_source)
+    nested = solve(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_NESTED_MIN", mesh.n_vertices)
+        quadratic = solve(*args)
+    return nested, quadratic
+
+
+@pytest.fixture
+def small_nested(monkeypatch):
+    """Take the nested start on meshes of any size: on the h = 0.12 disk the
+    27 x 27 lattice nests on a 13 x 13 one, which does not nest again."""
+    monkeypatch.setattr(solver, "_NESTED_MIN", 1)
+    return build_domain(DomainSpec(kind="disk", radius=1.0), 0.12)
+
+
+class TestNestedStart:
+    def test_fewer_fine_steps_and_the_same_field(self, lp4_p3_fine):
+        (field, report), (field_q, report_q) = lp4_p3_fine
+        assert report.converged and report_q.converged
+        assert report.start == "nested" and report_q.start == "quadratic"
+        assert report_q.coarse is None
+        coarse = report.coarse
+        assert coarse["lattice"] == [69, 69] and coarse["start"] == "quadratic"
+        assert coarse["converged"] and coarse["coarse"] is None
+        assert coarse["iterations"] > 0 and coarse["cg_iterations"] > 0
+        assert 0.0 < coarse["seconds"] <= sum(report.seconds.values())
+        # no initial linear solve on the fine level
+        assert report.init_cg_info == 0 and report.init_cg_iterations == 0
+        assert report.iterations <= 5 < report_q.iterations
+        assert np.abs(field.values - field_q.values).max() <= 1e-7
+
+    @pytest.mark.parametrize("norm", ["euclid", "ellipsoidal"])
+    def test_quadratic_principal_part_keeps_the_p2_start(self, request, unit_source, norm):
+        # the h = 0.03 disk nests on a 53 x 53 lattice, above _NESTED_MIN
+        h = request.getfixturevalue(norm)
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.03)
+        assert solver._nested_mesh(mesh).lattice == Lattice(53, 53)
+        _, report = solve(mesh, MaterialProfile(p=2.0), h, unit_source)
+        assert report.start == "quadratic" and report.coarse is None
+        assert report.iterations == 0 and report.init_cg_iterations > 0
+
+    def test_even_coarse_lattice_is_not_nested(self):
+        # the h = 0.025 disk coarsens to a 64 x 64 lattice, without the centre
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.025)
+        assert solver.coarsen(mesh).lattice == Lattice(64, 64)
+        assert solver._nested_mesh(mesh) is None
+
+    def test_boundary_data_carry_over(self, small_nested, euclid, unit_source):
+        mesh = small_nested
+        material = MaterialProfile(p=3.0)
+        scalar, report = solve(mesh, material, euclid, unit_source, bc=0.1)
+        assert report.start == "nested" and report.coarse["lattice"] == [13, 13]
+        per_vertex = np.full(len(mesh.boundary_vertices), 0.1)
+        field, _ = solve(mesh, material, euclid, unit_source, bc=per_vertex)
+        assert np.array_equal(field.values, scalar.values)
+        tilted = lambda pts: 0.1 + 0.05 * pts[:, 0]
+        field, report = solve(mesh, material, euclid, unit_source, bc=tilted)
+        assert report.converged and report.start == "nested"
+        bvs = mesh.boundary_vertices
+        assert np.array_equal(field.values[bvs], tilted(mesh.vertices[bvs]))
+
+    def test_annulus_nests_around_its_angle(self, lp4, unit_source, monkeypatch):
+        # the h = 0.07 annulus: 15 x 124 around the angle, coarsened to 7 x 62
+        mesh = build_domain(DomainSpec(kind="annulus_wulff", radius=1.0, norm=lp4), 0.07)
+        args = (mesh, MaterialProfile(p=3.0), lp4, unit_source)
+        tilted = lambda pts: 0.1 + 0.05 * pts[:, 0]
+        quadratic, q_report = solve(*args, bc=tilted)
+        monkeypatch.setattr(solver, "_NESTED_MIN", 1)
+        nested, report = solve(*args, bc=tilted)
+        assert report.start == "nested" and report.coarse["lattice"] == [7, 62]
+        assert report.converged and q_report.converged and q_report.start == "quadratic"
+        assert np.abs(nested.values - quadratic.values).max() <= 1e-7
+
+    def test_start_reproduces_linear_data(self, lp4):
+        # with f = 0 a linear field is the discrete solution for any p and norm,
+        # and linear interpolation on the rectangle's affine grid is exact, so
+        # the start equals it when the coarse solve gets the fine boundary data
+        mesh = build_domain(DomainSpec(kind="rectangle"), 0.12)
+        linear = 0.3 + 0.2 * mesh.vertices[:, 0] - 0.1 * mesh.vertices[:, 1]
+        values = np.where(mesh.interior_mask, 0.0, linear)
+        start, record = solver._nested_start(
+            mesh, solver.coarsen(mesh), MaterialProfile(p=3.0), lp4, const_source(0.0),
+            values, SolveOptions(), 1.0, solver._Stopwatch())
+        assert record["lattice"] == [5, 5] and record["converged"]
+        assert np.abs(start - linear[mesh.interior_mask]).max() <= 1e-12
+
+    def test_refine_axis_is_exact_on_linear_data(self):
+        line = 2.0 * np.arange(5.0) + 1.0
+        assert np.array_equal(solver._refine_axis(line, False), np.arange(9.0) + 1.0)
+        # periodic: the last fine point averages the last and first coarse ones
+        wrapped = solver._refine_axis(np.array([[0.0, 2.0, 4.0, 2.0]]), True)
+        assert np.array_equal(wrapped, [[0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]])
+
+    def test_coarse_failure_still_reports_on_the_fine_mesh(self, small_nested, euclid,
+                                                           unit_source, caplog):
+        mesh = small_nested
+        with caplog.at_level(logging.WARNING, logger="finslerpde.solver"):
+            with pytest.raises(NonconvergenceError) as err:
+                solve(mesh, MaterialProfile(p=3.0), euclid, unit_source,
+                      options=SolveOptions(max_iter=1))
+        report = err.value.report
+        assert err.value.last_iterate.mesh is mesh
+        assert report.n_vertices == mesh.n_vertices and report.iterations == 1
+        assert report.start == "nested"
+        assert not report.coarse["converged"] and report.coarse["iterations"] == 1
+        assert any("coarse solve failed" in r.getMessage() for r in caplog.records)
+
+    def test_stage_seconds_include_the_coarse_solve(self, small_nested, euclid, unit_source):
+        start = time.perf_counter()
+        _, report = solve(small_nested, MaterialProfile(p=3.0), euclid, unit_source)
+        wall = time.perf_counter() - start
+        assert tuple(report.seconds) == solver._STAGES
+        assert report.coarse["seconds"] <= sum(report.seconds.values()) <= wall
+
+
 def _coo_stiffness(mesh, cell_tensors):
     """Reference build: the 4-operand einsum, then COO -> CSR and the interior slice."""
     ke = np.einsum("t,tad,tde,tbe->tab", mesh.areas, mesh.basis_grads,

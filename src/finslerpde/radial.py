@@ -30,9 +30,10 @@ it again: its w' at a node is the slope Phi^{-1}(Psi/q) the march took
 there (the first RK4 stage of the step leaving the node), and only the
 last node takes one more inversion.
 In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
-center, so integration starts at rho0 = R * 1e-6 with the series value
-Psi(rho0) = -f(w(0)) rho0^n / n; the exact center point
-(w(0), w'(0) = 0) is prepended to the returned grid.
+center, so integration starts at rho0 = R * 1e-6 with the series values
+Psi(rho0) = -f(w(0)) rho0^n / n and w(rho0) = w(0) - int_0^rho0
+Phi^{-1}(f(w(0)) rho / n); the exact center point (w(0), w'(0) = 0) is
+prepended to the returned grid.
 
 Brent's method (_brent) is a port of scipy.optimize.brentq to plain
 Python.  It takes the same floating-point steps, so it gives the same
@@ -216,9 +217,12 @@ def _march(problem, start, n_steps):
         rhs = _scalar_rhs(problem.source.f_vals)
         sign = -1.0
         rho0 = _CENTER_CUT * radius
-        w0 = float(start)
-        f0 = rhs(w0) if rhs is not None else 0.0
+        f0 = rhs(float(start)) if rhs is not None else 0.0
         psi0 = -f0 * rho0 ** problem.n / problem.n
+        # w(rho0) = w(0) - int_0^rho0 Phi^{-1}(f0 rho / n): Phi^{-1} is y^d
+        # with d = 1/(p - 1), or near 0 linear (d = 1) when k > 0
+        d = 1.0 / (mat.p - 1.0) if mat.k == 0.0 else 1.0
+        w0 = float(start) + rho0 * phi_inv(psi0 / rho0 ** r_pow) / (1.0 + d)
     a, b = problem.span()
     step = (b - a) / n_steps
 

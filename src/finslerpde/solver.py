@@ -72,8 +72,9 @@ its 8 neighbours.  So each tangent is stored as a 3 x 3 stencil per
 lattice point, a (3, 3, rows, cols) array; solve rejects a mesh without
 a lattice.  The element-to-stencil scatter is built once per solve and
 each assembly is one bincount into fixed slots.  The product sums each
-row by ascending vertex number, the order of a sorted CSR row, so it
-returns scipy's floats bit for bit.
+row over its 3 x 3 neighbours in stencil order, on every lattice; the
+annulus seam needs no case of its own, since the padded field already
+holds the wrapped neighbours.
 
 The preconditioner is one V(1,1)-cycle from a zero start, built once per
 tangent (Trottenberg, Oosterlee and Schueller, "Multigrid", Academic
@@ -96,16 +97,19 @@ tangents and on random positive definite element tensors.  If the
 Cholesky factor fails, the solve reports CG status -1 and takes the
 failure path (descent fallback, or zero start).  The conjugate gradient
 loop is that of scipy.sparse.linalg.cg with the preconditioner as an
-argument, operation for operation, and counts its iterations, which the
-report records with the wall time of each stage.  The module needs numpy
-only: the source primitive is tabulated by composite Simpson and
-evaluated as a cubic Hermite interpolant in numpy.
+argument and counts its iterations, which the report records with the
+wall time of each stage.  Its reductions, and Newton's, are summed by
+_dot with no BLAS call: a threaded BLAS sums a long vector in an order
+set by its thread count, and fields and reports would change with it.
+The module needs numpy only: the source primitive is tabulated by
+composite Simpson and evaluated as a cubic Hermite interpolant in numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 
 import numpy as np
@@ -285,10 +289,8 @@ def _stencil_slots(mesh):
     return slot.ravel()
 
 
-# Neighbours of a lattice point by ascending vertex number: in every column
-# but the seam of a periodic lattice, and on its first and last column.
+# The 3 x 3 neighbours of a lattice point, in the order the product sums them
 _ORDER = tuple((a, b) for a in range(3) for b in range(3))
-_SEAM_ORDERS = ((0, (1, 2, 0)), (-1, (2, 0, 1)))
 
 
 class _Stencil:
@@ -297,11 +299,8 @@ class _Stencil:
     data[a, b, i, j] is the entry coupling lattice point (i, j) to
     (i + a - 1, j + b - 1), the column taken modulo cols when the lattice
     is periodic; entries that reach past the lattice are zero.  The
-    product sums each row over its neighbours by ascending vertex number,
-    starting from zero: the order of a CSR row with sorted indices.  That
-    is the (a, b) order except on the first and last column of a periodic
-    lattice, where the wrapped neighbour has the largest or the smallest
-    number.
+    product sums each row over its neighbours in (a, b) order, the wrapped
+    ones read from the padded field.
     """
 
     def __init__(self, data, periodic):
@@ -316,26 +315,19 @@ class _Stencil:
         return self.apply(x.reshape(self.shape)).ravel()
 
     def apply(self, x):
-        """Product with a field on the lattice, shape (rows, cols)."""
+        """Product with fields on the lattice, shape (..., rows, cols)."""
         rows, cols = self.shape
         data = self.data
-        xp = np.zeros((rows + 2, cols + 2))
-        xp[1:-1, 1:-1] = x
+        xp = np.zeros(x.shape[:-2] + (rows + 2, cols + 2))
+        xp[..., 1:-1, 1:-1] = x
         if self.periodic:
-            xp[1:-1, 0] = x[:, -1]
-            xp[1:-1, -1] = x[:, 0]
-        out = data[0, 0] * xp[:rows, :cols]
+            xp[..., 1:-1, 0] = x[..., -1]
+            xp[..., 1:-1, -1] = x[..., 0]
+        out = data[0, 0] * xp[..., :rows, :cols]
         term = np.empty_like(out)
         for a, b in _ORDER[1:]:
-            np.multiply(data[a, b], xp[a:a + rows, b:b + cols], out=term)
+            np.multiply(data[a, b], xp[..., a:a + rows, b:b + cols], out=term)
             out += term
-        if self.periodic:
-            for j, order in _SEAM_ORDERS:
-                column = np.zeros(rows)
-                for a in range(3):
-                    for b in order:
-                        column += data[a, b, :, j] * xp[a:a + rows, j % cols + b]
-                out[:, j] = column
         return out
 
 
@@ -357,19 +349,24 @@ def _restrict_axis(f, periodic):
     return g[..., 1::2] + 0.5 * (g[..., :-1:2] + g[..., 2::2])
 
 
+def _refine_axis(c, periodic):
+    """Linear interpolation along the last axis onto twice the resolution:
+    c lands on the even points, each odd point takes the mean of its two
+    neighbours (around the end when periodic)."""
+    n = c.shape[-1]
+    f = np.empty(c.shape[:-1] + (2 * n if periodic else 2 * n - 1,))
+    f[..., ::2] = c
+    f[..., 1::2] = 0.5 * (c + np.roll(c, -1, axis=-1) if periodic else c[..., :-1] + c[..., 1:])
+    return f
+
+
 def _prolong_axis(c, n, periodic):
     """P c along the last axis, to n fine points: linear interpolation in
-    lattice index, zero on the boundary."""
-    m = c.shape[-1]
-    padded = np.zeros(c.shape[:-1] + (m + 2,))
-    padded[..., 1:-1] = c
-    if periodic:
-        padded[..., 0] = c[..., -1]
-    f = np.empty(c.shape[:-1] + (n,))
-    f[..., 1::2] = c
-    even = (n + 1) // 2
-    f[..., ::2] = 0.5 * (padded[..., :even] + padded[..., 1:even + 1])
-    return f
+    lattice index, zero on the boundary: _refine_axis of c padded by a
+    zero at each end, the front one wrapped around a periodic axis."""
+    zero = np.zeros(c.shape[:-1] + (1,))
+    padded = np.concatenate([c[..., -1:] if periodic else zero, c, zero], axis=-1)
+    return _refine_axis(padded, False)[..., 1:n + 1]
 
 
 # The 13 terms (e, s, d, weight) of a one-axis Galerkin product P^T M P:
@@ -409,18 +406,9 @@ def _coarsen(stencil, axes):
 
 
 def _dense(stencil):
-    """The stencil as a dense matrix."""
-    rows, cols = stencil.shape
-    n = rows * cols
-    i, j = np.indices((rows, cols))
-    out = np.zeros((n, n))
-    for a, b in _ORDER:
-        ni, nj = i + a - 1, j + b - 1
-        if stencil.periodic:
-            nj %= cols
-        ok = (ni >= 0) & (ni < rows) & (nj >= 0) & (nj < cols)
-        np.add.at(out, ((i * cols + j)[ok], (ni * cols + nj)[ok]), stencil.data[a, b][ok])
-    return out
+    """The stencil as a dense matrix: its products with the unit vectors."""
+    n = stencil.shape[0] * stencil.shape[1]
+    return stencil.apply(np.eye(n).reshape((n,) + stencil.shape)).reshape(n, n).T
 
 
 class _VCycle:
@@ -491,34 +479,40 @@ def _floor_spd(mats, floor):
     return out
 
 
+def _dot(a, b):
+    """Inner product of two vectors, summed in numpy's own loop: no BLAS
+    call, so the sum does not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _cg_solve(k_mat, rhs, rtol, precondition):
     """Preconditioned conjugate gradients from a zero start.
 
     ``precondition`` maps a residual to its preconditioned residual.
     Returns (x, info, iterations).  The loop is that of
-    scipy.sparse.linalg.cg with atol = 0, operation for operation: it stops
-    when |r| < rtol |rhs| (info 0) or after 10 n iterations (info 10 n),
-    and a zero right-hand side returns at once.
+    scipy.sparse.linalg.cg with atol = 0, its reductions taken by _dot: it
+    stops when |r| < rtol |rhs| (info 0) or after 10 n iterations (info
+    10 n), and a zero right-hand side returns at once.
     """
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = math.sqrt(_dot(rhs, rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0, 0
-    atol = float(rtol) * float(rhs_norm)
+    atol = float(rtol) * rhs_norm
     maxiter = 10 * len(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(_dot(r, r)) < atol:
             return x, 0, iteration
         z = precondition(r)
-        rho = np.dot(r, z)
+        rho = _dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
         q = k_mat @ p
-        alpha = rho / np.dot(p, q)
+        alpha = rho / _dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -664,17 +658,6 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     return _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch)
 
 
-def _refine_axis(c, periodic):
-    """Linear interpolation along the last axis onto twice the resolution:
-    c lands on the even points, each odd point takes the mean of its two
-    neighbours (around the end when periodic)."""
-    n = c.shape[-1]
-    f = np.empty(c.shape[:-1] + (2 * n if periodic else 2 * n - 1,))
-    f[..., ::2] = c
-    f[..., 1::2] = 0.5 * (c + np.roll(c, -1, axis=-1) if periodic else c[..., :-1] + c[..., 1:])
-    return f
-
-
 def _nested_mesh(mesh):
     """The coarsening of the mesh if a nested start is taken on it, else
     None: it needs at least _NESTED_MIN interior vertices and an odd count
@@ -766,7 +749,7 @@ def _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch
 
     for _ in range(opts.max_iter):
         r = problem.residual(values)[interior]
-        previous, final_residual = final_residual, float(np.linalg.norm(r))
+        previous, final_residual = final_residual, math.sqrt(_dot(r, r))
         target = opts.tol_solve * (1.0 + abs(energy))
         if final_residual <= target:
             converged = True
@@ -777,14 +760,14 @@ def _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch
         watch.lap("tangent")
         step, info, iterations = _linear_solve(kii, -r, eta, watch)
         directions = []
-        if info == 0 and float(r @ step) < 0.0:
+        if info == 0 and _dot(r, step) < 0.0:
             directions.append(("newton", step))
         directions.append(("descent", -r / kii.diagonal()))  # preconditioned fallback
 
         accepted = False
         backtracks = 0
         for kind, d in directions:
-            slope = float(r @ d)
+            slope = _dot(r, d)
             if slope >= 0.0:
                 continue
             alpha = 1.0

@@ -162,6 +162,24 @@ class TestCli:
         assert rc == 0
         assert set(self.read_manifest(out)["seconds"]) == {"setup", "command"}
 
+    def test_field_does_not_depend_on_blas_threads(self, tmp_path):
+        # 17,161 vertices: the vectors are longer than the 10,000 entries from
+        # which OpenBLAS splits a reduction among its threads
+        cfg = write_config(tmp_path / "config.json", dict(BASE, h=0.025))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        fields = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"threads{threads}")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            proc = subprocess.run([sys.executable, "-m", "finslerpde", "solve", "--config", cfg,
+                                   "--out", out], env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            with open(os.path.join(out, "field.csv"), "rb") as fh:
+                fields.append(fh.read())
+        assert fields[0] == fields[1]
+
     def test_manifest_hash_tracks_resolved_config(self, tmp_path):
         def manifest(name, body, *extra):
             cfg = write_config(tmp_path / f"{name}.json", body)

@@ -31,7 +31,7 @@ from .finsler import (ellipticity_constant, ellipticity_verdict, verify_duality_
                       wulff_boundary)
 from .io import (canonical_json, config_sha256, write_field_csv, write_json,
                  write_profile_csv, write_study_csv, write_wulff_csv)
-from .material import admissibility_report, check_source_signs
+from .material import ADMISSIBILITY_SAMPLES, admissibility_report, check_source_signs
 from .mesh import build_domain
 from .radial import shoot
 from .solver import solve
@@ -121,7 +121,7 @@ def main(argv=None):
         run = build_run(cfg, args.command)
         check_source_signs(run.source)
         admissibility = admissibility_report(run.material, run.norm, run.source,
-                                             n_samples=2048, seed=cfg["seed"])
+                                             n_samples=ADMISSIBILITY_SAMPLES, seed=cfg["seed"])
         admissibility["ellipticity"] = ellipticity_constant(run.norm, seed=cfg["seed"])
         admissibility["ellipticity_verdict"] = ellipticity_verdict(run.norm)
     except (ValueError, OSError) as exc:  # ConfigError and AdmissibilityError included

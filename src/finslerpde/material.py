@@ -16,6 +16,9 @@ ellipticity/boundedness pair (C1, C2) of the linearized tensor
 the flux growth constant, the flux monotonicity constant, and the
 Keller-Osserman admissibility of an absorption term g.  All of them are
 sampled estimates, not certificates; seeds make them reproducible.
+
+The source f and the absorption g are specified on [0, inf) only; SourceTerm
+evaluates both at max(s, 0), in array and in scalar form alike.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AdmissibilityError, NumericError
-from .finsler import _scale_rows
+from .finsler import _as_batch, _scale_rows
 from .hypotheses import violation
 
 # Verdicts for the barrier admissibility of g.
@@ -36,6 +39,7 @@ OSSERMAN_CHECKED = "osserman_checked"
 UNCHECKED = "unchecked"
 
 _RADIUS_RANGE = (1e-4, 1e2)   # log-uniform sampling radii for the checks
+ADMISSIBILITY_SAMPLES = 2048  # sample count of the checks the CLI and solve run
 _OSSERMAN_LEVELS = 20         # dyadic halvings in the divergence probe
 _SERIES_TAU = 0.1             # shifted B: binomial series below t / k = this
 _SERIES_TERMS = 400           # cap on the terms of that series
@@ -191,19 +195,35 @@ class MaterialProfile:
 class SourceTerm:
     """Right-hand side f and optional absorption g for barriers.
 
-    ``admissibility`` records the outcome of check_osserman for g:
-    g_zero_near_0, osserman_checked, or unchecked.
+    Both are specified on [0, inf) and evaluated at max(s, 0).
     """
 
     f: Callable
     g: Callable = staticmethod(lambda s: np.zeros_like(np.asarray(s, dtype=float)))
-    admissibility: str = UNCHECKED
 
     def f_vals(self, s):
-        return np.asarray(self.f(np.asarray(s, dtype=float)), dtype=float)
+        return np.asarray(self.f(np.maximum(np.asarray(s, dtype=float), 0.0)), dtype=float)
 
     def g_vals(self, s):
-        return np.asarray(self.g(np.asarray(s, dtype=float)), dtype=float)
+        return np.asarray(self.g(np.maximum(np.asarray(s, dtype=float), 0.0)), dtype=float)
+
+    def scalar(self, part):
+        """Float evaluator of f (part "f") or g ("g") for scalar loops: None
+        when the part vanishes on a wide probe of [0, 1e6], a closure when it
+        is constant there, else a per-call wrapper that clamps with max(w, 0.0)
+        in Python (an np.maximum per one-element call slows an RK4 march)."""
+        fun = {"f": self.f, "g": self.g}[part]
+        probe = np.concatenate([np.linspace(0.0, 10.0, 33), np.geomspace(1e-3, 1e6, 65)])
+        vals = np.asarray(fun(probe), dtype=float)
+        if np.all(vals == 0.0):
+            return None
+        if np.all(vals == vals[0]):
+            const = float(vals[0])
+            return lambda w: const
+
+        def call(w):
+            return float(np.asarray(fun(np.array([max(w, 0.0)])), dtype=float)[0])
+        return call
 
 
 def sample_vectors(dim, count, seed, r_range=_RADIUS_RANGE):
@@ -221,7 +241,7 @@ def linearized_tensor(material, h, xi):
     H and its derivatives come from one set of powers (FinslerNorm.jet),
     B' and B'' from one more (MaterialProfile.b_derivatives).
     """
-    pts, single = (xi[None, :], True) if np.asarray(xi).ndim == 1 else (np.asarray(xi, float), False)
+    pts, single = _as_batch(xi, h.dim)
     hv, g, mats = h.jet(pts)
     b1, b2 = material.b_derivatives(hv)
     # entry by entry (numpy is slow along axes of length 2); exactly symmetric
@@ -276,7 +296,7 @@ def check_flux_bound(material, h, n_samples=10000, seed=0):
 
 def flux(material, h, xi):
     """a(xi) = B'(H(xi)) grad H(xi), extended by 0 at xi = 0."""
-    pts, single = (xi[None, :], True) if np.asarray(xi).ndim == 1 else (np.asarray(xi, float), False)
+    pts, single = _as_batch(xi, h.dim)
     nz = pts[:, 0] != 0.0
     for i in range(1, pts.shape[1]):
         nz |= pts[:, i] != 0.0
@@ -319,10 +339,10 @@ def check_flux_monotonicity(material, h, pairs=None, n_pairs=10000, seed=0):
     return cmin
 
 
-def check_source_signs(source, s_hi=10.0, n_probe=257):
+def check_source_signs(source):
     """Reject sources with f <= 0 somewhere (hypothesis (vii)) or
-    f + g < 0 somewhere (hypothesis (viii)), probing [0, s_hi]."""
-    probe = np.linspace(0.0, s_hi, n_probe)
+    f + g < 0 somewhere (hypothesis (viii)), probing [0, 10]."""
+    probe = np.linspace(0.0, 10.0, 257)
     fv = source.f_vals(probe)
     if np.any(fv <= 0.0):
         s_bad = probe[np.argmin(fv)]
@@ -332,21 +352,19 @@ def check_source_signs(source, s_hi=10.0, n_probe=257):
         raise AdmissibilityError(violation("viii", "f + g takes negative values"))
 
 
-def check_osserman(source, material, delta=1.0):
-    """Barrier admissibility of g on [0, delta] (hypothesis (viii)).
+def check_osserman(source, material):
+    """Barrier admissibility of g on [0, 1] (hypothesis (viii)).
 
     Returns ``g_zero_near_0`` when g vanishes on a positive interval at 0,
     ``osserman_checked`` when the probe integral
 
-        I(eps) = int_eps^delta ds / L^{-1}(G(s)),   G(s) = int_0^s g,
+        I(eps) = int_eps^1 ds / L^{-1}(G(s)),   G(s) = int_0^s g,
 
     keeps growing under dyadic shrinking of eps (increments over 20
     halvings stay comparable to the first), and ``unchecked`` otherwise.
     The dyadic doubling test is a heuristic divergence probe, not a proof.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    grid = np.linspace(0.0, delta, 1025)
+    grid = np.linspace(0.0, 1.0, 1025)
     gvals = source.g_vals(grid)
     scale = np.abs(gvals).max()
     tiny = 1e-14 * max(1.0, scale)
@@ -367,8 +385,8 @@ def check_osserman(source, material, delta=1.0):
 
     increments = []
     for level in range(_OSSERMAN_LEVELS):
-        a = delta / 2.0 ** (level + 1)
-        b = delta / 2.0 ** level
+        a = 1.0 / 2.0 ** (level + 1)
+        b = 1.0 / 2.0 ** level
         pts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         gprim = primitive(pts)
         linv = material.ell_inverse(gprim)
@@ -383,7 +401,7 @@ def check_osserman(source, material, delta=1.0):
     return UNCHECKED
 
 
-def admissibility_report(material, h, source, n_samples=10000, seed=0, delta=1.0):
+def admissibility_report(material, h, source, n_samples=10000, seed=0):
     """Dict with the sampled constants and the Osserman verdict.
 
     This is the payload the CLI writes as admissibility.json.
@@ -391,7 +409,7 @@ def admissibility_report(material, h, source, n_samples=10000, seed=0, delta=1.0
     c1, c2 = check_structural_bounds(material, h, n_samples=n_samples, seed=seed)
     c_flux = check_flux_bound(material, h, n_samples=n_samples, seed=seed)
     c_mono = check_flux_monotonicity(material, h, n_pairs=n_samples, seed=seed)
-    verdict = check_osserman(source, material, delta=delta)
+    verdict = check_osserman(source, material)
     return {
         "profile": {"kind": material.kind, "p": material.p, "k": material.k},
         "norm": h.kind,

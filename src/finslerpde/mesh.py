@@ -116,7 +116,6 @@ class Mesh2D:
             raise ValueError("mesh has orphan vertices")
 
         p0, p1, p2 = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
-        self.barycenters = (p0 + p1 + p2) / 3.0
         # P1 basis gradients: rows of the inverse edge matrix
         d1 = p1 - p0
         d2 = p2 - p0

@@ -116,7 +116,8 @@ import numpy as np
 
 from .errors import NonconvergenceError
 from .fields import ScalarField, element_gradients
-from .material import check_source_signs, check_structural_bounds, flux, linearized_tensor
+from .material import (ADMISSIBILITY_SAMPLES, check_source_signs, check_structural_bounds,
+                       flux, linearized_tensor)
 from .mesh import coarsen, grid_shape
 
 logger = logging.getLogger(__name__)
@@ -128,7 +129,6 @@ _ETA_MAX = 0.5                 # cap of the forcing term
 _EW_GAMMA = 0.9                # Eisenstat-Walker choice 2 factor
 _MAX_BACKTRACKS = 40
 _ARMIJO_C1 = 1e-4
-_ADMISSIBILITY_SAMPLES = 2048
 _OMEGA = 2.0 / 3.0             # damped Jacobi weight of the multigrid smoother
 _COARSEST = 150                # multigrid coarsening stops at this many unknowns
 _NESTED_MIN = 1600             # fewest coarse unknowns of a nested start
@@ -171,19 +171,18 @@ class SolveReport:
 class _Primitive:
     """F(s) = int_0^s f, tabulated on a growing grid.
 
-    The table holds F at 8192 uniform intervals of [0, hi], summed by the
-    composite Simpson rule from f at the nodes and midpoints; a call past
-    hi regrows it to twice the call's largest argument.  f is only assumed
-    on [0, inf); trial line-search states may dip slightly negative, where
-    f is frozen at f(0) (so F is linear there).
+    The table holds F at 8192 uniform intervals of [0, hi], first [0, 1],
+    summed by the composite Simpson rule from f at the nodes and midpoints;
+    a call past hi regrows it to twice the call's largest argument.  Below
+    0, F is continued linearly with slope f(0), the table's first node, so
+    it stays the primitive of SourceTerm.f_vals, which is f(max(s, 0)).
     """
 
     _INTERVALS = 8192
 
-    def __init__(self, f, s_hi=1.0):
+    def __init__(self, f):
         self._f = f
-        self._f0 = float(np.asarray(f(np.zeros(1)))[0])
-        self._build(max(1.0, s_hi))
+        self._build(1.0)
 
     def _build(self, s_hi):
         self._hi = s_hi
@@ -217,7 +216,7 @@ class _Primitive:
         top = s.max() if s.size else 0.0
         if top > self._hi:
             self._build(2.0 * top)
-        return np.where(s < 0.0, s * self._f0, self._hermite(np.maximum(s, 0.0)))
+        return np.where(s < 0.0, s * self._fv[0], self._hermite(np.maximum(s, 0.0)))
 
 
 def _boundary_values(mesh, bc):
@@ -647,7 +646,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         raise ValueError("the 2D solver needs a planar norm")
 
     c1_est, _ = check_structural_bounds(
-        material, norm, n_samples=_ADMISSIBILITY_SAMPLES, seed=opts.seed)
+        material, norm, n_samples=ADMISSIBILITY_SAMPLES, seed=opts.seed)
     check_source_signs(source)
     watch.lap("admissibility")
 

@@ -152,7 +152,7 @@ def _fit_center(mesh, h_dual, contact, normal, radius):
         f"contact vertex; try a smaller radius")
 
 
-def hopf_check(u, h, material, source, radius, m, tol=1e-10):
+def hopf_check(u, h, material, source, radius, m):
     """Boundary slope, barrier margin, and comparison defect for u.
 
     The minimum inner-normal derivative is taken over boundary vertices
@@ -181,7 +181,7 @@ def hopf_check(u, h, material, source, radius, m, tol=1e-10):
 
     center = _fit_center(mesh, h.dual, contact, mesh.boundary_normals[local], radius)
     problem = RadialProblem(material, source, radius=radius, mode="barrier", n=2)
-    profile = shoot(problem, m, tol=tol)
+    profile = shoot(problem, m)
     margin = hopf_margin(profile, h)
 
     rho_geo = h.dual.eval(mesh.vertices - center)

@@ -428,6 +428,28 @@ class TestShootRoot:
         assert prof.shoot_slope == pytest.approx(ref.shoot_slope, rel=1e-13)
 
 
+def keller_osserman_barrier():
+    # g(s) = s^2 grows fast enough that steep boundary slopes blow up
+    source = SourceTerm(f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                        g=lambda s: np.asarray(s, dtype=float) ** 2)
+    return RadialProblem(material=MaterialProfile(p=2.0), source=source, radius=1.0,
+                         mode="barrier")
+
+
+class TestKellerOssermanBarrier:
+    def test_large_target_hits_within_relative_tol(self):
+        # the root is found to 4 ulp; at m = 1e5 that leaves w(end) off by
+        # about 8e-10, so an absolute 1e-10 would reject a converged shot
+        prof = shoot(keller_osserman_barrier(), 1e5)
+        assert abs(prof.w[-1] - 1e5) <= 1e-10 * 1e5
+
+    def test_steep_march_diverges(self):
+        prob = keller_osserman_barrier()
+        assert integrate(prob, 100.0).w[-1] == pytest.approx(306.346, rel=1e-5)
+        with pytest.raises(NumericError, match="diverged"):
+            integrate(prob, 1e3)
+
+
 class TestShootFailure:
     def test_unreachable_target(self, euclid):
         prob = RadialProblem(material=MaterialProfile(p=2.0),

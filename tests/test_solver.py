@@ -80,6 +80,18 @@ class TestNonlinear:
         # f >= 1 implies u at least the torsion solution (comparison)
         assert center_value(field) > 0.24
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("bc", [-1.0, -3.0])
+    def test_negative_boundary_data(self, euclid, p, bc):
+        # f(s) = 1 + s is taken at max(s, 0), so f = 1 where u < 0, and u is
+        # the p-torsion solution shifted by bc: bc + (p-1)/p 2^(-1/(p-1)) at the center
+        src = SourceTerm(f=lambda s: 1.0 + np.asarray(s, dtype=float))
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.1)
+        field, report = solve(mesh, MaterialProfile(p=p), euclid, src, bc=bc)
+        assert report.converged
+        exact = bc + (p - 1.0) / p * 0.5 ** (1.0 / (p - 1.0))
+        assert abs(field.values.max() - exact) <= 5e-3
+
 
 class TestFailureModes:
     def test_nonpositive_source_rejected(self, euclid):
@@ -660,7 +672,6 @@ class TestKernels:
         gradients = np.einsum("tv,tvd->td", values[mesh.triangles], mesh.basis_grads)
         assert np.array_equal(solver.element_gradients(mesh, values), gradients)
         assert np.array_equal(problem.cell_means(values), values[mesh.triangles].mean(axis=1))
-        assert np.array_equal(mesh.barycenters, mesh.vertices[mesh.triangles].mean(axis=1))
 
     def test_residual_scatter_matches_add_at(self, problem):
         mesh = problem.mesh

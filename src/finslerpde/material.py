@@ -43,6 +43,9 @@ ADMISSIBILITY_SAMPLES = 2048  # sample count of the checks the CLI and solve run
 _OSSERMAN_LEVELS = 20         # dyadic halvings in the divergence probe
 _SERIES_TAU = 0.1             # shifted B: binomial series below t / k = this
 _SERIES_TERMS = 400           # cap on the terms of that series
+_DOUBLINGS = 200              # invert_increasing: bracket tops 1, 2, ..., 2^199
+_NEWTON_RTOL = 2.0 * np.finfo(float).eps  # invert_increasing: a Newton step this small ends it
+_NEWTON_STEPS = 200           # invert_increasing: more than bisection alone needs
 
 
 class MaterialProfile:
@@ -154,10 +157,10 @@ class MaterialProfile:
     def ell_inverse(self, y):
         """Inverse of the increasing function L.
 
-        Closed form for the power family, L(s) = (1 - 1/p) s^p.  For shifted
-        profiles s is halved or doubled from 1 until L(s/2) < y <= L(s), and
-        the root is bisected in [s/2, s], which keeps the relative accuracy
-        however small y is.
+        Closed form for the power family, L(s) = (1 - 1/p) s^p.  Shifted
+        profiles go through invert_increasing with L'(s) = s B''(s), which
+        keeps the relative accuracy however small y is; a y above L(2^199)
+        raises NumericError.
         """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 0
@@ -167,28 +170,65 @@ class MaterialProfile:
         if self.k == 0.0:
             out = (self.p * vals / (self.p - 1.0)) ** (1.0 / self.p)
             return float(out[0]) if single else out
-        out = vals.copy()
-        pos = vals > 0.0
-        target = vals[pos]
-        hi = np.ones_like(target)
-        # 2200 steps span the doubles from the smallest subnormal to the largest
-        for _ in range(2200):
-            grow = self.ell(hi) < target
-            shrink = ~grow & (self.ell(0.5 * hi) >= target)
-            if not (np.any(grow) or np.any(shrink)):
-                break
-            hi[grow] *= 2.0
-            hi[shrink] *= 0.5
-        if not np.all(np.isfinite(hi) & (hi > 0.0)):
-            raise NumericError("bracket search for L^{-1} failed")
-        lo = 0.5 * hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            small = self.ell(mid) < target
-            lo = np.where(small, mid, lo)
-            hi = np.where(small, hi, mid)
-        out[pos] = 0.5 * (lo + hi)
+        out = invert_increasing(self.ell, lambda s: s * self.b_second(s), vals)
+        if np.any(np.isnan(out)):
+            raise NumericError(f"L inversion failed: L(s) never reaches "
+                               f"{vals[np.isnan(out)][0]:.3e}")
         return float(out[0]) if single else out
+
+
+def invert_increasing(fun, deriv, y):
+    """t >= 0 with fun(t) = y, elementwise, for an increasing fun with fun(0) = 0.
+
+    y is a 1-d array of nonnegative values, fun and deriv = fun' act
+    elementwise on 1-d arrays of t > 0.  Each bracket is geometric: from
+    t = 1 it doubles until fun(hi) >= y, at most up to 2^199, then halves
+    until fun(lo) < y or lo reaches 1e-320.  Newton's method on fun(t) = y
+    then starts from the upper end; a step that would leave the bracket is
+    replaced by a geometric bisection step, so the relative accuracy
+    survives tiny roots.  A step, or a bracket, below 2 eps relative ends
+    it (the bracket test stops a Newton iteration that rounding in fun
+    keeps from taking that small a step).  0 maps to 0, and NaN marks a y
+    that fun does not reach below 2^199.
+    """
+    out = np.zeros_like(y)
+    idx = np.flatnonzero(y != 0.0)
+    target = y[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = np.ones_like(target)
+        short = np.ones(target.shape, dtype=bool)
+        for _ in range(_DOUBLINGS):
+            short[short] = ~(fun(hi[short]) >= target[short])
+            if not np.any(short):
+                break
+            hi[short] *= 2.0
+        out[idx[short]] = np.nan
+        idx, target, hi = idx[~short], target[~short], hi[~short]
+        lo = hi.copy()
+        over = np.ones(target.shape, dtype=bool)
+        while True:
+            over[over] = (fun(lo[over]) >= target[over]) & (lo[over] > 1e-320)
+            if not np.any(over):
+                break
+            hi[over] = lo[over]
+            lo[over] *= 0.5
+        t = hi
+        for _ in range(_NEWTON_STEPS):
+            excess = fun(t) - target
+            lo = np.where(excess < 0.0, t, lo)
+            hi = np.where(excess > 0.0, t, hi)
+            step = excess / deriv(t)
+            nxt = t - step
+            done = (np.abs(step) <= _NEWTON_RTOL * t) | (hi - lo <= _NEWTON_RTOL * t)
+            t = np.where(done | ((lo < nxt) & (nxt < hi)), nxt, np.sqrt(lo * hi))
+            out[idx[done]] = t[done]
+            live = ~done
+            if not np.any(live):
+                break
+            idx, target, t, lo, hi = idx[live], target[live], t[live], lo[live], hi[live]
+        else:
+            out[idx] = t
+    return out
 
 
 @dataclasses.dataclass
@@ -207,19 +247,20 @@ class SourceTerm:
     def g_vals(self, s):
         return np.asarray(self.g(np.maximum(np.asarray(s, dtype=float), 0.0)), dtype=float)
 
-    def scalar(self, part):
-        """Float evaluator of f (part "f") or g ("g") for scalar loops: None
-        when the part vanishes on a wide probe of [0, 1e6], a closure when it
-        is constant there, else a per-call wrapper that clamps with max(w, 0.0)
-        in Python (an np.maximum per one-element call slows an RK4 march)."""
+    def constant(self, part):
+        """The value of f (part "f") or g ("g") when it takes one value on a
+        wide probe of [0, 1e6] (0.0 when it vanishes there), else None.  The
+        radial march computes constant-source profiles as arrays."""
         fun = {"f": self.f, "g": self.g}[part]
         probe = np.concatenate([np.linspace(0.0, 10.0, 33), np.geomspace(1e-3, 1e6, 65)])
         vals = np.asarray(fun(probe), dtype=float)
-        if np.all(vals == 0.0):
-            return None
-        if np.all(vals == vals[0]):
-            const = float(vals[0])
-            return lambda w: const
+        return float(vals[0]) if np.all(vals == vals[0]) else None
+
+    def scalar(self, part):
+        """Float evaluator of f (part "f") or g ("g") for the scalar RK4 loop.
+        It clamps with max(w, 0.0) in Python: an np.maximum per one-element
+        call slows the march."""
+        fun = {"f": self.f, "g": self.g}[part]
 
         def call(w):
             return float(np.asarray(fun(np.array([max(w, 0.0)])), dtype=float)[0])

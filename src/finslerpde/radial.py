@@ -19,16 +19,23 @@ differentiated.  Two modes:
   central value w(0) and the terminal condition is the boundary value.
 
 Integration is classical 4-stage Runge-Kutta on 4096 uniform steps.
-The shooting parameter is bracketed geometrically and then found by
-Brent's method, each trial being one full march; the bracket ends are
-not marched again, and the returned profile is the march made at the
-root.  Phi is inverted in closed form for power-law profiles and
-otherwise by Newton's method on B'(t) = |y|, with B''(t) = (k + t)^(p-3)
-((p - 1) t + k) in closed form, safeguarded by geometric bisection.
-That is the package's one inverse of B', and the profile does not invert
-it again: its w' at a node is the slope Phi^{-1}(Psi/q) the march took
-there (the first RK4 stage of the step leaving the node), and only the
-last node takes one more inversion.
+When the source the march reads is constant (g in barrier mode, f in
+ball mode, zero included), every stage depends on rho alone: Psi and w
+are then cumulative sums of the steps' increments, with all stages from
+one array inversion of Phi, and only a w-dependent source is marched by
+a scalar loop.  Both give the same numbers to a few ulp (in the cases
+tested, bit for bit for w of power-law profiles and for w and w' at
+p = 2); numpy's pow and the array Newton path move the others.  The
+shooting parameter is bracketed geometrically and then found by Brent's
+method, each trial being one full march; the bracket ends are not
+marched again, and the returned profile is the march made at the root.  Phi is inverted in
+closed form for power-law profiles and otherwise by
+material.invert_increasing: a geometric bracket, then Newton's method on
+B'(t) = |y| with B''(t) = (k + t)^(p-3) ((p - 1) t + k), safeguarded by
+geometric bisection (the scalar loop runs the same iteration on floats).
+The profile does not invert Phi again: its w' at a node is the slope
+Phi^{-1}(Psi/q) the march took there (the first RK4 stage of the step
+leaving the node), and only the last node takes one more inversion.
 In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
 center, so integration starts at rho0 = R * 1e-6 with the series values
 Psi(rho0) = -f(w(0)) rho0^n / n and w(rho0) = w(0) - int_0^rho0
@@ -54,15 +61,14 @@ import numpy as np
 
 from .errors import NumericError
 from .fields import ScalarField
-from .material import MaterialProfile, SourceTerm
+from .material import (_DOUBLINGS, _NEWTON_RTOL, _NEWTON_STEPS, MaterialProfile, SourceTerm,
+                       invert_increasing)
 
 N_STEPS = 4096
 _SLOPE_MIN, _SLOPE_MAX = 1e-12, 1e6
 _W_CAP = 1e12  # treat profiles beyond this as diverged (Keller-Osserman trials)
 _CENTER_CUT = 1e-6  # ball mode starts at R * this
 _RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance scipy's brentq accepts
-_NEWTON_RTOL = 2.0 * np.finfo(float).eps  # Phi^{-1}: a Newton step this small ends it
-_NEWTON_STEPS = 200  # Phi^{-1}: more than bisection alone needs from any bracket
 
 
 @dataclasses.dataclass
@@ -126,8 +132,17 @@ class BarrierProfile:
         return float(self.w[0] if self.mode == "ball" else self.w[-1])
 
 
+def _unreachable(ay):
+    return NumericError(f"Phi inversion failed: B'(t) never reaches {ay:.3e}")
+
+
 def _phi_inverse_scalar(material):
-    """Scalar t = Phi^{-1}(y): solve B'(t) = |y|, signed."""
+    """Scalar t = Phi^{-1}(y): solve B'(t) = |y|, signed.
+
+    The w-dependent RK4 loop inverts one value at a time: this runs the
+    geometric bracket and safeguarded Newton iteration of _phi_inverse on
+    Python floats, and raises where _phi_inverse gives NaN.
+    """
     p, k = material.p, material.k
     if k == 0.0:
         e = 1.0 / (p - 1.0)
@@ -143,12 +158,12 @@ def _phi_inverse_scalar(material):
             return 0.0
         ay = abs(y)
         hi = 1.0
-        for _ in range(200):
+        for _ in range(_DOUBLINGS):
             if (k + hi) ** (p - 2.0) * hi >= ay:
                 break
             hi *= 2.0
         else:
-            raise NumericError(f"Phi inversion failed: B'(t) never reaches {ay:.3e}")
+            raise _unreachable(ay)
         lo = hi
         while (k + lo) ** (p - 2.0) * lo >= ay and lo > 1e-320:
             lo *= 0.5
@@ -173,35 +188,62 @@ def _phi_inverse_scalar(material):
     return inv
 
 
+def _phi_inverse(material, y):
+    """Array t = Phi^{-1}(y) for a 1-d array y, signed.
+
+    Closed form |y|^(1/(p-1)) for power-law profiles, where an overflow
+    gives inf; otherwise invert_increasing on B' with B'', where NaN marks
+    a |y| that B' does not reach below t = 2^199 (the scalar inverse
+    raises there).
+    """
+    if material.k == 0.0:
+        return np.copysign(np.abs(y) ** (1.0 / (material.p - 1.0)), y)
+    return np.copysign(invert_increasing(material.b_prime, material.b_second, np.abs(y)), y)
+
+
 def _march(problem, start, n_steps):
     """RK4 in (w, Psi).
 
     Returns (w_nodes, w_prime_nodes), or (None, None) if the trajectory
     leaves the finite range (a diverged shooting trial).  w' = Phi^{-1}(Psi/q)
     at a node is the k1 slope of the step leaving it; only the last node
-    takes one more inversion of B'.  The source is evaluated through
-    SourceTerm.scalar, so at max(w, 0), and not at all when it is zero.
+    takes one more inversion of B'.  The source the march reads, g in
+    barrier mode and f in ball mode, is classified by SourceTerm.constant:
+    a constant one is marched as arrays (_march_constant), a w-dependent
+    one by a scalar loop that evaluates it through SourceTerm.scalar, so at
+    max(w, 0).
     """
+    barrier = problem.mode == "barrier"
+    part = "g" if barrier else "f"
+    const = problem.source.constant(part)
+    rhs = problem.source.scalar(part) if const is None else (lambda w: const)
+    if barrier:
+        psi0 = problem.radius ** (problem.n - 1) * float(
+            problem.material.b_prime(np.asarray(start, dtype=float)))
+    else:
+        # the series start at rho0: Psi(rho0) = -f(w(0)) rho0^n / n
+        psi0 = -rhs(float(start)) * problem.span()[0] ** problem.n / problem.n
+    if const is None:
+        return _march_loop(problem, start, n_steps, rhs, psi0)
+    return _march_constant(problem, start, n_steps, const, psi0)
+
+
+def _ball_start(problem, start, slope0):
+    """w(rho0) = w(0) - int_0^rho0 Phi^{-1}(f0 rho / n) from slope0, the
+    integrand at rho0: Phi^{-1} is y^d with d = 1/(p - 1), or near 0
+    linear (d = 1) when k > 0."""
     mat = problem.material
-    phi_inv = _phi_inverse_scalar(mat)
+    d = 1.0 / (mat.p - 1.0) if mat.k == 0.0 else 1.0
+    return float(start) + problem.span()[0] * slope0 / (1.0 + d)
+
+
+def _march_loop(problem, start, n_steps, rhs, psi0):
+    """_march for a w-dependent source: one RK4 step at a time on floats."""
+    phi_inv = _phi_inverse_scalar(problem.material)
     r_pow = problem.n - 1
     radius = problem.radius
     barrier = problem.mode == "barrier"
-    if barrier:
-        rhs = problem.source.scalar("g")
-        sign = 1.0
-        w0 = 0.0
-        psi0 = radius ** r_pow * float(mat.b_prime(np.asarray(start, dtype=float)))
-    else:
-        rhs = problem.source.scalar("f")
-        sign = -1.0
-        rho0 = _CENTER_CUT * radius
-        f0 = rhs(float(start)) if rhs is not None else 0.0
-        psi0 = -f0 * rho0 ** problem.n / problem.n
-        # w(rho0) = w(0) - int_0^rho0 Phi^{-1}(f0 rho / n): Phi^{-1} is y^d
-        # with d = 1/(p - 1), or near 0 linear (d = 1) when k > 0
-        d = 1.0 / (mat.p - 1.0) if mat.k == 0.0 else 1.0
-        w0 = float(start) + rho0 * phi_inv(psi0 / rho0 ** r_pow) / (1.0 + d)
+    sign = 1.0 if barrier else -1.0
     a, b = problem.span()
     step = (b - a) / n_steps
 
@@ -209,10 +251,12 @@ def _march(problem, start, n_steps):
         return (radius - r) ** r_pow if barrier else r ** r_pow
 
     def deriv(r, w, psi):
-        dw = phi_inv(psi / q_at(r))
-        dpsi = 0.0 if rhs is None else sign * rhs(w) * q_at(r)
-        return dw, dpsi
+        return phi_inv(psi / q_at(r)), sign * rhs(w) * q_at(r)
 
+    try:
+        w0 = 0.0 if barrier else _ball_start(problem, start, phi_inv(psi0 / q_at(a)))
+    except OverflowError:
+        return None, None
     w, psi = w0, psi0
     ws = [w0]
     dws = []
@@ -236,6 +280,52 @@ def _march(problem, start, n_steps):
     except OverflowError:
         return None, None
     return np.array(ws), np.array(dws)
+
+
+def _march_constant(problem, start, n_steps, const, psi0):
+    """_march for a constant source c: Psi' = +-c q(rho) makes every RK4
+    stage a function of rho alone.
+
+    Psi's nodes are np.add.accumulate of the steps' increments, the w
+    stages come from one array Phi^{-1} on the node, midpoint and end
+    abscissae, and w's nodes are np.add.accumulate again.  The abscissae
+    (a + i*step, + 0.5*step, + step) and the operation order are the
+    loop's, so the numbers are its numbers but for an ulp here and there
+    from numpy's pow (not libm's) and, for shifted profiles, the array
+    inverter's Newton path.  A march that diverges at step i (an
+    overflow gives inf) returns (None, None), unless a stage of step i is
+    a value B' does not reach: that raises, as in the loop.
+    """
+    a, b = problem.span()
+    step = (b - a) / n_steps
+    c = const if problem.mode == "barrier" else -const
+    r = a + np.arange(n_steps) * step
+    q0, q_mid, q1 = problem.q(r), problem.q(r + 0.5 * step), problem.q(r + step)
+    k1p, k2p, k4p = c * q0, c * q_mid, c * q1  # k3p is k2p
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.add.accumulate(np.concatenate(
+            [[psi0], step * (k1p + 2.0 * k2p + 2.0 * k2p + k4p) / 6.0]))
+        node = psi[:-1]
+        y = np.concatenate([node / q0, (node + 0.5 * step * k1p) / q_mid,
+                            (node + 0.5 * step * k2p) / q_mid, (node + step * k2p) / q1,
+                            [psi[-1] / problem.q(b)]])
+        slopes = _phi_inverse(problem.material, y)
+        k1w, k2w, k3w, k4w = slopes[:-1].reshape(4, n_steps)
+        w0 = 0.0 if problem.mode == "barrier" else _ball_start(problem, start, k1w[0])
+        w = np.add.accumulate(np.concatenate(
+            [[w0], step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0]))
+    bad = ~(np.isfinite(w[1:]) & np.isfinite(psi[1:]) & (np.abs(w[1:]) < _W_CAP))
+    if np.any(bad):
+        stages = np.flatnonzero(bad)[0] + n_steps * np.arange(4)
+        unreached = np.isnan(slopes[stages])
+        if np.any(unreached):
+            raise _unreachable(abs(y[stages[unreached][0]]))
+        return None, None
+    if np.isnan(slopes[-1]):
+        raise _unreachable(abs(y[-1]))
+    if not np.isfinite(slopes[-1]):
+        return None, None
+    return w, np.append(k1w, slopes[-1])
 
 
 def _profile(problem, start, ws, w_prime):
@@ -336,7 +426,8 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
 
     Barrier mode solves for the boundary slope (target_m > 0); ball mode
     for the central value (target_m >= 0, typically 0 for Dirichlet
-    data).  The bracket grows geometrically from [1e-6, 1]; slopes
+    data).  The bracket grows geometrically from [1e-6, 1], the end that
+    does not move taking the last value of the one that does; slopes
     outside [1e-12, 1e6] raise NumericError.  Brent's method then finds
     the parameter to a relative accuracy of 4 ulp, starting from the
     bracket ends' values.  Each parameter is marched once: the profile
@@ -356,6 +447,7 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
     lo, hi = 1e-6, 1.0
     hit_lo, hit_hi = hit(lo), hit(hi)
     while hit_lo > target_m:
+        hi, hit_hi = lo, hit_lo
         lo *= 0.25
         if lo < _SLOPE_MIN:
             raise NumericError(
@@ -363,6 +455,7 @@ def shoot(problem, target_m, tol=1e-10, n_steps=N_STEPS):
                 f"slope {_SLOPE_MIN:.0e}")
         hit_lo = hit(lo)
     while hit_hi < target_m:
+        lo, hit_lo = hi, hit_hi
         hi *= 4.0
         if hi > _SLOPE_MAX:
             raise NumericError(

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerpde import (AdmissibilityError, FinslerNorm, MaterialProfile, SourceTerm,
-                        check_flux_bound, check_flux_monotonicity,
+from finslerpde import (AdmissibilityError, FinslerNorm, MaterialProfile, NumericError,
+                        SourceTerm, check_flux_bound, check_flux_monotonicity,
                         check_osserman, check_structural_bounds, flux,
                         linearized_tensor)
 from finslerpde import radial
@@ -127,6 +127,12 @@ class TestProfileValues:
         assert m.ell_inverse(0.0) == 0.0
         zero, one = m.ell_inverse(np.array([0.0, 1.0]))
         assert zero == 0.0 and one > 0.0
+
+    def test_ell_inverse_bracket_limit(self):
+        # the bracket stops at s = 2^199, where L is about 2^298.5 / 3 = 1.8e89
+        m = MaterialProfile(p=1.5, k=0.5, kind="shifted")
+        with pytest.raises(NumericError, match="L inversion failed"):
+            m.ell_inverse(np.array([1.0, 1e100]))
 
 
 class TestStructuralBounds:

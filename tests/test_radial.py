@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,23 +239,138 @@ class TestVaryingSource:
                                                        abs=1e-11)
 
 
+def march_pair(prob, start, n_steps):
+    """_march of a constant-source problem as arrays, and as the scalar
+    loop, forced by classifying the source as w-dependent."""
+    arrays = radial._march(prob, start, n_steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SourceTerm, "constant", lambda self, part: None)
+        loop = radial._march(prob, start, n_steps)
+    return arrays, loop
+
+
+def integrate_both(prob, start):
+    """integrate() with the array march and with the forced scalar loop:
+    the profile's w(end), or the error message."""
+    outcomes = []
+    for force_loop in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if force_loop:
+                mp.setattr(SourceTerm, "constant", lambda self, part: None)
+            try:
+                outcomes.append(integrate(prob, start).w[-1])
+            except NumericError as err:
+                outcomes.append(str(err))
+    return outcomes
+
+
 class TestPhiInverse:
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("k", [1e-3, 0.5, 1.0])
     def test_matches_bisection(self, p, k):
+        # the scalar inverse and the array one
         material = MaterialProfile(p=p, k=k, kind="shifted")
         inv = radial._phi_inverse_scalar(material)
         ys = np.concatenate([np.geomspace(1e-150, 1e10, 97), -np.geomspace(1e-8, 1e8, 17)])
-        got = np.array([inv(y) for y in ys])
         ref = np.array([bisection_phi_inverse(material, y) for y in ys])
-        assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * np.abs(ref))
+        for got in (np.array([inv(y) for y in ys]), radial._phi_inverse(material, ys)):
+            assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * np.abs(ref))
         assert inv(0.0) == 0.0
+        assert radial._phi_inverse(material, np.array([0.0]))[0] == 0.0
 
     def test_unreachable_value_raises(self):
         # B'(t) ~ t^0.2 stays below 1e13 up to t = 2^200
-        inv = radial._phi_inverse_scalar(MaterialProfile(p=1.2, k=0.5, kind="shifted"))
+        material = MaterialProfile(p=1.2, k=0.5, kind="shifted")
+        inv = radial._phi_inverse_scalar(material)
         with pytest.raises(NumericError, match="Phi inversion failed"):
             inv(1e13)
+        # the array inverse marks it NaN; a march needing it raises, as the loop does
+        assert np.array_equal(np.isnan(radial._phi_inverse(material, np.array([1.0, 1e13]))),
+                              [False, True])
+        # g = 1e18: step 0's midpoint stage is Phi^{-1}(6.1e13)
+        prob = RadialProblem(material=material, source=const_source(g=1e18), radius=1.0,
+                             mode="barrier")
+        for outcome in integrate_both(prob, 1.0):
+            assert outcome == "Phi inversion failed: B'(t) never reaches 6.104e+13"
+
+    def test_divergence_before_an_unreachable_value(self):
+        # slope 2^198.5: w passes the cap at step 0, where every stage is
+        # reachable, and Psi/q reaches 2 B'(2^198.5), beyond B'(2^199), later;
+        # the loop never gets there, so the array march reports divergence too
+        material = MaterialProfile(p=1.2, k=0.5, kind="shifted")
+        slope = 2.0 ** 198.5
+        assert np.isnan(radial._phi_inverse(material, np.array([2.0 * material.b_prime(slope)])))
+        prob = RadialProblem(material=material, source=const_source(), radius=1.0,
+                             mode="barrier")
+        for outcome in integrate_both(prob, slope):
+            assert outcome.startswith("radial profile diverged")
+
+    def test_overflow_is_a_diverged_march(self):
+        # p = 1.2, g = 1e70: step 0's midpoint stage |y|^5 overflows
+        prob = RadialProblem(material=MaterialProfile(p=1.2), source=const_source(g=1e70),
+                             radius=1.0, mode="barrier")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for outcome in integrate_both(prob, 1.0):
+                assert outcome == "radial profile diverged for shooting parameter 1"
+        # f = 1e70 (1 + s) in ball mode: the series start Phi^{-1}(f rho0 / 2)
+        # already overflows in the loop
+        prob = RadialProblem(material=MaterialProfile(p=1.2), radius=1.0, mode="ball",
+                             source=SourceTerm(f=lambda s: 1e70 * (1.0 + np.asarray(s))))
+        with pytest.raises(NumericError, match="diverged"):
+            integrate(prob, 0.0)
+
+
+class TestArrayMarch:
+    """Constant-source marches go through arrays, with the loop's numbers."""
+
+    # Largest differences measured at 1024 and 4096 steps: none in w at
+    # k = 0 or p = 2, and none in w' at p = 2; w' at k = 0 within 0.98 eps
+    # relative; at k > 0, w within 0.83 eps of max |w| and w' within 3.5 eps
+    # relative.  The bounds are about 4x those.
+    @pytest.mark.parametrize("k", [0.0, 1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mode, source", [("barrier", const_source()),
+                                              ("barrier", const_source(g=0.7)),
+                                              ("ball", const_source())],
+                             ids=["barrier_g0", "barrier_g0.7", "ball_f1"])
+    def test_equals_loop(self, mode, source, p, k):
+        eps = np.finfo(float).eps
+        material = MaterialProfile(p=p, k=k, kind="shifted" if k else "power")
+        prob = RadialProblem(material=material, source=source, radius=1.0, mode=mode)
+        (w, dw), (w_ref, dw_ref) = march_pair(prob, 0.3, n_steps=1024)
+        if p == 2.0:
+            assert np.array_equal(dw, dw_ref)
+        if p == 2.0 or k == 0.0:
+            assert np.array_equal(w, w_ref)
+        assert np.abs(w - w_ref).max() <= 4 * eps * np.abs(w_ref).max()
+        assert np.all(np.abs(dw - dw_ref) <= (4 if k == 0.0 else 16) * eps * np.abs(dw_ref))
+
+    def test_constant_source_skips_the_loop(self, monkeypatch):
+        # a silent fallback to the loop would invert ~16k values one by one
+        calls = {"phi_inv": 0, "f": 0}
+        factory = radial._phi_inverse_scalar
+
+        def counting_factory(material):
+            inv = factory(material)
+
+            def counted(y):
+                calls["phi_inv"] += 1
+                return inv(y)
+            return counted
+
+        def f(s):
+            calls["f"] += 1
+            return np.ones_like(np.asarray(s, dtype=float))
+
+        monkeypatch.setattr(radial, "_phi_inverse_scalar", counting_factory)
+        prob = RadialProblem(material=MaterialProfile(p=3.0, k=0.5, kind="shifted"),
+                             source=SourceTerm(f=f), radius=1.0, mode="ball")
+        integrate(prob, 0.3)
+        assert calls == {"phi_inv": 0, "f": 1}  # f: SourceTerm.constant's one probe
+        monkeypatch.setattr(SourceTerm, "constant", lambda self, part: None)
+        integrate(prob, 0.3)
+        assert calls["phi_inv"] == 1 + 4 * radial.N_STEPS + 1
 
 
 class TestLift:
@@ -436,12 +552,24 @@ def keller_osserman_barrier():
                          mode="barrier")
 
 
+@pytest.fixture(scope="module")
+def keller_osserman_shot():
+    return shoot_counted(keller_osserman_barrier(), 1e5)
+
+
 class TestKellerOssermanBarrier:
-    def test_large_target_hits_within_relative_tol(self):
+    def test_large_target_hits_within_relative_tol(self, keller_osserman_shot):
         # the root is found to 4 ulp; at m = 1e5 that leaves w(end) off by
         # about 8e-10, so an absolute 1e-10 would reject a converged shot
-        prof = shoot(keller_osserman_barrier(), 1e5)
+        prof, _ = keller_osserman_shot
         assert abs(prof.w[-1] - 1e5) <= 1e-10 * 1e5
+
+    def test_bracket_growth_moves_the_lower_end(self, keller_osserman_shot):
+        # slopes 1, 4, 16 and 64 fall short of m = 1e5, so Brent starts from
+        # the last of them, not from 1e-6 (21 marches with bracket (1e-6, 256))
+        prof, marched = keller_osserman_shot
+        assert prof.bracket == (64.0, 256.0)
+        assert prof.marches == len(marched) == 19
 
     def test_steep_march_diverges(self):
         prob = keller_osserman_barrier()

@@ -21,7 +21,7 @@ import pytest
 
 from finslerpde import (DomainSpec, FinslerNorm, MaterialProfile, build_domain, solve,
                         weighted_hessian_integral)
-from finslerpde.radial import _phi_inverse_scalar
+from finslerpde.radial import _phi_inverse
 
 ELLIPSOIDAL = FinslerNorm.ellipsoidal(np.diag([4.0, 1.0]))
 EUCLIDEAN = FinslerNorm.euclidean(2)
@@ -36,8 +36,7 @@ def wulff_ball_integrals(norm, material, f=1.0, radius=1.0, beta=0.0, t=0.5,
     s, ws = 0.5 * (s + 1.0), 0.5 * ws
     rho = radius * s ** 6
     drho = 6.0 * radius * s ** 5 * ws
-    inv = _phi_inverse_scalar(material)
-    w1 = -np.array([inv(f * r / n) for r in rho])
+    w1 = -_phi_inverse(material, f * rho / n)
     w2 = -(f / n) / material.b_second(-w1)
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     hd, g, d2 = norm.dual.jet(np.column_stack([np.cos(theta), np.sin(theta)]))

@@ -88,6 +88,10 @@ class Mesh2D:
     lattice: the Lattice of the interior vertices, or None for a mesh
     built by hand.  A builder that has already measured the longest edge
     passes it as ``h``; otherwise it is measured here.
+
+    The geometry (_geometry) and the boundary edges (_boundary_edges) come
+    from helpers, so their whole-mesh temporaries are freed when each
+    returns; only the attributes outlive the constructor.
     """
 
     def __init__(self, vertices, triangles, lattice=None, *, h=None):
@@ -100,51 +104,13 @@ class Mesh2D:
         n = self.vertices.shape[0]
         if tris.min() < 0 or tris.max() >= n:
             raise ValueError("triangle index out of range")
-        # orient consistently counterclockwise
-        p = self.vertices
-        e1 = p[tris[:, 1]] - p[tris[:, 0]]
-        e2 = p[tris[:, 2]] - p[tris[:, 0]]
-        signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        flip = signed < 0
-        tris[flip] = tris[flip][:, [0, 2, 1]]
-        signed = np.abs(signed)
-        if np.any(signed <= 0.0):
-            raise ValueError("degenerate triangle in mesh")
-        self.triangles = tris
-        self.areas = signed
+        self.triangles, self.areas, self.basis_grads = _geometry(self.vertices, tris)
         if np.bincount(tris.ravel(), minlength=n).min() == 0:
             raise ValueError("mesh has orphan vertices")
-
-        p0, p1, p2 = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
-        # P1 basis gradients: rows of the inverse edge matrix
-        d1 = p1 - p0
-        d2 = p2 - p0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        g1 = np.stack([d2[:, 1], -d2[:, 0]]) / det
-        g2 = np.stack([-d1[:, 1], d1[:, 0]]) / det
-        # stored as (3, 2, M), so each column basis_grads[:, a, d] is contiguous
-        self.basis_grads = np.stack([-(g1 + g2), g1, g2]).transpose(2, 0, 1)  # (M, 3, 2)
-
-        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        opposite = np.concatenate([tris[:, 2], tris[:, 0], tris[:, 1]])
-        # each edge keyed by its sorted ends; runs of equal keys, in stable
-        # order, give each distinct edge's first occurrence and its count
-        key = np.minimum(edges[:, 0], edges[:, 1])
-        key *= n
-        key += np.maximum(edges[:, 0], edges[:, 1])
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        start = order[first]
-        counts = np.diff(np.append(first, len(key)))
-        if counts.max() > 2:
-            raise ValueError("non-manifold edge in mesh")
-        bmask = counts == 1
-        b_edges = edges[start[bmask]]
-        b_opposite = opposite[start[bmask]]
-        self.h = _longest_edge(p, tris) if h is None else h
-
-        self.boundary_vertices = np.unique(b_edges)
+        b_edges, b_opposite = _boundary_edges(tris, n)
+        self.h = _longest_edge(self.vertices, tris) if h is None else h
+        # sorted, as np.unique would give them, without importing numpy.ma
+        self.boundary_vertices = np.flatnonzero(np.bincount(b_edges.ravel(), minlength=n))
         self._interior_mask = np.ones(n, dtype=bool)
         self._interior_mask[self.boundary_vertices] = False
         self.boundary_normals = self._vertex_normals(b_edges, b_opposite)
@@ -212,12 +178,86 @@ class Mesh2D:
         return self.boundary_normals[pos]
 
 
+def _geometry(p, tris):
+    """Orient the triangles counterclockwise, in place; return them with
+    their areas and P1 basis gradients.
+
+    The two edge vectors from corner 0 are taken once.  A clockwise row
+    swaps corners 1 and 2, which swaps the two vectors and negates the
+    determinant.  The gradients, rows of the inverse edge matrix, fill one
+    (3, 2, M) buffer, so each column basis_grads[:, a, d] of the returned
+    (M, 3, 2) view is contiguous.
+    """
+    p0 = p[tris[:, 0]]
+    e1 = p[tris[:, 1]]
+    e1 -= p0
+    e2 = p[tris[:, 2]]
+    e2 -= p0
+    del p0
+    det = e1[:, 0] * e2[:, 1]
+    det -= e1[:, 1] * e2[:, 0]
+    flip = det < 0
+    if flip.any():
+        tris[flip] = tris[flip][:, [0, 2, 1]]
+        e1[flip], e2[flip] = e2[flip], e1[flip]
+        np.negative(det, out=det, where=flip)
+    areas = 0.5 * det
+    if np.any(areas <= 0.0):
+        raise ValueError("degenerate triangle in mesh")
+    grads = np.empty((3, 2, len(det)))
+    np.divide(e2[:, 1], det, out=grads[1, 0])
+    np.divide(e2[:, 0], det, out=grads[1, 1])
+    np.negative(grads[1, 1], out=grads[1, 1])
+    np.divide(e1[:, 1], det, out=grads[2, 0])
+    np.negative(grads[2, 0], out=grads[2, 0])
+    np.divide(e1[:, 0], det, out=grads[2, 1])
+    np.add(grads[1], grads[2], out=grads[0])
+    np.negative(grads[0], out=grads[0])
+    return tris, areas, grads.transpose(2, 0, 1)
+
+
+def _boundary_edges(tris, n):
+    """The edges of one triangle only, (k, 2), and the vertex opposite each.
+
+    Edge j of triangle t joins corners j and j + 1 (mod 3) and is keyed by
+    its sorted ends at position j M + t.  Runs of equal keys, in stable
+    order, give each distinct edge's first occurrence and its count; the
+    ends and the opposite corner are read back from the triangle.  Raises
+    ValueError for an edge of more than two triangles.
+    """
+    m = len(tris)
+    key = np.empty(3 * m, dtype=np.int64)
+    for j in range(3):
+        u, v = tris[:, j], tris[:, (j + 1) % 3]
+        part = key[j * m:(j + 1) * m]
+        np.minimum(u, v, out=part)
+        part *= n
+        part += np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    del key  # the run lengths below, not the sort, set this function's peak
+    counts = np.diff(np.append(first, 3 * m))
+    if counts.max() > 2:
+        raise ValueError("non-manifold edge in mesh")
+    corner, t = np.divmod(order[first[counts == 1]], m)
+    ends = np.stack([tris[t, corner], tris[t, (corner + 1) % 3]], axis=1)
+    return ends, tris[t, (corner + 2) % 3]
+
+
 def _longest_edge(vertices, triangles):
-    """Length of the longest triangle edge."""
-    x, y = vertices[:, 0][triangles], vertices[:, 1][triangles]
-    dx = x - x[:, [1, 2, 0]]
-    dy = y - y[:, [1, 2, 0]]
-    return float(np.sqrt((dx * dx + dy * dy).max()))
+    """Length of the longest triangle edge, measured one edge column at a time."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    longest = 0.0
+    for j in range(3):
+        u, v = triangles[:, j], triangles[:, (j + 1) % 3]
+        dx = x[u] - x[v]
+        dy = y[u] - y[v]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        longest = max(longest, dx.max())
+    return float(np.sqrt(longest))
 
 
 def _union_jack(a, b, c, d):

@@ -258,8 +258,10 @@ def _stencil_slots(mesh):
     vertices at lattice points (i, j) and (i + a - 1, j + b - 1) and adds
     into slot (3 a + b) n_int + i cols + j of the (3, 3, rows, cols) stencil
     data; entries that touch the boundary go to slot 9 n_int, one past the
-    data, which assembly drops.  Raises ValueError for a mesh without a
-    lattice or with a coupling past a lattice neighbour.
+    data, which assembly drops.  Each corner's lattice row and column are
+    taken once; the nine (a, b) rows of the slot array are then filled one
+    at a time.  Raises ValueError for a mesh without a lattice or with a
+    coupling past a lattice neighbour.
     """
     lattice = mesh.lattice
     if lattice is None:
@@ -267,24 +269,31 @@ def _stencil_slots(mesh):
                          "grid, as build_domain does")
     cols = lattice.cols
     n_int = lattice.rows * cols
-    # int32 keeps the (3, 3, T) temporaries small; the slots are intp for bincount
+    # int32 keeps the (3, T) corner arrays small; the slots are intp for bincount
     local = np.full(mesh.n_vertices, -1, dtype=np.int32)
     local[mesh.interior_mask] = np.arange(n_int, dtype=np.int32)
-    tri = local[mesh.triangles].T
+    tri = local[mesh.triangles.T]
     row, col = np.divmod(tri, np.int32(max(cols, 1)))  # a lattice may have no points
-    di = row[None, :, :] - row[:, None, :]
-    dj = col[None, :, :] - col[:, None, :]
-    if lattice.periodic:
-        dj += 1
-        dj %= cols
-        dj -= 1
-    inside = (tri[:, None, :] >= 0) & (tri[None, :, :] >= 0)
-    if np.any(inside & ((np.abs(di) > 1) | (np.abs(dj) > 1))):
-        raise ValueError("the stiffness matrix couples vertices that are not lattice "
-                         "neighbours: number the vertices along a grid")
-    di *= 3
-    di += dj + 4
-    slot = np.where(inside, di.astype(np.intp) * n_int + tri[:, None, :], 9 * n_int)
+    inside = tri >= 0
+    slot = np.empty((3, 3, tri.shape[1]), dtype=np.intp)
+    for a in range(3):
+        for b in range(3):
+            di = row[b] - row[a]
+            dj = col[b] - col[a]
+            if lattice.periodic:
+                dj += 1
+                dj %= cols
+                dj -= 1
+            both = inside[a] & inside[b]
+            if np.any(both & ((np.abs(di) > 1) | (np.abs(dj) > 1))):
+                raise ValueError("the stiffness matrix couples vertices that are not "
+                                 "lattice neighbours: number the vertices along a grid")
+            di *= 3
+            di += dj + 4
+            out = slot[a, b]
+            np.multiply(di, n_int, out=out, dtype=np.intp)
+            out += tri[a]
+            np.copyto(out, 9 * n_int, where=~both)
     return slot.ravel()
 
 

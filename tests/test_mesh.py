@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,59 @@ def unique_rows_boundary(mesh):
     return np.unique(edges[first]), mesh._vertex_normals(edges[first], opposite[first])
 
 
+def whole_mesh_geometry(vertices, triangles):
+    """Reference: orientation, areas, basis gradients and boundary from the
+    whole-mesh formulas, the corners gathered twice and the edges and their
+    opposite vertices concatenated.  Returns the Mesh2D attributes by name."""
+    p = np.asarray(vertices, dtype=float)
+    tris = np.array(triangles, dtype=np.int64)
+    e1 = p[tris[:, 1]] - p[tris[:, 0]]
+    e2 = p[tris[:, 2]] - p[tris[:, 0]]
+    signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    flip = signed < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    p0, p1, p2 = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
+    d1, d2 = p1 - p0, p2 - p0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    g1 = np.stack([d2[:, 1], -d2[:, 0]]) / det
+    g2 = np.stack([-d1[:, 1], d1[:, 0]]) / det
+    n = len(p)
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    opposite = np.concatenate([tris[:, 2], tris[:, 0], tris[:, 1]])
+    key = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    start = order[first][np.diff(np.append(first, len(key))) == 1]
+    b_edges, b_opposite = edges[start], opposite[start]
+    boundary = np.unique(b_edges)
+    mid = 0.5 * (p[b_edges[:, 0]] + p[b_edges[:, 1]])
+    tang = p[b_edges[:, 1]] - p[b_edges[:, 0]]
+    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    inward = p[b_opposite] - mid
+    inward -= tang * np.einsum("ij,ij->i", inward, tang)[:, None]
+    inward /= np.linalg.norm(inward, axis=1, keepdims=True)
+    acc = np.zeros_like(p)
+    np.add.at(acc, b_edges[:, 0], inward)
+    np.add.at(acc, b_edges[:, 1], inward)
+    normals = acc[boundary]
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return {"triangles": tris, "areas": np.abs(signed),
+            "basis_grads": np.stack([-(g1 + g2), g1, g2]).transpose(2, 0, 1),
+            "boundary_vertices": boundary, "boundary_normals": normals}
+
+
+def setup_transient(build):
+    """Peak traced memory of build() above what its result keeps, in MB."""
+    tracemalloc.start()
+    try:
+        kept = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - current) / 1e6
+
+
 class TestMeshIntegrity:
     @pytest.mark.parametrize("dom, h", RECOVERY_MESHES, ids=RECOVERY_IDS)
     def test_boundary_matches_unique_rows(self, dom, h):
@@ -213,6 +267,24 @@ class TestMeshIntegrity:
         mesh = Mesh2D(verts, np.array([[0, 2, 1]]))  # clockwise input
         assert mesh.areas[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mixed_orientations_match_the_whole_mesh_formulas(self, seed):
+        # builder meshes are counterclockwise, so only a hand-built mesh
+        # reaches the flip: reverse a random half of a distorted disk's rows
+        base = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        rng = np.random.default_rng(seed)
+        verts = base.vertices * [1.3, 0.7] + rng.uniform(-0.01, 0.01, base.vertices.shape)
+        tris = base.triangles.copy()
+        reverse = rng.random(len(tris)) < 0.5
+        tris[reverse] = tris[reverse][:, ::-1]
+        ref = whole_mesh_geometry(verts, tris)
+        mesh = Mesh2D(verts, tris)
+        assert 0 < reverse.sum() < len(tris)
+        for name, want in ref.items():
+            have = getattr(mesh, name)
+            assert have.dtype == want.dtype and have.strides == want.strides, name
+            assert np.array_equal(have, want), name
+
     def test_basis_gradients_sum_to_zero(self):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
         assert np.allclose(mesh.basis_grads.sum(axis=1), 0.0, atol=1e-12)
@@ -221,6 +293,20 @@ class TestMeshIntegrity:
         for kind, norm in (("disk", None), ("wulff_ball", ellipsoidal)):
             mesh = build_domain(DomainSpec(kind=kind, radius=1.0, norm=norm), 0.1)
             assert mesh.h <= 0.1 + 1e-12
+
+
+class TestSetupMemory:
+    # Traced transients at h = 0.025, numpy 2.4: the disk build 2.9 MB and
+    # its slots 1.9 MB; the lp q=4 ball build 3.4 MB and its slots 2.2 MB.
+    # Whole-mesh temporaries took 10.8 / 6.5 and 12.6 / 7.6 MB.
+    @pytest.mark.parametrize("dom", [
+        DomainSpec(kind="disk", radius=1.0),
+        DomainSpec(kind="wulff_ball", radius=1.0, norm=FinslerNorm.lp(4.0, 2)),
+    ], ids=["disk", "lp4_ball"])
+    def test_build_and_slots_stay_under_their_bounds(self, dom):
+        mesh = build_domain(dom, 0.025)
+        assert setup_transient(lambda: build_domain(dom, 0.025)) < 4.5
+        assert setup_transient(lambda: _stencil_slots(mesh)) < 3.0
 
 
 class TestLattice:

@@ -525,6 +525,29 @@ def _scipy_primitive(f, hi):
     return CubicHermiteSpline(grid, cumulative_simpson(fv, x=grid, initial=0.0), fv)
 
 
+def _whole_array_slots(mesh):
+    """Reference stencil slots from (3, 3, T) neighbour differences."""
+    lattice = mesh.lattice
+    cols = lattice.cols
+    n_int = lattice.rows * cols
+    local = np.full(mesh.n_vertices, -1, dtype=np.int32)
+    local[mesh.interior_mask] = np.arange(n_int, dtype=np.int32)
+    tri = local[mesh.triangles].T
+    row, col = np.divmod(tri, np.int32(max(cols, 1)))
+    di = row[None, :, :] - row[:, None, :]
+    dj = col[None, :, :] - col[:, None, :]
+    if lattice.periodic:
+        dj += 1
+        dj %= cols
+        dj -= 1
+    inside = (tri[:, None, :] >= 0) & (tri[None, :, :] >= 0)
+    assert not np.any(inside & ((np.abs(di) > 1) | (np.abs(dj) > 1)))
+    di *= 3
+    di += dj + 4
+    slot = np.where(inside, di.astype(np.intp) * n_int + tri[:, None, :], 9 * n_int)
+    return slot.ravel()
+
+
 KERNEL_MESHES = [
     (DomainSpec(kind="disk", radius=1.0), 0.1),
     (DomainSpec(kind="rectangle", a=1.0, b=2.0), 0.1),
@@ -542,6 +565,31 @@ PRIMITIVES = {
     "power_3": (lambda s: s ** 3.0, lambda s: s ** 4 / 4.0),
     "exp": (np.exp, lambda s: np.expm1(s)),
 }
+
+
+class TestStencilSlots:
+    # the kernel meshes (the rectangle's 14 rows and the annulus's 86 columns
+    # do not coarsen) and an annulus whose 176 columns coarsen to 88
+    @pytest.mark.parametrize("case", KERNEL_MESHES + [
+        (DomainSpec(kind="annulus_wulff", radius=1.0, norm=FinslerNorm.lp(4.0, 2)), 0.05)],
+        ids=KERNEL_IDS + ["lp4_annulus-0.05"])
+    def test_slots_equal_the_whole_array_build(self, case):
+        mesh = build_domain(*case)
+        coarse = solver.coarsen(mesh)
+        for m in [mesh] if coarse is None else [mesh, coarse]:
+            slot = solver._stencil_slots(m)
+            assert slot.dtype == np.intp
+            assert np.array_equal(slot, _whole_array_slots(m))
+
+    def test_renumbered_vertices_are_rejected(self):
+        # the same mesh with its vertices shuffled: the interior vertices, in
+        # ascending order, no longer fill the lattice row by row
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        perm = np.random.default_rng(8).permutation(mesh.n_vertices)
+        shuffled = Mesh2D(mesh.vertices[np.argsort(perm)], perm[mesh.triangles], mesh.lattice)
+        assert np.array_equal(np.sort(shuffled.areas), np.sort(mesh.areas))
+        with pytest.raises(ValueError, match="not lattice neighbours"):
+            solver._stencil_slots(shuffled)
 
 
 class TestKernels:

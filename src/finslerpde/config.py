@@ -1,6 +1,8 @@
 """Configuration loading: one strict JSON schema shared by every command.
 
-Unknown keys are rejected by name and values are type-checked.
+Unknown keys are rejected by name and values are type-checked; the
+tokens NaN, Infinity and -Infinity, which strict JSON lacks, are rejected
+where the file or a ``--set`` value is parsed.
 ``build_run`` then constructs every object the command uses (material,
 norm, source and solver options always; the domain, radial problem, Wulff
 or study parameters when the command reads them) before any compute, so
@@ -96,11 +98,22 @@ def _merge(base, override, where):
     return merged
 
 
+def _reject_constant(token):
+    """json.loads hook for NaN, Infinity and -Infinity, which strict JSON
+    does not have."""
+    raise ConfigError(f"{token} is not a JSON number")
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def parse_overrides(pairs):
     """Turn repeatable ``--set a.b=value`` flags into a nested dict.
 
-    Values parse as JSON when possible (numbers, lists, booleans) and
-    fall back to plain strings (so ``norm.kind=lp`` needs no quoting).
+    Values parse as strict JSON when possible (numbers, lists, booleans)
+    and fall back to plain strings (so ``norm.kind=lp`` needs no quoting);
+    NaN, Infinity and -Infinity are rejected.
     """
     tree = {}
     for pair in pairs or ():
@@ -108,9 +121,11 @@ def parse_overrides(pairs):
         if not sep or not key:
             raise ConfigError(f"override {pair!r} is not of the form key=value")
         try:
-            value = json.loads(raw)
+            value = _strict_json(raw)
         except json.JSONDecodeError:
             value = raw
+        except ConfigError as exc:
+            raise ConfigError(f"override {pair!r}: {exc}") from None
         node = tree
         parts = key.split(".")
         for part in parts[:-1]:
@@ -126,10 +141,12 @@ def load_config(path, overrides=None, seed=None):
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        document = json.loads(raw.decode("utf-8"))
+        document = _strict_json(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _reject_unknown(document, _TOP_KEYS, "the top level")

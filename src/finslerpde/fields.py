@@ -35,14 +35,15 @@ class ScalarField:
             raise ValueError("field contains non-finite values")
 
 
-def element_gradients(mesh, values):
-    """Per-triangle gradients of bare vertex values (no ScalarField checks).
+def element_gradients(mesh, values, cells=slice(None)):
+    """Gradients of bare vertex values (no ScalarField checks) on the
+    triangles in ``cells``, by default all of them.
 
     Summed vertex by vertex over whole columns, as einsum sums them: numpy
     is slow along axes of length 2 and 3.
     """
-    u = values[mesh.triangles].T
-    grads = mesh.basis_grads.transpose(1, 2, 0)  # (3, 2, M), contiguous
+    u = values[mesh.triangles[cells]].T
+    grads = mesh.basis_grads[cells].transpose(1, 2, 0)  # (3, 2, M), contiguous
     columns = []
     for d in range(2):
         g = u[0] * grads[0, d]

@@ -265,13 +265,21 @@ def _union_jack(a, b, c, d):
 
     The corner arrays hold vertex ids, one entry per quad; quads are emitted
     in row-major order and split along a-c where the quad index i + j is
-    even, along b-d where it is odd.
+    even, along b-d where it is odd.  The triangles (a, b, c|d) and
+    (a|b, c, d) of each quad fill one (rows, cols, 2, 3) array slot by
+    slot, the split-dependent slots over the two checkerboard parities.
     """
-    i, j = np.indices(a.shape)
-    even = ((i + j) % 2 == 0)[..., None]
-    first = np.where(even, np.stack([a, b, c], axis=-1), np.stack([a, b, d], axis=-1))
-    second = np.where(even, np.stack([a, c, d], axis=-1), np.stack([b, c, d], axis=-1))
-    return np.stack([first, second], axis=-2).reshape(-1, 3).astype(np.int64)
+    out = np.empty(a.shape + (2, 3), dtype=np.int64)
+    for k, corner in ((0, a), (1, b)):
+        out[..., 0, k] = corner
+    for k, corner in ((1, c), (2, d)):
+        out[..., 1, k] = corner
+    for i0, j0 in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        quads = (slice(i0, None, 2), slice(j0, None, 2))
+        even = i0 == j0
+        out[quads + (0, 2)] = (c if even else d)[quads]
+        out[quads + (1, 0)] = (a if even else b)[quads]
+    return out.reshape(-1, 3)
 
 
 def _grid_triangles(nx, ny):

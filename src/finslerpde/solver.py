@@ -70,11 +70,24 @@ lattice of the interior vertices (mesh.Lattice; the annulus wraps around
 its angle), and a P1 stiffness matrix couples each lattice point only to
 its 8 neighbours.  So each tangent is stored as a 3 x 3 stencil per
 lattice point, a (3, 3, rows, cols) array; solve rejects a mesh without
-a lattice.  The element-to-stencil scatter is built once per solve and
-each assembly is one bincount into fixed slots.  The product sums each
-row over its 3 x 3 neighbours in stencil order, on every lattice; the
-annulus seam needs no case of its own, since the padded field already
-holds the wrapped neighbours.
+a lattice.  The element-to-stencil scatter is built once per solve as
+int32 slots, and each assembly is one numpy.add.at into them, which adds
+in input order as bincount does without bincount's intp copy of the
+slots.  The product sums each row over its 3 x 3 neighbours in stencil
+order, on every lattice; the annulus seam needs no case of its own, since
+the padded field already holds the wrapped neighbours.
+
+The per-triangle kernels (energy density, residual contributions, element
+matrices, the report's critical gradients) run over fixed blocks of
+_BLOCK triangles, each block writing its slice of the one full-length
+output, so their temporaries do not grow with the mesh.  Sums, scatters
+and assembly still run once over the full outputs, in the order they
+always had, so no result depends on the block size.  A Newton step keeps
+one tangent alive: its stencil is dropped once the step's directions are
+built, and the directions when the step ends, before the next assembly.
+A residual, search direction or trial iterate that is not finite ends
+the solve with NonconvergenceError, which carries the last finite
+iterate, as does an initial energy that is not finite.
 
 The preconditioner is one V(1,1)-cycle from a zero start, built once per
 tangent (Trottenberg, Oosterlee and Schueller, "Multigrid", Academic
@@ -133,6 +146,7 @@ _OMEGA = 2.0 / 3.0             # damped Jacobi weight of the multigrid smoother
 _COARSEST = 150                # multigrid coarsening stops at this many unknowns
 _NESTED_MIN = 1600             # fewest coarse unknowns of a nested start
 _FACTOR_FAILED = -1            # CG status when the multigrid set-up fails
+_BLOCK = 4096                  # triangles per block of the per-triangle kernels
 # wall-time stages of a solve, as SolveReport.seconds records them
 _STAGES = ("admissibility", "init", "tangent", "preconditioner", "linear_solve",
            "line_search")
@@ -211,11 +225,15 @@ class _Primitive:
         c3 = 2.0 * (v0 - v1) + d0 + d1
         return v0 + t * (d0 + t * (c2 + t * c3))
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
+    def cover(self, s):
+        """Regrow the table to twice the largest of s if that passes its top."""
         top = s.max() if s.size else 0.0
         if top > self._hi:
             self._build(2.0 * top)
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        self.cover(s)
         return np.where(s < 0.0, s * self._fv[0], self._hermite(np.maximum(s, 0.0)))
 
 
@@ -232,15 +250,22 @@ def _boundary_values(mesh, bc):
     return arr
 
 
-def _element_matrices(mesh, cell_tensors):
-    """|T| grad phi_a . M_T grad phi_b for every triangle T, from the
-    symmetric part of M_T.  Entry-major, shape (3, 3, T), and built entry
-    by entry: numpy is slow along axes of length 2 or 3."""
-    area, grads = mesh.areas, mesh.basis_grads
+def _blocks(n):
+    """Consecutive slices of range(n), each _BLOCK long but the last."""
+    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _element_matrices(mesh, cell_tensors, cells=slice(None), out=None):
+    """|T| grad phi_a . M_T grad phi_b for the triangles T in ``cells``,
+    from the symmetric part of M_T.  Entry-major, shape (3, 3, T), written
+    into ``out`` when given, and built entry by entry: numpy is slow along
+    axes of length 2 or 3."""
+    area, grads = mesh.areas[cells], mesh.basis_grads[cells]
     m01 = 0.5 * area * (cell_tensors[:, 0, 1] + cell_tensors[:, 1, 0])
     m00 = area * cell_tensors[:, 0, 0]
     m11 = area * cell_tensors[:, 1, 1]
-    out = np.empty((3, 3, len(area)))
+    if out is None:
+        out = np.empty((3, 3, len(area)))
     for a in range(3):
         # |T| M_T grad phi_a, then its product with each grad phi_b
         wx = grads[:, a, 0] * m00 + grads[:, a, 1] * m01
@@ -258,10 +283,10 @@ def _stencil_slots(mesh):
     vertices at lattice points (i, j) and (i + a - 1, j + b - 1) and adds
     into slot (3 a + b) n_int + i cols + j of the (3, 3, rows, cols) stencil
     data; entries that touch the boundary go to slot 9 n_int, one past the
-    data, which assembly drops.  Each corner's lattice row and column are
-    taken once; the nine (a, b) rows of the slot array are then filled one
-    at a time.  Raises ValueError for a mesh without a lattice or with a
-    coupling past a lattice neighbour.
+    data, which assembly drops.  The slots are int32.  Each corner's lattice
+    row and column are taken once; the nine (a, b) rows of the slot array
+    are then filled one at a time.  Raises ValueError for a mesh without a
+    lattice or with a coupling past a lattice neighbour.
     """
     lattice = mesh.lattice
     if lattice is None:
@@ -269,13 +294,14 @@ def _stencil_slots(mesh):
                          "grid, as build_domain does")
     cols = lattice.cols
     n_int = lattice.rows * cols
-    # int32 keeps the (3, T) corner arrays small; the slots are intp for bincount
+    # int32 throughout, which holds the slots (up to 9 n_int) for up to 238
+    # million interior vertices; add.at takes them without an intp copy
     local = np.full(mesh.n_vertices, -1, dtype=np.int32)
     local[mesh.interior_mask] = np.arange(n_int, dtype=np.int32)
     tri = local[mesh.triangles.T]
     row, col = np.divmod(tri, np.int32(max(cols, 1)))  # a lattice may have no points
     inside = tri >= 0
-    slot = np.empty((3, 3, tri.shape[1]), dtype=np.intp)
+    slot = np.empty((3, 3, tri.shape[1]), dtype=np.int32)
     for a in range(3):
         for b in range(3):
             di = row[b] - row[a]
@@ -291,7 +317,7 @@ def _stencil_slots(mesh):
             di *= 3
             di += dj + 4
             out = slot[a, b]
-            np.multiply(di, n_int, out=out, dtype=np.intp)
+            np.multiply(di, n_int, out=out)
             out += tri[a]
             np.copyto(out, 9 * n_int, where=~both)
     return slot.ravel()
@@ -557,10 +583,13 @@ class _EnergyProblem:
         self._slot = _stencil_slots(mesh)
 
     def stiffness(self, element_mats):
-        """Interior block of sum_T (element matrix of T), as a lattice stencil."""
+        """Interior block of sum_T (element matrix of T), as a lattice stencil.
+
+        add.at sums each slot in input order, as bincount does."""
         rows, cols, periodic = self.mesh.lattice
         size = 9 * rows * cols
-        data = np.bincount(self._slot, weights=element_mats.ravel(), minlength=size + 1)
+        data = np.zeros(size + 1)
+        np.add.at(data, self._slot, element_mats.ravel())
         return _Stencil(data[:size].reshape(3, 3, rows, cols), periodic)
 
     def scatter(self, contrib):
@@ -568,47 +597,59 @@ class _EnergyProblem:
         return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_vertices)
 
-    def cell_means(self, values):
-        """Mean vertex value per triangle, summed as .mean(axis=1) sums it."""
-        u = values[self.mesh.triangles].T
+    def cell_means(self, values, cells=slice(None)):
+        """Mean vertex value per triangle in ``cells``, summed as
+        .mean(axis=1) sums it."""
+        u = values[self.mesh.triangles[cells]].T
         mean = u[0] + u[1]
         mean += u[2]
         mean /= 3.0
         return mean
 
     def energy(self, values):
-        g = element_gradients(self.mesh, values)
-        hn = self.norm.eval(g)
-        dens = self.material.b(hn) - self.primitive(self.cell_means(values))
-        return float((self.mesh.areas * dens).sum())
+        mesh = self.mesh
+        means = self.cell_means(values)
+        # the table grows once, for the whole call, before the first block
+        self.primitive.cover(means)
+        dens = np.empty(mesh.n_triangles)
+        for cells in _blocks(mesh.n_triangles):
+            hn = self.norm.eval(element_gradients(mesh, values, cells))
+            np.subtract(self.material.b(hn), self.primitive(means[cells]), out=dens[cells])
+        return float((mesh.areas * dens).sum())
 
     def residual(self, values):
         """Gradient of the energy with respect to vertex values (full)."""
         mesh = self.mesh
-        cell_flux = flux(self.material, self.norm, element_gradients(mesh, values))
-        load = mesh.areas * self.source.f_vals(self.cell_means(values)) / 3.0
-        fx, fy = cell_flux[:, 0], cell_flux[:, 1]
-        grads = mesh.basis_grads.transpose(1, 2, 0)  # (3, 2, T), contiguous
-        # |T| flux . grad phi_v - |T| f / 3, vertex by vertex
-        contrib = np.empty((len(load), 3))
-        for v in range(3):
-            column = fx * grads[v, 0]
-            column += fy * grads[v, 1]
-            column *= mesh.areas
-            column -= load
-            contrib[:, v] = column
+        contrib = np.empty((mesh.n_triangles, 3))
+        for cells in _blocks(mesh.n_triangles):
+            cell_flux = flux(self.material, self.norm, element_gradients(mesh, values, cells))
+            area = mesh.areas[cells]
+            load = area * self.source.f_vals(self.cell_means(values, cells)) / 3.0
+            fx, fy = cell_flux[:, 0], cell_flux[:, 1]
+            grads = mesh.basis_grads[cells].transpose(1, 2, 0)  # (3, 2, block), contiguous
+            # |T| flux . grad phi_v - |T| f / 3, vertex by vertex
+            for v in range(3):
+                column = fx * grads[v, 0]
+                column += fy * grads[v, 1]
+                column *= area
+                column -= load
+                contrib[cells, v] = column
         return self.scatter(contrib)
 
     def tangent(self, values, c1_floor):
-        xi = element_gradients(self.mesh, values)
-        small = np.sqrt(xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]) < _EPS_GRAD
-        xi[small, 0] += _EPS_GRAD
-        # exactly symmetric (its entries are mirrored, not recomputed)
-        mats = linearized_tensor(self.material, self.norm, xi)
-        if np.any(small):
-            floor = c1_floor * (self.material.k + _EPS_GRAD) ** (self.material.p - 2.0)
-            mats[small] = _floor_spd(mats[small], floor)
-        return self.stiffness(_element_matrices(self.mesh, mats))
+        mesh, material = self.mesh, self.material
+        mats = np.empty((3, 3, mesh.n_triangles))
+        for cells in _blocks(mesh.n_triangles):
+            xi = element_gradients(mesh, values, cells)
+            small = np.sqrt(xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]) < _EPS_GRAD
+            xi[small, 0] += _EPS_GRAD
+            # exactly symmetric (its entries are mirrored, not recomputed)
+            tensors = linearized_tensor(material, self.norm, xi)
+            if np.any(small):
+                floor = c1_floor * (material.k + _EPS_GRAD) ** (material.p - 2.0)
+                tensors[small] = _floor_spd(tensors[small], floor)
+            _element_matrices(mesh, tensors, cells, mats[:, :, cells])
+        return self.stiffness(mats)
 
 
 class _Stopwatch:
@@ -706,6 +747,30 @@ def _nested_start(mesh, coarse, material, norm, source, values, opts, c1_est, wa
     return grid.ravel()[mesh.interior_mask], record
 
 
+def _quadratic_start(problem, values, watch):
+    """Interior values of the p = 2 solve of the norm's quadratic part,
+    H^2 = xi . A xi, with the boundary data of ``values`` (interior entries
+    zero), and the CG status and iterations of that solve."""
+    mesh, norm = problem.mesh, problem.norm
+    tensor = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
+    ke0 = np.empty((3, 3, mesh.n_triangles))
+    load = np.empty((mesh.n_triangles, 3))
+    for cells in _blocks(mesh.n_triangles):
+        tensors = np.tile(tensor, (cells.stop - cells.start, 1, 1))
+        _element_matrices(mesh, tensors, cells, ke0[:, :, cells])
+        fbar = problem.source.f_vals(problem.cell_means(values, cells))
+        load[cells] = (mesh.areas[cells] * fbar / 3.0)[:, None]
+        # interior values are still zero: subtracting K0 @ values moves the
+        # boundary data to the right-hand side
+        load[cells] -= np.einsum("abt,tb->ta", ke0[:, :, cells], values[mesh.triangles[cells]])
+    rhs_i = problem.scatter(load)[mesh.interior_mask]
+    del load  # the solve below needs only rhs_i and k0
+    k0 = problem.stiffness(ke0)
+    del ke0
+    watch.lap("init")
+    return _linear_solve(k0, rhs_i, _CG_RTOL, watch)
+
+
 def _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch):
     """Damped Newton on the mesh from boundary data ``values`` (interior
     entries zero).  It starts from the solve on the coarsened mesh when the
@@ -718,27 +783,17 @@ def _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch
     nested = None
     if coarse is not None:
         watch.lap("init")
-        start, nested = _nested_start(mesh, coarse, material, norm, source, values, opts,
-                                      c1_est, watch)
-        values[interior] = start
+        values[interior], nested = _nested_start(mesh, coarse, material, norm, source, values,
+                                                 opts, c1_est, watch)
+        del coarse  # not needed at the fine level, where the peak is
     else:
-        # the p = 2 problem of the norm's quadratic part, H^2 = xi . A xi
-        tensor = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
-        ke0 = _element_matrices(mesh, np.tile(tensor, (mesh.n_triangles, 1, 1)))
-        fbar = source.f_vals(problem.cell_means(values))
-        load = np.repeat((mesh.areas * fbar / 3.0)[:, None], 3, axis=1)
-        # interior values are still zero: subtracting K0 @ values moves the
-        # boundary data to the right-hand side
-        load -= np.einsum("abt,tb->ta", ke0, values[mesh.triangles])
-        rhs_i = problem.scatter(load)[interior]
-        k0 = problem.stiffness(ke0)
-        watch.lap("init")
-        init, init_info, init_iterations = _linear_solve(k0, rhs_i, _CG_RTOL, watch)
+        init, init_info, init_iterations = _quadratic_start(problem, values, watch)
         if init_info == 0:
             values[interior] = init
         else:
             logger.warning("initial Laplacian solve failed (CG info %d); "
                            "Newton starts from zero interior values", init_info)
+        del init
 
     # B'' is unbounded at critical points in the singular corner p < 2, k = 0
     singular = material.p < 2.0 and material.k == 0.0
@@ -755,77 +810,96 @@ def _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch
         return _make_report(problem, values, history, steps, final_residual, done,
                             init_info, init_iterations, nested, watch.seconds)
 
+    def failure(why):
+        return NonconvergenceError(f"{why} (residual {final_residual:.3e})",
+                                   last_iterate=ScalarField(mesh, values), report=report(False))
+
+    if not math.isfinite(energy):
+        raise failure("the initial energy is not finite")
     for _ in range(opts.max_iter):
         r = problem.residual(values)[interior]
         previous, final_residual = final_residual, math.sqrt(_dot(r, r))
+        if not math.isfinite(final_residual):
+            raise failure(f"the residual is not finite after {len(steps)} accepted steps")
         target = opts.tol_solve * (1.0 + abs(energy))
         if final_residual <= target:
             converged = True
             break
         eta = _CG_RTOL if singular else _forcing_term(final_residual, previous, eta, target)
-
-        kii = problem.tangent(values, c1_est)
-        watch.lap("tangent")
-        step, info, iterations = _linear_solve(kii, -r, eta, watch)
-        directions = []
-        if info == 0 and _dot(r, step) < 0.0:
-            directions.append(("newton", step))
-        directions.append(("descent", -r / kii.diagonal()))  # preconditioned fallback
-
-        accepted = False
-        backtracks = 0
-        for kind, d in directions:
-            slope = _dot(r, d)
-            if slope >= 0.0:
-                continue
-            alpha = 1.0
-            trial = values.copy()
-            for _ in range(_MAX_BACKTRACKS):
-                trial[interior] = values[interior] + alpha * d
-                e_trial = problem.energy(trial)
-                if e_trial <= energy + _ARMIJO_C1 * alpha * slope:
-                    accepted = True
-                    break
-                alpha *= 0.5
-                backtracks += 1
-            if accepted:
-                values = trial
-                energy = e_trial
-                history.append(energy)
-                steps.append({"residual": final_residual, "eta": eta, "cg_info": int(info),
-                              "cg_iterations": iterations, "direction": kind,
-                              "alpha": alpha, "backtracks": backtracks})
-                break
+        trial, outcome = _newton_step(problem, values, energy, r, eta, c1_est, watch)
         watch.lap("line_search")
-        if not accepted:
-            raise NonconvergenceError(
-                f"line search failed after {len(steps)} accepted steps "
-                f"(residual {final_residual:.3e})", last_iterate=ScalarField(mesh, values),
-                report=report(False))
+        if trial is None:
+            raise failure(f"{outcome} after {len(steps)} accepted steps")
+        values = trial
+        energy = outcome.pop("energy")
+        history.append(energy)
+        steps.append(dict(residual=final_residual, eta=eta, **outcome))
 
-    field = ScalarField(mesh, values)
     if not converged:
-        raise NonconvergenceError(
-            f"no convergence in {opts.max_iter} iterations "
-            f"(residual {final_residual:.3e})", last_iterate=field, report=report(False))
-    return field, report(True)
+        raise failure(f"no convergence in {opts.max_iter} iterations")
+    return ScalarField(mesh, values), report(True)
+
+
+def _newton_step(problem, values, energy, r, eta, c1_est, watch):
+    """One damped Newton step from ``values``, whose interior residual is r.
+
+    Returns (new values, record) with the record's energy, CG status and
+    iterations, direction, step length and backtracks, or (None, reason)
+    when a direction or a trial iterate is not finite or no direction
+    passes the Armijo test.  The tangent is dropped once the directions
+    are built and the directions when the step returns, so one tangent is
+    alive at a time.
+    """
+    interior = problem.mesh.interior_mask
+    kii = problem.tangent(values, c1_est)
+    watch.lap("tangent")
+    step, info, iterations = _linear_solve(kii, -r, eta, watch)
+    directions = []
+    if info == 0 and _dot(r, step) < 0.0:
+        directions.append(("newton", step))
+    directions.append(("descent", -r / kii.diagonal()))  # preconditioned fallback
+    del kii, step
+
+    backtracks = 0
+    for kind, d in directions:
+        if not np.all(np.isfinite(d)):
+            return None, f"the {kind} direction is not finite"
+        slope = _dot(r, d)
+        if slope >= 0.0:
+            continue
+        alpha = 1.0
+        trial = values.copy()
+        for _ in range(_MAX_BACKTRACKS):
+            trial[interior] = values[interior] + alpha * d
+            if not np.all(np.isfinite(trial)):
+                return None, "a trial iterate is not finite"
+            e_trial = problem.energy(trial)
+            if e_trial <= energy + _ARMIJO_C1 * alpha * slope:
+                return trial, {"energy": e_trial, "cg_info": int(info),
+                               "cg_iterations": iterations, "direction": kind,
+                               "alpha": alpha, "backtracks": backtracks}
+            alpha *= 0.5
+            backtracks += 1
+    return None, "line search failed"
 
 
 def _make_report(problem, values, history, steps, final_residual, converged,
                  init_cg_info, init_cg_iterations, coarse, seconds):
-    g = element_gradients(problem.mesh, values)
-    gnorm = np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1])
-    frac = float(np.count_nonzero(gnorm < _EPS_GRAD) / len(gnorm))
+    mesh = problem.mesh
+    critical = 0
+    for cells in _blocks(mesh.n_triangles):
+        g = element_gradients(mesh, values, cells)
+        critical += np.count_nonzero(np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]) < _EPS_GRAD)
     return SolveReport(
         iterations=len(steps),
         energy_history=[float(e) for e in history],
         final_residual=final_residual,
         min_u=float(values.min()),
-        critical_fraction=frac,
+        critical_fraction=float(critical / mesh.n_triangles),
         converged=converged,
-        h=problem.mesh.h,
-        n_vertices=problem.mesh.n_vertices,
-        n_triangles=problem.mesh.n_triangles,
+        h=mesh.h,
+        n_vertices=mesh.n_vertices,
+        n_triangles=mesh.n_triangles,
         init_cg_info=int(init_cg_info),
         init_cg_iterations=init_cg_iterations,
         start="quadratic" if coarse is None else "nested",

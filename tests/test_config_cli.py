@@ -50,6 +50,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tokens_are_rejected(self, tmp_path, token):
+        path = tmp_path / "c.json"
+        path.write_text('{"h": %s}' % token)
+        with pytest.raises(ConfigError, match=f"c.json: {token} is not a JSON number"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=f"override 'h={token}'"):
+            parse_overrides([f"h={token}"])
+        with pytest.raises(ConfigError, match=f"override 'verify.q_grid=\\[1.4, {token}\\]'"):
+            parse_overrides([f"verify.q_grid=[1.4, {token}]"])
+
     def test_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json", BASE),
                           overrides=parse_overrides(["material.p=3.5",
@@ -121,6 +132,9 @@ REJECTED_INPUTS = [
     ("regularity", "material.p=1.5", "verify: t must lie in [0, p-1)"),
     ("solve", f"norm={NORM_3D}", "domain: a planar domain needs a planar norm"),
     ("wulff", f"norm={NORM_3D}", "wulff: boundary tracing is implemented for dim 2 only"),
+    ("solve", "h=NaN", "override 'h=NaN': NaN is not a JSON number"),
+    ("solve", "h=Infinity", "override 'h=Infinity': Infinity is not a JSON number"),
+    ("solve", "h=-Infinity", "override 'h=-Infinity': -Infinity is not a JSON number"),
 ]
 
 
@@ -301,6 +315,36 @@ class TestCli:
         manifest = self.read_manifest(out)
         assert manifest["status"] == "rejected"
         assert "smaller radius" in manifest["failure"]
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_file_exits_one(self, tmp_path, capsys, token):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BASE)[:-1] + ', "tol_solve": %s}' % token)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {token} is not a JSON number\n"
+        assert not out.exists()
+
+    # p = 1e6 overflows the tangent, whose zero diagonal makes the descent
+    # direction infinite; q = 1e6 makes the first residual NaN
+    @pytest.mark.parametrize("override, why", [
+        (["material.p=1e6"], "the descent direction is not finite"),
+        (["norm.kind=lp", "norm.q=1e6"], "the residual is not finite"),
+    ], ids=["p", "q"])
+    def test_non_finite_iterate_is_a_numeric_failure(self, tmp_path, capsys, override, why):
+        extra = [arg for pair in override for arg in ("--set", pair)]
+        with np.errstate(all="ignore"):
+            rc, out = self.run(tmp_path, "solve", BASE, extra=extra)
+        assert rc == 2
+        manifest = self.read_manifest(out)
+        assert manifest["status"] == "numeric-failure"
+        assert manifest["failure"].startswith(f"{why} after 0 accepted steps")
+        assert why in capsys.readouterr().err
+        # the last finite iterate: here the quadratic start
+        assert manifest["artifacts"] == ["field.csv", "solve_report.json"]
+        u = np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1)[:, 2]
+        assert np.all(np.isfinite(u)) and u.max() > 0.0
 
     def test_numeric_failure_exits_two_with_partial_artifacts(self, tmp_path):
         body = dict(BASE, material={"p": 4.0}, max_iter=1, h=0.2)

@@ -6,7 +6,7 @@ import pytest
 
 from finslerpde import DomainSpec, FinslerNorm, Mesh2D, build_domain
 from finslerpde.mesh import (Lattice, _annulus_triangles, _ball_vertices, _grid_triangles,
-                             coarsen)
+                             _union_jack, coarsen)
 from finslerpde.solver import _stencil_slots
 from conftest import RECOVERY_IDS, RECOVERY_MESHES
 
@@ -25,6 +25,16 @@ def loop_union_jack(n_i, n_j, vid, corners):
                 tris.append((a, b, d))
                 tris.append((b, c, d))
     return np.asarray(tris, dtype=np.int64)
+
+
+def stacked_union_jack(a, b, c, d):
+    """Reference: the whole-array build from np.indices, corner stacks and
+    np.where, as the mesh module built it before filling one array."""
+    i, j = np.indices(a.shape)
+    even = ((i + j) % 2 == 0)[..., None]
+    first = np.where(even, np.stack([a, b, c], axis=-1), np.stack([a, b, d], axis=-1))
+    second = np.where(even, np.stack([a, c, d], axis=-1), np.stack([b, c, d], axis=-1))
+    return np.stack([first, second], axis=-2).reshape(-1, 3).astype(np.int64)
 
 
 def longest_unique_edge(mesh):
@@ -144,6 +154,25 @@ class TestTriangulation:
         tris = _grid_triangles(nx, ny)
         assert tris.dtype == np.int64
         assert np.array_equal(tris, ref)
+
+    # odd and even sides, and the annulus's corners, whose last column wraps
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 6), (7, 10),
+                                            (140, 140)])
+    def test_union_jack_equals_the_stacked_build(self, rows, cols):
+        grid = np.arange((rows + 1) * (cols + 1)).reshape(rows + 1, cols + 1)
+        ring = np.arange(rows + 1)[:, None] * cols + np.arange(cols + 1)[None, :] % cols
+        for vid in (grid, ring):
+            for corners in ((vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]),
+                            (vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1])):
+                tris = _union_jack(*corners)
+                assert tris.dtype == np.int64
+                assert np.array_equal(tris, stacked_union_jack(*corners))
+
+    def test_union_jack_temporaries_stay_small(self):
+        # the 140 x 140 grid of the lp q=4 ball at h = 0.025, numpy 2.4: the
+        # traced peak passes the 0.94 MB of triangles by 0.16 MB; by 2.4 MB
+        # in the stacked build
+        assert setup_transient(lambda: _grid_triangles(140, 140)) < 0.5
 
     def test_annulus_matches_loop(self):
         n_r, n_t = 3, 10

@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -578,7 +580,7 @@ class TestStencilSlots:
         coarse = solver.coarsen(mesh)
         for m in [mesh] if coarse is None else [mesh, coarse]:
             slot = solver._stencil_slots(m)
-            assert slot.dtype == np.intp
+            assert slot.dtype == np.int32
             assert np.array_equal(slot, _whole_array_slots(m))
 
     def test_renumbered_vertices_are_rejected(self):
@@ -713,6 +715,14 @@ class TestKernels:
             assert abs(x @ vy - y @ vx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(vy)
             assert x @ vx > 0.0 and y @ vy > 0.0
 
+    def test_add_at_assembly_equals_bincount(self, problem):
+        mats = solver._element_matrices(problem.mesh, _spd_tensors(problem.mesh))
+        rows, cols, _ = problem.mesh.lattice
+        size = 9 * rows * cols
+        ref = np.bincount(problem._slot.astype(np.intp), weights=mats.ravel(),
+                          minlength=size + 1)[:size]
+        assert np.array_equal(problem.stiffness(mats).data.ravel(), ref)
+
     def test_column_kernels_match_references(self, problem):
         # summed column by column in the order of the einsum and mean references
         mesh = problem.mesh
@@ -752,3 +762,71 @@ class TestKernels:
                 assert err.max() <= err_scipy.max()
         neg = -rng.uniform(0.0, 0.1, 100)
         assert np.array_equal(prim(neg), neg * f(np.zeros(1))[0])
+
+
+BLOCK_MESHES = [KERNEL_MESHES[0], KERNEL_MESHES[2], KERNEL_MESHES[3]]
+BLOCK_IDS = ["disk", "lp4_ball", "lp4_annulus"]
+# f grows with s, so the primitive's table regrows, and its interpolant of
+# the quartic F is not exact
+GROWING_SOURCE = SourceTerm(f=lambda s: 1.0 + np.asarray(s, dtype=float) ** 3)
+
+
+def _kernel_outputs(mesh, material, norm, values):
+    """Energy, residual, tangent stencil data and the report's critical
+    fraction of one fresh problem (its primitive table not yet grown)."""
+    problem = solver._EnergyProblem(mesh, material, norm, GROWING_SOURCE)
+    report = solver._make_report(problem, values, [0.0], [], 0.0, True, 0, 0, None, {})
+    return (problem.energy(values), problem.residual(values),
+            problem.tangent(values, 0.5).data, report.critical_fraction)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("material", [MaterialProfile(p=3.0),
+                                          MaterialProfile(p=1.5, k=0.5, kind="shifted")],
+                             ids=["power_p3", "shifted_p1.5"])
+    @pytest.mark.parametrize("case", BLOCK_MESHES, ids=BLOCK_IDS)
+    def test_small_blocks_equal_one_block(self, case, material, lp4, monkeypatch):
+        mesh = build_domain(*case)
+        # a ramp along the vertex numbering, which follows a grid: the cell
+        # means of the first blocks stay below the table's first top, 1, and
+        # later ones pass it in steps; clipped at 3, where the flat triangles
+        # are critical
+        values = np.minimum(4.0 * np.arange(mesh.n_vertices) / mesh.n_vertices, 3.0)
+        monkeypatch.setattr(solver, "_BLOCK", mesh.n_triangles)
+        whole = _kernel_outputs(mesh, material, lp4, values)
+        assert 0.0 < whole[3] < 1.0
+        monkeypatch.setattr(solver, "_BLOCK", 7)
+        blocked = _kernel_outputs(mesh, material, lp4, values)
+        for one, many in zip(whole, blocked):
+            assert np.array_equal(one, many)
+
+    @pytest.mark.parametrize("norm, p", [("lp4", 3.0), ("euclid", 2.0), ("ellipsoidal", 3.0)])
+    def test_solve_does_not_depend_on_the_block_size(self, request, monkeypatch, norm, p):
+        h = request.getfixturevalue(norm)
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=h), 0.1)
+        runs = []
+        for block in (solver._BLOCK, 7):
+            monkeypatch.setattr(solver, "_BLOCK", block)
+            field, report = solve(mesh, MaterialProfile(p=p), h, GROWING_SOURCE)
+            record = dataclasses.replace(report, seconds=None)
+            runs.append((field.values, record))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
+
+class TestWorkingSet:
+    # Traced peak of the lp q=4, p = 3 ball solve at h = 0.025 (the
+    # solve_lp4_p3 benchmark workload), numpy 2.4: 7.2 MB for the first solve
+    # in a process, 6.5 MB after; with whole-mesh per-triangle temporaries,
+    # two tangents alive and intp slots, 14.2 and 13.5 MB.
+    BOUND_MB = 8.5
+
+    def test_solve_traced_peak_stays_under_its_bound(self, lp4, unit_source):
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.025)
+        tracemalloc.start()
+        try:
+            solve(mesh, MaterialProfile(p=3.0), lp4, unit_source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < self.BOUND_MB

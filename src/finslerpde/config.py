@@ -86,13 +86,13 @@ def _section(where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _merge(base, override, where):
-    if not isinstance(override, dict):
-        raise ConfigError(f"{where} must be an object, got {override!r}")
+def _merge(base, override):
+    """base updated by override, recursively where both hold an object; a
+    value of another type replaces the base's, and _validate judges it."""
     merged = dict(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge(merged[key], value, f"{where}.{key}")
+            merged[key] = _merge(merged[key], value)
         else:
             merged[key] = value
     return merged
@@ -150,9 +150,9 @@ def load_config(path, overrides=None, seed=None):
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _reject_unknown(document, _TOP_KEYS, "the top level")
-    merged = _merge(DEFAULTS, document, "config")
+    merged = _merge(DEFAULTS, document)
     if overrides:
-        merged = _merge(merged, overrides, "overrides")
+        merged = _merge(merged, overrides)
     if seed is not None:
         merged["seed"] = seed
     _reject_unknown(merged, _TOP_KEYS, "the top level")
@@ -217,7 +217,11 @@ def build_norm(cfg):
     if kind == "ellipsoidal":
         if "a" not in spec:
             raise ConfigError("norm.a (SPD matrix) is required for ellipsoidal norms")
-        return FinslerNorm.ellipsoidal(np.asarray(spec["a"], dtype=float))
+        rows = spec["a"]
+        if not isinstance(rows, list):
+            raise ConfigError(f"norm.a must be a list of rows, got {rows!r}")
+        return FinslerNorm.ellipsoidal(
+            np.array([_numbers(row, f"norm.a[{i}]") for i, row in enumerate(rows)]))
     if kind == "lp":
         return FinslerNorm.lp(_number(spec.get("q", 4.0), "norm.q"), 2)
     raise ConfigError(f"norm.kind must be euclidean, ellipsoidal, or lp; got {kind!r}")

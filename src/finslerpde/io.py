@@ -2,12 +2,14 @@
 
 Numbers are always formatted with 17 significant digits and a ``.``
 decimal separator so that identical runs produce byte-identical files.
+JSON is strict: a float that is not finite is written as null.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -55,9 +57,23 @@ def write_study_csv(path, rows):
     _write_rows(path, header, [[row[k] for k in header] for row in rows])
 
 
+def _finite_or_null(value):
+    """The payload with every float that is not finite replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(path, payload):
+    """Strict JSON, indented with sorted keys: NaN and +-inf are written as
+    null, which strict readers accept, where json.dump would write its
+    non-standard NaN and Infinity tokens."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -293,6 +293,15 @@ def linearized_tensor(material, h, xi):
     return mats[0] if single else mats
 
 
+def _finite(name, value, tag):
+    """A sampled constant, which must be finite: a profile or norm that
+    overflows on the samples (p = 1e6, or lp from q of about 40) makes it
+    NaN or infinite, and that is inadmissible, whatever its sign."""
+    if not np.isfinite(value):
+        raise AdmissibilityError(violation(tag, f"sampled {name} is {value}, not a finite number"))
+    return value
+
+
 def check_structural_bounds(material, h, n_samples=10000, seed=0):
     """Sampled ellipticity/boundedness constants of the linearized tensor.
 
@@ -303,7 +312,7 @@ def check_structural_bounds(material, h, n_samples=10000, seed=0):
 
     over n_samples seeded (xi, v) pairs, v of unit length.  A nonpositive
     C1_est is an admissibility failure and raises, naming the witnessing
-    sample.
+    sample; a constant that is not finite raises, naming the constant.
     """
     xi = sample_vectors(h.dim, n_samples, seed)
     v = sample_vectors(h.dim, n_samples, seed + 1, r_range=(1.0, 1.0))
@@ -311,14 +320,14 @@ def check_structural_bounds(material, h, n_samples=10000, seed=0):
     quad = np.einsum("ij,ijk,ik->i", v, mats, v)
     weight = (material.k + np.linalg.norm(xi, axis=-1)) ** (material.p - 2.0)
     ratios = quad / (weight * np.einsum("ij,ij->i", v, v))
-    c1 = float(ratios.min())
+    c1 = _finite("C1_est", float(ratios.min()), "vi")
     if c1 <= 0.0:
         bad = int(np.argmin(ratios))
         raise AdmissibilityError(violation(
             "vi", f"linearized tensor not positive along v = {v[bad]} at xi = {xi[bad]} "
                   f"(ratio {c1:.3e})"))
     frob = np.sqrt(np.einsum("ijk,ijk->i", mats, mats))
-    c2 = float((frob / weight).max())
+    c2 = _finite("C2_est", float((frob / weight).max()), "vi")
     return c1, c2
 
 
@@ -327,12 +336,12 @@ def check_flux_bound(material, h, n_samples=10000, seed=0):
 
         C_flux = max B'(H(xi)) / (k + |xi|)^(p-1)
 
-    over n_samples seeded vectors xi.
+    over n_samples seeded vectors xi; a C_flux that is not finite raises.
     """
     xi = sample_vectors(h.dim, n_samples, seed)
     num = material.b_prime(h.eval(xi))
     den = (material.k + np.linalg.norm(xi, axis=-1)) ** (material.p - 1.0)
-    return float((num / den).max())
+    return _finite("C_flux", float((num / den).max()), "iii")
 
 
 def flux(material, h, xi):
@@ -357,7 +366,8 @@ def check_flux_monotonicity(material, h, pairs=None, n_pairs=10000, seed=0):
 
         C_monotone = min <a(x) - a(y), x - y> / ((|x| + |y|)^(p-2) |x - y|^2)
 
-    over distinct sample pairs.  Nonpositive values raise, naming the pair.
+    over distinct sample pairs.  Nonpositive values raise, naming the pair;
+    a C_monotone that is not finite raises, naming the constant.
     """
     if pairs is None:
         x = sample_vectors(h.dim, n_pairs, seed)
@@ -371,7 +381,7 @@ def check_flux_monotonicity(material, h, pairs=None, n_pairs=10000, seed=0):
     den = (np.linalg.norm(x, axis=-1) + np.linalg.norm(y, axis=-1)) ** (material.p - 2.0)
     den = den * np.einsum("ij,ij->i", x - y, x - y)
     ratios = num / den
-    cmin = float(ratios.min())
+    cmin = _finite("C_monotone", float(ratios.min()), "ii")
     if cmin <= 0.0:
         bad = int(np.argmin(ratios))
         raise AdmissibilityError(violation(
@@ -445,12 +455,15 @@ def check_osserman(source, material):
 def admissibility_report(material, h, source, n_samples=10000, seed=0):
     """Dict with the sampled constants and the Osserman verdict.
 
-    This is the payload the CLI writes as admissibility.json.
+    This is the payload the CLI writes as admissibility.json.  Overflow in
+    the samples raises no floating-point warning: the checks reject the
+    constants it makes non-finite.
     """
-    c1, c2 = check_structural_bounds(material, h, n_samples=n_samples, seed=seed)
-    c_flux = check_flux_bound(material, h, n_samples=n_samples, seed=seed)
-    c_mono = check_flux_monotonicity(material, h, n_pairs=n_samples, seed=seed)
-    verdict = check_osserman(source, material)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c1, c2 = check_structural_bounds(material, h, n_samples=n_samples, seed=seed)
+        c_flux = check_flux_bound(material, h, n_samples=n_samples, seed=seed)
+        c_mono = check_flux_monotonicity(material, h, n_pairs=n_samples, seed=seed)
+        verdict = check_osserman(source, material)
     return {
         "profile": {"kind": material.kind, "p": material.p, "k": material.k},
         "norm": h.kind,

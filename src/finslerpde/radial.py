@@ -7,40 +7,41 @@ distance becomes a 1D boundary value problem
 
 which this module integrates as a first-order system in (w, Psi) with
 Psi = Phi(w') q, so that the possibly singular Phi' (p < 2) is never
-differentiated.  Two modes:
+differentiated.  A problem is a march over an interval of rho with
+q(rho) = r^(n-1), r = origin + orient rho the dual-norm radius, and
+rhs = sign * (the source part it reads); each mode is a preset of these
+(_PRESETS), and only its start state and the ball's center node differ:
 
-* ``barrier``: q(rho) = (R - rho)^(n-1) on [0, R/2], rhs = +g.  The
-  coordinate runs inward from the outer boundary (rho = R - geometric
-  radius), so w(0) = 0 is the boundary value and shoot_slope = w'(0) is
-  the boundary slope.  Used for Hopf and comparison checks on the
-  annulus R/2 <= geometric radius <= R.
-* ``ball``: q(rho) = rho^(n-1) on [0, R], rhs = -f, geometric radius.
-  w decreases from its central maximum; the shooting parameter is the
-  central value w(0) and the terminal condition is the boundary value.
+* ``barrier``: rho in [0, R/2], r = R - rho, rhs = +g.  The coordinate
+  runs inward from the outer boundary, so w(0) = 0 is the boundary value
+  and shoot_slope = w'(0) is the boundary slope.  Used for Hopf and
+  comparison checks on the annulus R/2 <= geometric radius <= R.
+* ``ball``: rho in [0, R], r = rho, rhs = -f.  w decreases from its
+  central maximum; the shooting parameter is the central value w(0) and
+  the terminal condition is the boundary value.  q(0) = 0 makes
+  Phi^{-1}(Psi/q) indeterminate at the center, so the march starts at
+  rho0 = R * 1e-6 with the series values Psi(rho0) = -f(w(0)) rho0^n / n
+  and w(rho0) = w(0) - int_0^rho0 Phi^{-1}(f(w(0)) rho / n); the exact
+  center point (w(0), w'(0) = 0) is prepended to the returned grid.
 
 Integration is classical 4-stage Runge-Kutta on 4096 uniform steps.
-When the source the march reads is constant (g in barrier mode, f in
-ball mode, zero included), every stage depends on rho alone: Psi and w
-are then cumulative sums of the steps' increments, with all stages from
-one array inversion of Phi, and only a w-dependent source is marched by
-a scalar loop.  Both give the same numbers to a few ulp (in the cases
+When the source the march reads is constant (zero included), every stage
+depends on rho alone: Psi and w are then cumulative sums of the steps'
+increments, with all stages from one array inversion of Phi, and only a
+w-dependent source is marched by a scalar loop, which evaluates q on
+Python floats.  Both give the same numbers to a few ulp (in the cases
 tested, bit for bit for w of power-law profiles and for w and w' at
 p = 2); numpy's pow and the array Newton path move the others.  The
 shooting parameter is bracketed geometrically and then found by Brent's
 method, each trial being one full march; the bracket ends are not
-marched again, and the returned profile is the march made at the root.  Phi is inverted in
-closed form for power-law profiles and otherwise by
+marched again, and the returned profile is the march made at the root.
+Phi is inverted in closed form for power-law profiles and otherwise by
 material.invert_increasing: a geometric bracket, then Newton's method on
 B'(t) = |y| with B''(t) = (k + t)^(p-3) ((p - 1) t + k), safeguarded by
 geometric bisection (the scalar loop runs the same iteration on floats).
 The profile does not invert Phi again: its w' at a node is the slope
 Phi^{-1}(Psi/q) the march took there (the first RK4 stage of the step
 leaving the node), and only the last node takes one more inversion.
-In ball mode q(0) = 0 makes Phi^{-1}(Psi/q) indeterminate at the
-center, so integration starts at rho0 = R * 1e-6 with the series values
-Psi(rho0) = -f(w(0)) rho0^n / n and w(rho0) = w(0) - int_0^rho0
-Phi^{-1}(f(w(0)) rho / n); the exact center point (w(0), w'(0) = 0) is
-prepended to the returned grid.
 
 Brent's method (_brent) is a port of scipy.optimize.brentq to plain
 Python.  It takes the same floating-point steps, so it gives the same
@@ -70,9 +71,19 @@ _W_CAP = 1e12  # treat profiles beyond this as diverged (Keller-Osserman trials)
 _CENTER_CUT = 1e-6  # ball mode starts at R * this
 _RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance scipy's brentq accepts
 
+# mode: (interval / R, origin / R, orient, source part, sign); see RadialProblem
+_PRESETS = {
+    "barrier": ((0.0, 0.5), 1.0, -1.0, "g", 1.0),
+    "ball": ((_CENTER_CUT, 1.0), 0.0, 1.0, "f", -1.0),
+}
+
 
 @dataclasses.dataclass
 class RadialProblem:
+    """``mode`` fixes, as plain attributes: the march's rho ``interval``,
+    the dual-norm radius ``origin`` + ``orient`` * rho, and the source
+    ``part`` ("f" or "g") the march reads times ``sign``."""
+
     material: MaterialProfile
     source: SourceTerm
     radius: float
@@ -80,23 +91,19 @@ class RadialProblem:
     n: int = 2
 
     def __post_init__(self):
-        if self.mode not in ("barrier", "ball"):
+        if self.mode not in tuple(_PRESETS):  # a tuple: a config's mode may be unhashable
             raise ValueError(f"mode must be 'barrier' or 'ball', got {self.mode!r}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.n < 2:
             raise ValueError(f"dimension n must be at least 2, got {self.n}")
+        (lo, hi), origin, self.orient, self.part, self.sign = _PRESETS[self.mode]
+        self.interval = (lo * self.radius, hi * self.radius)
+        self.origin = origin * self.radius
 
     def q(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if self.mode == "barrier":
-            return (self.radius - rho) ** (self.n - 1)
-        return rho ** (self.n - 1)
-
-    def span(self):
-        if self.mode == "barrier":
-            return 0.0, 0.5 * self.radius
-        return _CENTER_CUT * self.radius, self.radius
+        """r^(n-1) at rho, for a float or an array alike."""
+        return (self.origin + self.orient * rho) ** (self.n - 1)
 
 
 @dataclasses.dataclass
@@ -207,66 +214,56 @@ def _march(problem, start, n_steps):
     Returns (w_nodes, w_prime_nodes), or (None, None) if the trajectory
     leaves the finite range (a diverged shooting trial).  w' = Phi^{-1}(Psi/q)
     at a node is the k1 slope of the step leaving it; only the last node
-    takes one more inversion of B'.  The source the march reads, g in
-    barrier mode and f in ball mode, is classified by SourceTerm.constant:
-    a constant one is marched as arrays (_march_constant), a w-dependent
-    one by a scalar loop that evaluates it through SourceTerm.scalar, so at
+    takes one more inversion of B'.  The source the march reads, the
+    problem's part with its sign, is classified by SourceTerm.constant: a
+    constant one is marched as arrays (_march_constant), a w-dependent one
+    by a scalar loop that evaluates it through SourceTerm.scalar, so at
     max(w, 0).
     """
-    barrier = problem.mode == "barrier"
-    part = "g" if barrier else "f"
-    const = problem.source.constant(part)
-    rhs = problem.source.scalar(part) if const is None else (lambda w: const)
-    if barrier:
-        psi0 = problem.radius ** (problem.n - 1) * float(
-            problem.material.b_prime(np.asarray(start, dtype=float)))
+    sign, const = problem.sign, problem.source.constant(problem.part)
+    read = problem.source.scalar(problem.part) if const is None else (lambda w: const)
+
+    def rhs(w):
+        return sign * read(w)
+
+    a, mat = problem.interval[0], problem.material
+    if problem.mode == "barrier":
+        # start is the boundary slope w'(0), and w(0) = 0
+        psi0 = problem.q(a) * float(mat.b_prime(np.asarray(start, dtype=float)))
+        w_start = lambda slope0: 0.0
     else:
-        # the series start at rho0: Psi(rho0) = -f(w(0)) rho0^n / n
-        psi0 = -rhs(float(start)) * problem.span()[0] ** problem.n / problem.n
+        # start is the central value w(0), and the series start at rho0 = a
+        # takes w(rho0) from slope0, the integrand at rho0: Phi^{-1} is y^d
+        # with d = 1/(p - 1), or near 0 linear (d = 1) when k > 0
+        psi0 = rhs(float(start)) * a ** problem.n / problem.n
+        d = 1.0 / (mat.p - 1.0) if mat.k == 0.0 else 1.0
+        w_start = lambda slope0: float(start) + a * slope0 / (1.0 + d)
     if const is None:
-        return _march_loop(problem, start, n_steps, rhs, psi0)
-    return _march_constant(problem, start, n_steps, const, psi0)
+        return _march_loop(problem, n_steps, rhs, psi0, w_start)
+    return _march_constant(problem, n_steps, sign * const, psi0, w_start)
 
 
-def _ball_start(problem, start, slope0):
-    """w(rho0) = w(0) - int_0^rho0 Phi^{-1}(f0 rho / n) from slope0, the
-    integrand at rho0: Phi^{-1} is y^d with d = 1/(p - 1), or near 0
-    linear (d = 1) when k > 0."""
-    mat = problem.material
-    d = 1.0 / (mat.p - 1.0) if mat.k == 0.0 else 1.0
-    return float(start) + problem.span()[0] * slope0 / (1.0 + d)
-
-
-def _march_loop(problem, start, n_steps, rhs, psi0):
+def _march_loop(problem, n_steps, rhs, psi0, w_start):
     """_march for a w-dependent source: one RK4 step at a time on floats."""
     phi_inv = _phi_inverse_scalar(problem.material)
-    r_pow = problem.n - 1
-    radius = problem.radius
-    barrier = problem.mode == "barrier"
-    sign = 1.0 if barrier else -1.0
-    a, b = problem.span()
+    q = problem.q
+    a, b = problem.interval
     step = (b - a) / n_steps
-
-    def q_at(r):
-        return (radius - r) ** r_pow if barrier else r ** r_pow
-
-    def deriv(r, w, psi):
-        return phi_inv(psi / q_at(r)), sign * rhs(w) * q_at(r)
-
     try:
-        w0 = 0.0 if barrier else _ball_start(problem, start, phi_inv(psi0 / q_at(a)))
+        w = w_start(phi_inv(psi0 / q(a)))
     except OverflowError:
         return None, None
-    w, psi = w0, psi0
-    ws = [w0]
-    dws = []
+    psi, ws, dws = psi0, [w], []
     for i in range(n_steps):
         r = a + i * step
         try:
-            k1w, k1p = deriv(r, w, psi)
-            k2w, k2p = deriv(r + 0.5 * step, w + 0.5 * step * k1w, psi + 0.5 * step * k1p)
-            k3w, k3p = deriv(r + 0.5 * step, w + 0.5 * step * k2w, psi + 0.5 * step * k2p)
-            k4w, k4p = deriv(r + step, w + step * k3w, psi + step * k3p)
+            q0, q_mid, q1 = q(r), q(r + 0.5 * step), q(r + step)
+            k1w, k1p = phi_inv(psi / q0), rhs(w) * q0
+            k2w = phi_inv((psi + 0.5 * step * k1p) / q_mid)
+            k2p = rhs(w + 0.5 * step * k1w) * q_mid
+            k3w = phi_inv((psi + 0.5 * step * k2p) / q_mid)
+            k3p = rhs(w + 0.5 * step * k2w) * q_mid
+            k4w, k4p = phi_inv((psi + step * k3p) / q1), rhs(w + step * k3w) * q1
         except OverflowError:
             return None, None
         w += step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
@@ -276,15 +273,15 @@ def _march_loop(problem, start, n_steps, rhs, psi0):
         ws.append(w)
         dws.append(k1w)
     try:
-        dws.append(phi_inv(psi / q_at(b)))
+        dws.append(phi_inv(psi / q(b)))
     except OverflowError:
         return None, None
     return np.array(ws), np.array(dws)
 
 
-def _march_constant(problem, start, n_steps, const, psi0):
-    """_march for a constant source c: Psi' = +-c q(rho) makes every RK4
-    stage a function of rho alone.
+def _march_constant(problem, n_steps, c, psi0, w_start):
+    """_march for a constant source: Psi' = c q(rho), c the signed source,
+    makes every RK4 stage a function of rho alone.
 
     Psi's nodes are np.add.accumulate of the steps' increments, the w
     stages come from one array Phi^{-1} on the node, midpoint and end
@@ -296,9 +293,8 @@ def _march_constant(problem, start, n_steps, const, psi0):
     overflow gives inf) returns (None, None), unless a stage of step i is
     a value B' does not reach: that raises, as in the loop.
     """
-    a, b = problem.span()
+    a, b = problem.interval
     step = (b - a) / n_steps
-    c = const if problem.mode == "barrier" else -const
     r = a + np.arange(n_steps) * step
     q0, q_mid, q1 = problem.q(r), problem.q(r + 0.5 * step), problem.q(r + step)
     k1p, k2p, k4p = c * q0, c * q_mid, c * q1  # k3p is k2p
@@ -306,14 +302,14 @@ def _march_constant(problem, start, n_steps, const, psi0):
         psi = np.add.accumulate(np.concatenate(
             [[psi0], step * (k1p + 2.0 * k2p + 2.0 * k2p + k4p) / 6.0]))
         node = psi[:-1]
+        # q at b from an array too, so numpy's pow as at the other abscissae
         y = np.concatenate([node / q0, (node + 0.5 * step * k1p) / q_mid,
                             (node + 0.5 * step * k2p) / q_mid, (node + step * k2p) / q1,
-                            [psi[-1] / problem.q(b)]])
+                            psi[-1:] / problem.q(np.array([b]))])
         slopes = _phi_inverse(problem.material, y)
         k1w, k2w, k3w, k4w = slopes[:-1].reshape(4, n_steps)
-        w0 = 0.0 if problem.mode == "barrier" else _ball_start(problem, start, k1w[0])
         w = np.add.accumulate(np.concatenate(
-            [[w0], step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0]))
+            [[w_start(k1w[0])], step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0]))
     bad = ~(np.isfinite(w[1:]) & np.isfinite(psi[1:]) & (np.abs(w[1:]) < _W_CAP))
     if np.any(bad):
         stages = np.flatnonzero(bad)[0] + n_steps * np.arange(4)
@@ -330,7 +326,7 @@ def _march_constant(problem, start, n_steps, const, psi0):
 
 def _profile(problem, start, ws, w_prime):
     """BarrierProfile from one march's (w, w') nodes."""
-    grid = np.linspace(*problem.span(), len(ws))
+    grid = np.linspace(*problem.interval, len(ws))
     if problem.mode == "ball":
         grid = np.concatenate([[0.0], grid])
         ws = np.concatenate([[float(start)], ws])
@@ -548,11 +544,8 @@ def hopf_margin(profile, h=None):
 def ode_residual(profile, problem):
     """Max discrepancy of d/drho [Phi(w')q] against the stored rhs."""
     qv = problem.q(profile.grid)
-    mat = problem.material
+    mat, src = problem.material, problem.source
     psi = mat.b_prime(np.abs(profile.w_prime)) * np.sign(profile.w_prime) * qv
     dpsi = np.gradient(psi, profile.grid, edge_order=2)
-    if problem.mode == "barrier":
-        rhs = problem.source.g_vals(profile.w) * qv
-    else:
-        rhs = -problem.source.f_vals(profile.w) * qv
-    return float(np.max(np.abs(dpsi - rhs)))
+    vals = {"f": src.f_vals, "g": src.g_vals}[problem.part]
+    return float(np.max(np.abs(dpsi - problem.sign * vals(profile.w) * qv)))

@@ -31,14 +31,7 @@ class RegularityReport:
     sobolev: list                # (q, integral of |D2 u|^q) at the finest level
 
     def to_dict(self):
-        return {
-            "beta": self.beta,
-            "t": self.t,
-            "hessian_integral_finest": self.hessian_integral_finest,
-            "weight_integral_finest": self.weight_integral_finest,
-            "critical_fraction": self.critical_fraction,
-            "sobolev": [list(row) for row in self.sobolev],
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass

@@ -8,12 +8,24 @@ import textwrap
 import numpy as np
 import pytest
 
-from finslerpde import ConfigError, cli
+from finslerpde import (ConfigError, DomainSpec, FinslerNorm, MaterialProfile, RadialProblem,
+                        SourceTerm, build_domain, cli, shoot, solve)
 from finslerpde.cli import main
 from finslerpde.config import (build_material, build_norm, build_source,
                                load_config, parse_overrides)
-from finslerpde import io, solver
+from finslerpde import io, material, solver
 from finslerpde.io import _write_rows, canonical_json, config_sha256, write_json
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def strict_json(path):
+    """The JSON file's payload, parsed as strict JSON: NaN, Infinity and
+    -Infinity raise."""
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=_no_constant)
 
 
 def write_config(path, body):
@@ -327,12 +339,16 @@ class TestCli:
         assert not out.exists()
 
     # p = 1e6 overflows the tangent, whose zero diagonal makes the descent
-    # direction infinite; q = 1e6 makes the first residual NaN
+    # direction infinite; q = 1e6 makes the first residual NaN.  Both make
+    # the sampled constants non-finite, which is rejected input (the next
+    # test); with that check off, Newton's own guards stop the run.
     @pytest.mark.parametrize("override, why", [
         (["material.p=1e6"], "the descent direction is not finite"),
         (["norm.kind=lp", "norm.q=1e6"], "the residual is not finite"),
     ], ids=["p", "q"])
-    def test_non_finite_iterate_is_a_numeric_failure(self, tmp_path, capsys, override, why):
+    def test_non_finite_iterate_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch,
+                                                      override, why):
+        monkeypatch.setattr(material, "_finite", lambda name, value, tag: value)
         extra = [arg for pair in override for arg in ("--set", pair)]
         with np.errstate(all="ignore"):
             rc, out = self.run(tmp_path, "solve", BASE, extra=extra)
@@ -345,6 +361,57 @@ class TestCli:
         assert manifest["artifacts"] == ["field.csv", "solve_report.json"]
         u = np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1)[:, 2]
         assert np.all(np.isfinite(u)) and u.max() > 0.0
+        # every JSON file is strict: the NaN constants and residual are null
+        assert manifest["admissibility"]["C1_est"] is None
+        for name in ("manifest.json", "solve_report.json"):
+            strict_json(os.path.join(out, name))
+        if override[0].startswith("norm"):
+            assert strict_json(os.path.join(out, "solve_report.json"))["final_residual"] is None
+
+    @pytest.mark.parametrize("override", [["material.p=1e6"], ["norm.kind=lp", "norm.q=1e6"]],
+                             ids=["p", "q"])
+    def test_non_finite_sampled_constants_exit_one(self, tmp_path, override):
+        # a fresh interpreter, so that stderr holds all the process writes,
+        # numpy's floating-point warnings included
+        cfg = write_config(tmp_path / "config.json", BASE)
+        out = tmp_path / "out"
+        extra = [arg for pair in override for arg in ("--set", pair)]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "finslerpde", "solve", "--config", cfg,
+                               "--out", str(out), *extra], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "sampled C1_est is nan" in proc.stderr
+        assert not out.exists()
+
+    def test_linear_source_equals_library_solve(self, tmp_path):
+        body = dict(BASE, source={"f": {"kind": "linear", "scale": 0.5, "offset": 1}})
+        rc, out = self.run(tmp_path, "solve", body)
+        assert rc == 0
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0, norm=FinslerNorm.euclidean(2)),
+                            BASE["h"])
+        field, _ = solve(mesh, MaterialProfile(p=2.0), FinslerNorm.euclidean(2),
+                         SourceTerm(f=lambda s: 0.5 * s + 1))
+        library = tmp_path / "library.csv"
+        io.write_field_csv(str(library), field)
+        with open(os.path.join(out, "field.csv"), "rb") as fh:
+            assert fh.read() == library.read_bytes()
+
+    def test_barrier_with_linear_g_equals_library_shot(self, tmp_path):
+        body = dict(BASE, source={"f": {"kind": "constant", "value": 1.0},
+                                  "g": {"kind": "linear", "scale": 0.2}},
+                    radial={"mode": "barrier", "radius": 1.0, "m": 0.1})
+        rc, out = self.run(tmp_path, "barrier", body)
+        assert rc == 0
+        source = SourceTerm(f=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                            g=lambda s: 0.2 * s)
+        profile = shoot(RadialProblem(MaterialProfile(p=2.0), source, radius=1.0), 0.1)
+        io.write_profile_csv(str(tmp_path / "library.csv"), profile)
+        with open(os.path.join(out, "profile.csv"), "rb") as fh:
+            assert fh.read() == (tmp_path / "library.csv").read_bytes()
 
     def test_numeric_failure_exits_two_with_partial_artifacts(self, tmp_path):
         body = dict(BASE, material={"p": 4.0}, max_iter=1, h=0.2)
@@ -416,6 +483,13 @@ class TestIo:
         write_json(str(b), {"a": [1.0, 2.0], "z": 1})
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().endswith("\n")
+
+    def test_write_json_writes_non_finite_floats_as_null(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_json(str(path), {"a": float("nan"), "b": [np.inf, (1.5, -np.inf)],
+                               "c": {"d": np.float64("nan"), "e": 2.0}, "f": "NaN"})
+        assert strict_json(path) == {"a": None, "b": [None, [1.5, None]],
+                                     "c": {"d": None, "e": 2.0}, "f": "NaN"}
 
     def test_sha_is_of_raw_bytes(self):
         assert config_sha256(b"{}") == config_sha256(b"{}")

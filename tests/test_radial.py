@@ -330,18 +330,24 @@ class TestArrayMarch:
     # relative.  The bounds are about 4x those.
     @pytest.mark.parametrize("k", [0.0, 1e-3, 0.5, 1.0])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("mode, source", [("barrier", const_source()),
-                                              ("barrier", const_source(g=0.7)),
-                                              ("ball", const_source())],
-                             ids=["barrier_g0", "barrier_g0.7", "ball_f1"])
-    def test_equals_loop(self, mode, source, p, k):
+    # At n = 3, q = r^2 comes from numpy's square in the arrays and from
+    # libm's pow in the loop, which differ by an ulp at some r; the same
+    # bounds hold there.
+    @pytest.mark.parametrize("mode, source, n", [("barrier", const_source(), 2),
+                                                 ("barrier", const_source(g=0.7), 2),
+                                                 ("ball", const_source(), 2),
+                                                 ("barrier", const_source(g=0.7), 3),
+                                                 ("ball", const_source(), 3)],
+                             ids=["barrier_g0", "barrier_g0.7", "ball_f1",
+                                  "barrier_g0.7_n3", "ball_f1_n3"])
+    def test_equals_loop(self, mode, source, n, p, k):
         eps = np.finfo(float).eps
         material = MaterialProfile(p=p, k=k, kind="shifted" if k else "power")
-        prob = RadialProblem(material=material, source=source, radius=1.0, mode=mode)
+        prob = RadialProblem(material=material, source=source, radius=1.0, mode=mode, n=n)
         (w, dw), (w_ref, dw_ref) = march_pair(prob, 0.3, n_steps=1024)
-        if p == 2.0:
+        if p == 2.0 and n == 2:
             assert np.array_equal(dw, dw_ref)
-        if p == 2.0 or k == 0.0:
+        if (p == 2.0 or k == 0.0) and n == 2:
             assert np.array_equal(w, w_ref)
         assert np.abs(w - w_ref).max() <= 4 * eps * np.abs(w_ref).max()
         assert np.all(np.abs(dw - dw_ref) <= (4 if k == 0.0 else 16) * eps * np.abs(dw_ref))

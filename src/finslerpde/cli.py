@@ -60,8 +60,7 @@ def _cmd_barrier(run, out, manifest):
 
 
 def _cmd_wulff(run, out, manifest):
-    shape = wulff_boundary(run.norm, radius=run.wulff_radius, n_samples=run.wulff_samples,
-                           norm_side=run.wulff_side)
+    shape = wulff_boundary(run.norm, **run.wulff)
     _emit(out, manifest, "wulff.csv", write_wulff_csv, shape)
 
 
@@ -75,8 +74,7 @@ def _cmd_verify(run, out, manifest):
 
 def _cmd_regularity(run, out, manifest):
     result = refinement_study(run.domain, run.material, run.norm, run.source,
-                              h_coarsest=run.h, levels=run.levels, beta=run.beta, t=run.t,
-                              q_grid=run.q_grid, hopf=run.hopf, options=run.options)
+                              h_coarsest=run.h, options=run.options, **run.study)
     _emit(out, manifest, "study.csv", write_study_csv, result.rows)
     _emit(out, manifest, "regularity_report.json", write_json,
           result.regularity.to_dict())

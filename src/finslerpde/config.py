@@ -1,6 +1,12 @@
 """Configuration loading: one strict JSON schema shared by every command.
 
-Unknown keys are rejected by name and values are type-checked; the
+One table, ``_KEYS``, lists each section's allowed keys with the reader
+that types each value (``_number``, ``_integer``, ``_numbers``, the norm
+matrix or the Hopf pair; none where the library judges the value).  It
+drives the rejection of unknown keys by name at load time and the typed
+read of a section, which goes to the library call as its keywords: a
+domain or material key that ``DEFAULTS`` lacks takes the library's
+default.  The norm and the source specs are read by their kind.  The
 tokens NaN, Infinity and -Infinity, which strict JSON lacks, are rejected
 where the file or a ``--set`` value is parsed.
 ``build_run`` then constructs every object the command uses (material,
@@ -28,9 +34,6 @@ from .mesh import DomainSpec
 from .radial import RadialProblem, check_target
 from .solver import SolveOptions
 from .verify import check_study
-
-_TOP_KEYS = {"domain", "material", "norm", "source", "h", "tol_solve",
-             "max_iter", "seed", "radial", "verify", "wulff"}
 
 DEFAULTS = {
     "domain": {"kind": "disk", "radius": 1.0},
@@ -73,6 +76,55 @@ def _numbers(value, where):
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _matrix(value, where):
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of rows, got {value!r}")
+    return np.array([_numbers(row, f"{where}[{i}]") for i, row in enumerate(value)])
+
+
+_HOPF_KEYS = ("radius", "m")
+
+
+def _hopf(value, where):
+    """A Hopf check's (radius, m), or None for no check."""
+    if value is None:
+        return None
+    return tuple(_number(value.get(key), f"{where}.{key}") for key in _HOPF_KEYS)
+
+
+# Each source kind: the parameters it reads, with their defaults, and f(s).
+_SOURCES = {
+    "zero": ({}, np.zeros_like),
+    "constant": ({"value": 1.0}, lambda s, value: np.full_like(s, value)),
+    "power": ({"exponent": 1.0, "scale": 1.0}, lambda s, exponent, scale: scale * s ** exponent),
+    "linear": ({"scale": 1.0, "offset": 0.0}, lambda s, scale, offset: scale * s + offset),
+}
+_SOURCE_KINDS = tuple(_SOURCES)  # a tuple: a config's kind may be unhashable
+_SOURCE_KEYS = {"kind"}.union(*(params for params, _ in _SOURCES.values()))
+
+# Every section's allowed keys, each with the reader that types its value.
+# None leaves the value to the library, which judges it (kinds, modes,
+# sides), or to build_source, which reads a source spec by its kind.  The
+# norm's keys are read by its kind too, in build_norm.
+_KEYS = {
+    "domain": {"kind": None, "a": _number, "b": _number, "radius": _number, "center": _numbers},
+    "material": {"p": _number, "k": _number, "kind": None},
+    "norm": {"kind": None, "a": _matrix, "q": _number},
+    "source": {"f": None, "g": None},
+    "radial": {"mode": None, "radius": _number, "m": _number, "n": _integer, "target": _number},
+    "verify": {"beta": _number, "t": _number, "q_grid": _numbers, "levels": _integer,
+               "hopf": _hopf},
+    "wulff": {"radius": _number, "samples": _integer, "side": None},
+}
+
+
+def _read(cfg, name):
+    """Section ``name`` of a validated config, each value typed by its reader."""
+    table = _KEYS[name]
+    return {key: table[key](value, f"{name}.{key}") if table[key] else value
+            for key, value in cfg[name].items()}
 
 
 @contextlib.contextmanager
@@ -145,45 +197,31 @@ def load_config(path, overrides=None, seed=None):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _reject_unknown(document, _TOP_KEYS, "the top level")
+    _reject_unknown(document, DEFAULTS, "the top level")
     merged = _merge(DEFAULTS, document)
     if overrides:
         merged = _merge(merged, overrides)
     if seed is not None:
         merged["seed"] = seed
-    _reject_unknown(merged, _TOP_KEYS, "the top level")
+    _reject_unknown(merged, DEFAULTS, "the top level")
     _validate(merged)
     return merged
 
 
 def _validate(cfg):
-    dom = cfg["domain"]
-    _reject_unknown(dom, {"kind", "a", "b", "radius", "center"}, "domain")
-    mat = cfg["material"]
-    _reject_unknown(mat, {"p", "k", "kind"}, "material")
-    norm = cfg["norm"]
-    _reject_unknown(norm, {"kind", "a", "q"}, "norm")
-    src = cfg["source"]
-    _reject_unknown(src, {"f", "g"}, "source")
-    for name in ("f", "g"):
-        spec = src.get(name, {"kind": "zero"})
-        _reject_unknown(spec, {"kind", "value", "exponent", "scale", "offset"},
-                        f"source.{name}")
-        if spec.get("kind") not in ("zero", "constant", "power", "linear"):
-            raise ConfigError(f"source.{name}.kind must be one of zero, constant, "
-                              f"power, linear; got {spec.get('kind')!r}")
-    rad = cfg["radial"]
-    _reject_unknown(rad, {"mode", "radius", "m", "n", "target"}, "radial")
-    ver = cfg["verify"]
-    _reject_unknown(ver, {"beta", "t", "q_grid", "levels", "hopf"}, "verify")
-    if ver.get("hopf") is not None:
-        _reject_unknown(ver["hopf"], {"radius", "m"}, "verify.hopf")
-    wul = cfg["wulff"]
-    _reject_unknown(wul, {"radius", "samples", "side"}, "wulff")
+    for name, table in _KEYS.items():
+        _reject_unknown(cfg[name], table, name)
+    for name, spec in cfg["source"].items():
+        _reject_unknown(spec, _SOURCE_KEYS, f"source.{name}")
+        if spec.get("kind") not in _SOURCE_KINDS:
+            raise ConfigError(f"source.{name}.kind must be one of {', '.join(_SOURCE_KINDS)}; "
+                              f"got {spec.get('kind')!r}")
+    if cfg["verify"]["hopf"] is not None:
+        _reject_unknown(cfg["verify"]["hopf"], _HOPF_KEYS, "verify.hopf")
     for key in ("h", "tol_solve"):
         if _number(cfg[key], key) <= 0:
             raise ConfigError(f"{key} must be positive")
@@ -194,19 +232,10 @@ def _validate(cfg):
 
 
 def _source_callable(spec):
-    kind = spec["kind"]
-    if kind == "zero":
-        return lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    if kind == "constant":
-        value = _number(spec.get("value", 1.0), "source value")
-        return lambda s: np.full_like(np.asarray(s, dtype=float), value)
-    if kind == "power":
-        exponent = _number(spec.get("exponent", 1.0), "source exponent")
-        scale = _number(spec.get("scale", 1.0), "source scale")
-        return lambda s: scale * np.asarray(s, dtype=float) ** exponent
-    scale = _number(spec.get("scale", 1.0), "source scale")
-    offset = _number(spec.get("offset", 0.0), "source offset")
-    return lambda s: scale * np.asarray(s, dtype=float) + offset
+    params, formula = _SOURCES[spec["kind"]]
+    args = {key: _number(spec.get(key, default), f"source {key}")
+            for key, default in params.items()}
+    return lambda s: formula(np.asarray(s, dtype=float), **args)
 
 
 def build_norm(cfg):
@@ -217,21 +246,14 @@ def build_norm(cfg):
     if kind == "ellipsoidal":
         if "a" not in spec:
             raise ConfigError("norm.a (SPD matrix) is required for ellipsoidal norms")
-        rows = spec["a"]
-        if not isinstance(rows, list):
-            raise ConfigError(f"norm.a must be a list of rows, got {rows!r}")
-        return FinslerNorm.ellipsoidal(
-            np.array([_numbers(row, f"norm.a[{i}]") for i, row in enumerate(rows)]))
+        return FinslerNorm.ellipsoidal(_matrix(spec["a"], "norm.a"))
     if kind == "lp":
         return FinslerNorm.lp(_number(spec.get("q", 4.0), "norm.q"), 2)
     raise ConfigError(f"norm.kind must be euclidean, ellipsoidal, or lp; got {kind!r}")
 
 
 def build_material(cfg):
-    spec = cfg["material"]
-    return MaterialProfile(p=_number(spec["p"], "material.p"),
-                           k=_number(spec.get("k", 0.0), "material.k"),
-                           kind=spec.get("kind", "power"))
+    return MaterialProfile(**_read(cfg, "material"))
 
 
 def build_source(cfg):
@@ -240,13 +262,7 @@ def build_source(cfg):
 
 
 def build_domain_spec(cfg, norm):
-    spec = cfg["domain"]
-    return DomainSpec(kind=spec["kind"],
-                      a=_number(spec.get("a", 1.0), "domain.a"),
-                      b=_number(spec.get("b", 1.0), "domain.b"),
-                      radius=_number(spec.get("radius", 1.0), "domain.radius"),
-                      norm=norm,
-                      center=_numbers(spec.get("center", (0.0, 0.0)), "domain.center"))
+    return DomainSpec(norm=norm, **_read(cfg, "domain"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,14 +281,8 @@ class Run:
     h: Optional[float] = None               # solve, regularity
     radial: Optional[RadialProblem] = None  # barrier
     target: Optional[float] = None          # barrier: radial.m in barrier mode, else radial.target
-    wulff_radius: Optional[float] = None    # wulff
-    wulff_samples: Optional[int] = None     # wulff
-    wulff_side: Optional[str] = None        # wulff
-    levels: Optional[int] = None            # regularity
-    beta: Optional[float] = None            # regularity
-    t: Optional[float] = None               # regularity
-    q_grid: Optional[tuple] = None          # regularity
-    hopf: Optional[tuple] = None            # regularity: (radius, m) or None for no Hopf check
+    wulff: Optional[dict] = None            # wulff: keywords of wulff_boundary
+    study: Optional[dict] = None            # regularity: keywords of refinement_study
 
 
 def build_run(cfg, command):
@@ -293,35 +303,23 @@ def build_run(cfg, command):
             used["domain"] = build_domain_spec(cfg, norm)
         used["h"] = float(cfg["h"])
     if command == "barrier":
-        rad = cfg["radial"]
+        rad = _read(cfg, "radial")
+        m, target = rad.pop("m"), rad.pop("target")
         with _section("radial"):
-            radial = RadialProblem(material, source, radius=_number(rad["radius"], "radial.radius"),
-                                   mode=rad["mode"], n=_integer(rad["n"], "radial.n"))
-            m, target = _number(rad["m"], "radial.m"), _number(rad["target"], "radial.target")
+            radial = RadialProblem(material, source, **rad)
             target = m if radial.mode == "barrier" else target
             check_target(radial, target)
         used.update(radial=radial, target=target)
     if command == "wulff":
-        wul = cfg["wulff"]
-        used.update(wulff_radius=_number(wul["radius"], "wulff.radius"),
-                    wulff_samples=_integer(wul["samples"], "wulff.samples"),
-                    wulff_side=wul["side"])
+        wul = _read(cfg, "wulff")
+        used["wulff"] = {"radius": wul["radius"], "n_samples": wul["samples"],
+                         "norm_side": wul["side"]}
         with _section("wulff"):
-            check_wulff_args(norm, used["wulff_radius"], used["wulff_samples"],
-                             used["wulff_side"])
+            check_wulff_args(norm, **used["wulff"])
     if command == "regularity":
-        ver = cfg["verify"]
-        hopf = ver.get("hopf")
-        if hopf is not None:
-            hopf = (_number(hopf.get("radius"), "verify.hopf.radius"),
-                    _number(hopf.get("m"), "verify.hopf.m"))
-        used.update(levels=_integer(ver["levels"], "verify.levels"),
-                    beta=_number(ver["beta"], "verify.beta"),
-                    t=_number(ver["t"], "verify.t"),
-                    q_grid=_numbers(ver["q_grid"], "verify.q_grid"), hopf=hopf)
+        used["study"] = _read(cfg, "verify")
         with _section("verify"):
-            check_study(material, source, used["levels"], used["beta"], used["t"],
-                        used["q_grid"], used["hopf"])
+            check_study(material, source, **used["study"])
     options = SolveOptions(tol_solve=float(cfg["tol_solve"]), max_iter=cfg["max_iter"],
                            seed=cfg["seed"])
     return Run(material=material, norm=norm, source=source, options=options, **used)

@@ -702,9 +702,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
 
     values = np.zeros(mesh.n_vertices)
     values[mesh.boundary_vertices] = _boundary_values(mesh, bc)
-    # B is quadratic for p = 2 in both profiles, and H^2 for these two kinds
-    quadratic = material.p == 2.0 and norm.kind in ("euclidean", "ellipsoidal")
-    return _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch)
+    return _newton(mesh, material, norm, source, values, opts, c1_est, watch)
 
 
 def _nested_mesh(mesh):
@@ -732,7 +730,7 @@ def _nested_start(mesh, coarse, material, norm, source, values, opts, c1_est, wa
     began = time.perf_counter()
     try:
         field, report = _newton(coarse, material, norm, source, values[keep], opts,
-                                c1_est, False, watch)
+                                c1_est, watch)
     except NonconvergenceError as exc:
         logger.warning("coarse solve failed (%s); the fine level starts from its "
                        "last iterate", exc)
@@ -771,13 +769,15 @@ def _quadratic_start(problem, values, watch):
     return _linear_solve(k0, rhs_i, _CG_RTOL, watch)
 
 
-def _newton(mesh, material, norm, source, values, opts, c1_est, quadratic, watch):
+def _newton(mesh, material, norm, source, values, opts, c1_est, watch):
     """Damped Newton on the mesh from boundary data ``values`` (interior
     entries zero).  It starts from the solve on the coarsened mesh when the
-    principal part is not ``quadratic`` and _nested_mesh accepts that mesh,
+    principal part is not quadratic and _nested_mesh accepts that mesh,
     else from the p = 2 solve of the norm's quadratic part."""
     problem = _EnergyProblem(mesh, material, norm, source)
     interior = mesh.interior_mask
+    # B is quadratic for p = 2 in both profiles, and H^2 for these two kinds
+    quadratic = material.p == 2.0 and norm.kind in ("euclidean", "ellipsoidal")
     coarse = None if quadratic else _nested_mesh(mesh)
     init_info = init_iterations = 0
     nested = None

@@ -11,7 +11,7 @@ import pytest
 from finslerpde import (ConfigError, DomainSpec, FinslerNorm, MaterialProfile, RadialProblem,
                         SourceTerm, build_domain, cli, shoot, solve)
 from finslerpde.cli import main
-from finslerpde.config import (build_material, build_norm, build_source,
+from finslerpde.config import (build_material, build_norm, build_run, build_source,
                                load_config, parse_overrides)
 from finslerpde import io, material, solver
 from finslerpde.io import _write_rows, canonical_json, config_sha256, write_json
@@ -72,6 +72,21 @@ class TestConfig:
             parse_overrides([f"h={token}"])
         with pytest.raises(ConfigError, match=f"override 'verify.q_grid=\\[1.4, {token}\\]'"):
             parse_overrides([f"verify.q_grid=[1.4, {token}]"])
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'\xff{"h": 0.1}')
+        with pytest.raises(ConfigError, match="c.json: 'utf-8' codec can't decode byte 0xff"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_readme_example_config_builds(self, tmp_path, command):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+            readme = fh.read()
+        example = readme.split("Example config", 1)[1].split("```json\n", 1)[1]
+        path = tmp_path / "c.json"
+        path.write_text(example.split("```", 1)[0])
+        build_run(load_config(str(path)), command)
 
     def test_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json", BASE),
@@ -147,6 +162,11 @@ REJECTED_INPUTS = [
     ("solve", "h=NaN", "override 'h=NaN': NaN is not a JSON number"),
     ("solve", "h=Infinity", "override 'h=Infinity': Infinity is not a JSON number"),
     ("solve", "h=-Infinity", "override 'h=-Infinity': -Infinity is not a JSON number"),
+    ("solve", "norm.kind=ellipsoidal", "norm.a (SPD matrix) is required for ellipsoidal norms"),
+    ("solve", "norm.kind=bogus", "norm.kind must be euclidean, ellipsoidal, or lp; got 'bogus'"),
+    ("solve", 'source.g={"kind": "constant", "value": -2}',
+     "hypothesis (viii) g is locally Lipschitz"),
+    ("barrier", 'radial={"mode": "ball", "target": -1}', "radial: ball mode needs target_m >= 0"),
 ]
 
 
@@ -304,6 +324,13 @@ class TestCli:
     def test_sections_a_command_does_not_read_are_not_checked(self, tmp_path, command):
         # p = 1.5 is a valid material, though the default verify.t = 0.5 is not below p - 1
         rc, out = self.run(tmp_path, command, BASE, extra=("--set", "material.p=1.5"))
+        assert rc == 0
+        assert self.read_manifest(out)["status"] == "ok"
+
+    def test_values_of_unread_sections_are_not_typed(self, tmp_path):
+        extra = ("--set", 'radial.m="abc"', "--set", "wulff.samples=2.5",
+                 "--set", 'verify.levels="x"')
+        rc, out = self.run(tmp_path, "solve", BASE, extra=extra)
         assert rc == 0
         assert self.read_manifest(out)["status"] == "ok"
 

@@ -100,6 +100,11 @@ class TestRectangle:
         with pytest.raises(ValueError):
             DomainSpec(kind="rectangle", a=-1.0)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_nonpositive_h_rejected(self, h):
+        with pytest.raises(ValueError, match="h_target must be positive"):
+            build_domain(DomainSpec(kind="rectangle"), h)
+
 
 class TestDisk:
     def test_boundary_on_circle(self):

@@ -102,6 +102,11 @@ class TestFailureModes:
         with pytest.raises(AdmissibilityError, match="positive"):
             solve(mesh, MaterialProfile(p=2.0), euclid, bad)
 
+    def test_non_planar_norm_rejected(self, unit_source):
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
+        with pytest.raises(ValueError, match="needs a planar norm"):
+            solve(mesh, MaterialProfile(p=2.0), FinslerNorm.euclidean(3), unit_source)
+
     def test_nonconvergence_carries_last_iterate(self, euclid, unit_source):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
         opts = SolveOptions(max_iter=1)

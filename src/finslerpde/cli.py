@@ -40,18 +40,18 @@ from .verify import refinement_study
 
 def _cmd_solve(run, out, manifest):
     mesh = build_domain(run.domain, run.h)
+    failure = None
     try:
         field, report = solve(mesh, run.material, run.norm, run.source, options=run.options)
     except NonconvergenceError as exc:
-        if exc.last_iterate is not None:
-            _emit(out, manifest, "field.csv", write_field_csv, exc.last_iterate)
-        if exc.report is not None:
-            manifest["seconds"]["solve"] = dict(exc.report.seconds)
-            _emit(out, manifest, "solve_report.json", write_json, exc.report.to_dict())
-        raise
-    manifest["seconds"]["solve"] = dict(report.seconds)
-    _emit(out, manifest, "field.csv", write_field_csv, field)
-    _emit(out, manifest, "solve_report.json", write_json, report.to_dict())
+        failure, field, report = exc, exc.last_iterate, exc.report
+    if field is not None:
+        _emit(out, manifest, "field.csv", write_field_csv, field)
+    if report is not None:
+        manifest["seconds"]["solve"] = dict(report.seconds)
+        _emit(out, manifest, "solve_report.json", write_json, report.to_dict())
+    if failure is not None:
+        raise failure
 
 
 def _cmd_barrier(run, out, manifest):

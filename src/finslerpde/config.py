@@ -231,9 +231,9 @@ def _validate(cfg):
         raise ConfigError("seed must be a non-negative integer")
 
 
-def _source_callable(spec):
+def _source_callable(spec, where):
     params, formula = _SOURCES[spec["kind"]]
-    args = {key: _number(spec.get(key, default), f"source {key}")
+    args = {key: _number(spec.get(key, default), f"{where}.{key}")
             for key, default in params.items()}
     return lambda s: formula(np.asarray(s, dtype=float), **args)
 
@@ -257,8 +257,8 @@ def build_material(cfg):
 
 
 def build_source(cfg):
-    return SourceTerm(f=_source_callable(cfg["source"]["f"]),
-                      g=_source_callable(cfg["source"]["g"]))
+    return SourceTerm(f=_source_callable(cfg["source"]["f"], "source.f"),
+                      g=_source_callable(cfg["source"]["g"], "source.g"))
 
 
 def build_domain_spec(cfg, norm):

@@ -70,24 +70,28 @@ lattice of the interior vertices (mesh.Lattice; the annulus wraps around
 its angle), and a P1 stiffness matrix couples each lattice point only to
 its 8 neighbours.  So each tangent is stored as a 3 x 3 stencil per
 lattice point, a (3, 3, rows, cols) array; solve rejects a mesh without
-a lattice.  The element-to-stencil scatter is built once per solve as
+a lattice.  The element-to-stencil scatter is built once per level as
 int32 slots, and each assembly is one numpy.add.at into them, which adds
 in input order as bincount does without bincount's intp copy of the
 slots.  The product sums each row over its 3 x 3 neighbours in stencil
 order, on every lattice; the annulus seam needs no case of its own, since
 the padded field already holds the wrapped neighbours.
 
-The per-triangle kernels (energy density, residual contributions, element
-matrices, the report's critical gradients) run over fixed blocks of
-_BLOCK triangles, each block writing its slice of the one full-length
-output, so their temporaries do not grow with the mesh.  Sums, scatters
-and assembly still run once over the full outputs, in the order they
-always had, so no result depends on the block size.  A Newton step keeps
-one tangent alive: its stencil is dropped once the step's directions are
-built, and the directions when the step ends, before the next assembly.
-A residual, search direction or trial iterate that is not finite ends
-the solve with NonconvergenceError, which carries the last finite
-iterate, as does an initial energy that is not finite.
+Each level of a solve is one _EnergyProblem: the problem on one mesh with
+the solve's options, sampled C1_est and stopwatch, which the starts, the
+Newton steps and the report read; the nested start gets the coarse level
+from it, with the source table and stencil slots rebuilt for the coarse
+mesh.  Its per-triangle kernels (energy density, residual contributions,
+element matrices, the near-critical count) run over fixed blocks of _BLOCK
+triangles, each block writing its slice of the one full-length output, so
+their temporaries do not grow with the mesh.  Sums, scatters and assembly
+still run once over the full outputs, in the order they always had, so no
+result depends on the block size.  A Newton step keeps one tangent alive:
+its stencil is dropped once the step's directions are built, and the
+directions when the step ends, before the next assembly.  A residual,
+search direction or trial iterate that is not finite ends the solve with
+NonconvergenceError, which carries the last finite iterate, as does an
+initial energy that is not finite.
 
 The preconditioner is one V(1,1)-cycle from a zero start, built once per
 tangent (Trottenberg, Oosterlee and Schueller, "Multigrid", Academic
@@ -573,14 +577,24 @@ def _forcing_term(residual, previous, last_eta, target):
     return max(_CG_RTOL, min(_ETA_MAX, eta))
 
 
+def _near_critical(xi):
+    """Mask of the gradients xi (T, 2) with |xi| < _EPS_GRAD."""
+    return np.sqrt(xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]) < _EPS_GRAD
+
+
 class _EnergyProblem:
-    def __init__(self, mesh, material, norm, source):
-        self.mesh = mesh
-        self.material = material
-        self.norm = norm
-        self.source = source
+    """One level of a solve: the problem on ``mesh``, its kernels, and the
+    solve's settings, which ``on`` carries to another mesh."""
+
+    def __init__(self, mesh, material, norm, source, opts, c1_est, watch):
+        self.mesh, self.material, self.norm, self.source = mesh, material, norm, source
+        self.opts, self.c1_est, self.watch = opts, c1_est, watch
         self.primitive = _Primitive(source.f_vals)
         self._slot = _stencil_slots(mesh)
+
+    def on(self, mesh):
+        return _EnergyProblem(mesh, self.material, self.norm, self.source, self.opts,
+                              self.c1_est, self.watch)
 
     def stiffness(self, element_mats):
         """Interior block of sum_T (element matrix of T), as a lattice stencil.
@@ -636,20 +650,26 @@ class _EnergyProblem:
                 contrib[cells, v] = column
         return self.scatter(contrib)
 
-    def tangent(self, values, c1_floor):
+    def tangent(self, values):
         mesh, material = self.mesh, self.material
         mats = np.empty((3, 3, mesh.n_triangles))
         for cells in _blocks(mesh.n_triangles):
             xi = element_gradients(mesh, values, cells)
-            small = np.sqrt(xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]) < _EPS_GRAD
+            small = _near_critical(xi)
             xi[small, 0] += _EPS_GRAD
             # exactly symmetric (its entries are mirrored, not recomputed)
             tensors = linearized_tensor(material, self.norm, xi)
             if np.any(small):
-                floor = c1_floor * (material.k + _EPS_GRAD) ** (material.p - 2.0)
+                floor = self.c1_est * (material.k + _EPS_GRAD) ** (material.p - 2.0)
                 tensors[small] = _floor_spd(tensors[small], floor)
             _element_matrices(mesh, tensors, cells, mats[:, :, cells])
         return self.stiffness(mats)
+
+    def critical_count(self, values):
+        """Number of triangles where |grad u| < _EPS_GRAD, the tangent's
+        threshold."""
+        return sum(np.count_nonzero(_near_critical(element_gradients(self.mesh, values, cells)))
+                   for cells in _blocks(self.mesh.n_triangles))
 
 
 class _Stopwatch:
@@ -702,7 +722,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
 
     values = np.zeros(mesh.n_vertices)
     values[mesh.boundary_vertices] = _boundary_values(mesh, bc)
-    return _newton(mesh, material, norm, source, values, opts, c1_est, watch)
+    return _newton(_EnergyProblem(mesh, material, norm, source, opts, c1_est, watch), values)
 
 
 def _nested_mesh(mesh):
@@ -719,18 +739,18 @@ def _nested_mesh(mesh):
     return coarse
 
 
-def _nested_start(mesh, coarse, material, norm, source, values, opts, c1_est, watch):
-    """Interior values of the fine mesh interpolated from the solve on its
-    coarsening, and the coarse solve's record for the report.
+def _nested_start(problem, coarse, values):
+    """Interior values of the problem's mesh interpolated from the solve on
+    its coarsening ``coarse``, and the coarse solve's record for the report.
 
     The coarse boundary data are the fine ones at the kept vertices.  A
     coarse solve that does not converge still gives its last iterate.
     """
+    mesh = problem.mesh
     keep = np.arange(mesh.n_vertices).reshape(grid_shape(mesh.lattice))[::2, ::2].ravel()
     began = time.perf_counter()
     try:
-        field, report = _newton(coarse, material, norm, source, values[keep], opts,
-                                c1_est, watch)
+        field, report = _newton(problem.on(coarse), values[keep])
     except NonconvergenceError as exc:
         logger.warning("coarse solve failed (%s); the fine level starts from its "
                        "last iterate", exc)
@@ -745,7 +765,7 @@ def _nested_start(mesh, coarse, material, norm, source, values, opts, c1_est, wa
     return grid.ravel()[mesh.interior_mask], record
 
 
-def _quadratic_start(problem, values, watch):
+def _quadratic_start(problem, values):
     """Interior values of the p = 2 solve of the norm's quadratic part,
     H^2 = xi . A xi, with the boundary data of ``values`` (interior entries
     zero), and the CG status and iterations of that solve."""
@@ -765,29 +785,28 @@ def _quadratic_start(problem, values, watch):
     del load  # the solve below needs only rhs_i and k0
     k0 = problem.stiffness(ke0)
     del ke0
-    watch.lap("init")
-    return _linear_solve(k0, rhs_i, _CG_RTOL, watch)
+    problem.watch.lap("init")
+    return _linear_solve(k0, rhs_i, _CG_RTOL, problem.watch)
 
 
-def _newton(mesh, material, norm, source, values, opts, c1_est, watch):
-    """Damped Newton on the mesh from boundary data ``values`` (interior
-    entries zero).  It starts from the solve on the coarsened mesh when the
-    principal part is not quadratic and _nested_mesh accepts that mesh,
-    else from the p = 2 solve of the norm's quadratic part."""
-    problem = _EnergyProblem(mesh, material, norm, source)
+def _newton(problem, values):
+    """Damped Newton on the problem's mesh from boundary data ``values``
+    (interior entries zero).  It starts from the solve on the coarsened
+    mesh when the principal part is not quadratic and _nested_mesh accepts
+    that mesh, else from the p = 2 solve of the norm's quadratic part."""
+    mesh, material, opts, watch = problem.mesh, problem.material, problem.opts, problem.watch
     interior = mesh.interior_mask
     # B is quadratic for p = 2 in both profiles, and H^2 for these two kinds
-    quadratic = material.p == 2.0 and norm.kind in ("euclidean", "ellipsoidal")
+    quadratic = material.p == 2.0 and problem.norm.kind in ("euclidean", "ellipsoidal")
     coarse = None if quadratic else _nested_mesh(mesh)
     init_info = init_iterations = 0
     nested = None
     if coarse is not None:
         watch.lap("init")
-        values[interior], nested = _nested_start(mesh, coarse, material, norm, source, values,
-                                                 opts, c1_est, watch)
+        values[interior], nested = _nested_start(problem, coarse, values)
         del coarse  # not needed at the fine level, where the peak is
     else:
-        init, init_info, init_iterations = _quadratic_start(problem, values, watch)
+        init, init_info, init_iterations = _quadratic_start(problem, values)
         if init_info == 0:
             values[interior] = init
         else:
@@ -807,8 +826,14 @@ def _newton(mesh, material, norm, source, values, opts, c1_est, watch):
 
     def report(done):
         watch.lap("tangent")  # the last residual
-        return _make_report(problem, values, history, steps, final_residual, done,
-                            init_info, init_iterations, nested, watch.seconds)
+        return SolveReport(
+            iterations=len(steps), energy_history=[float(e) for e in history],
+            final_residual=final_residual, min_u=float(values.min()),
+            critical_fraction=float(problem.critical_count(values) / mesh.n_triangles),
+            converged=done, h=mesh.h, n_vertices=mesh.n_vertices, n_triangles=mesh.n_triangles,
+            init_cg_info=int(init_info), init_cg_iterations=init_iterations,
+            start="quadratic" if nested is None else "nested", coarse=nested, steps=steps,
+            seconds=dict(watch.seconds))
 
     def failure(why):
         return NonconvergenceError(f"{why} (residual {final_residual:.3e})",
@@ -826,7 +851,7 @@ def _newton(mesh, material, norm, source, values, opts, c1_est, watch):
             converged = True
             break
         eta = _CG_RTOL if singular else _forcing_term(final_residual, previous, eta, target)
-        trial, outcome = _newton_step(problem, values, energy, r, eta, c1_est, watch)
+        trial, outcome = _newton_step(problem, values, energy, r, eta)
         watch.lap("line_search")
         if trial is None:
             raise failure(f"{outcome} after {len(steps)} accepted steps")
@@ -840,7 +865,7 @@ def _newton(mesh, material, norm, source, values, opts, c1_est, watch):
     return ScalarField(mesh, values), report(True)
 
 
-def _newton_step(problem, values, energy, r, eta, c1_est, watch):
+def _newton_step(problem, values, energy, r, eta):
     """One damped Newton step from ``values``, whose interior residual is r.
 
     Returns (new values, record) with the record's energy, CG status and
@@ -851,9 +876,9 @@ def _newton_step(problem, values, energy, r, eta, c1_est, watch):
     alive at a time.
     """
     interior = problem.mesh.interior_mask
-    kii = problem.tangent(values, c1_est)
-    watch.lap("tangent")
-    step, info, iterations = _linear_solve(kii, -r, eta, watch)
+    kii = problem.tangent(values)
+    problem.watch.lap("tangent")
+    step, info, iterations = _linear_solve(kii, -r, eta, problem.watch)
     directions = []
     if info == 0 and _dot(r, step) < 0.0:
         directions.append(("newton", step))
@@ -881,29 +906,3 @@ def _newton_step(problem, values, energy, r, eta, c1_est, watch):
             alpha *= 0.5
             backtracks += 1
     return None, "line search failed"
-
-
-def _make_report(problem, values, history, steps, final_residual, converged,
-                 init_cg_info, init_cg_iterations, coarse, seconds):
-    mesh = problem.mesh
-    critical = 0
-    for cells in _blocks(mesh.n_triangles):
-        g = element_gradients(mesh, values, cells)
-        critical += np.count_nonzero(np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]) < _EPS_GRAD)
-    return SolveReport(
-        iterations=len(steps),
-        energy_history=[float(e) for e in history],
-        final_residual=final_residual,
-        min_u=float(values.min()),
-        critical_fraction=float(critical / mesh.n_triangles),
-        converged=converged,
-        h=mesh.h,
-        n_vertices=mesh.n_vertices,
-        n_triangles=mesh.n_triangles,
-        init_cg_info=int(init_cg_info),
-        init_cg_iterations=init_cg_iterations,
-        start="quadratic" if coarse is None else "nested",
-        coarse=coarse,
-        steps=steps,
-        seconds=dict(seconds),
-    )

@@ -165,9 +165,7 @@ def test_criterion_10_determinism(tmp_path):
         assert main(["regularity", "--config", str(cfg), "--out", out]) == 0
     with open(os.path.join(outs[0], "manifest.json")) as fh:
         names = [n for n in json.load(fh)["artifacts"] if n.endswith(".csv")]
-    same = all(
-        open(os.path.join(outs[0], n), "rb").read()
-        == open(os.path.join(outs[1], n), "rb").read()
-        for n in names)
+    same = all((tmp_path / "run1" / n).read_bytes() == (tmp_path / "run2" / n).read_bytes()
+               for n in names)
     report(10, same and len(names) >= 2,
            f"{len(names)} CSV artifacts byte-identical across two runs")

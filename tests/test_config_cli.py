@@ -167,6 +167,20 @@ REJECTED_INPUTS = [
     ("solve", 'source.g={"kind": "constant", "value": -2}',
      "hypothesis (viii) g is locally Lipschitz"),
     ("barrier", 'radial={"mode": "ball", "target": -1}', "radial: ball mode needs target_m >= 0"),
+    ("solve", 'source.f={"kind": "power", "exponent": "x"}',
+     "source.f.exponent must be a number, got 'x'"),
+    ("solve", 'source.g={"kind": "constant", "value": "x"}',
+     "source.g.value must be a number, got 'x'"),
+    ("solve", 'norm={"kind": "lp", "q": 1}', "norm: lp norm requires exponent q > 1"),
+    ("solve", 'norm={"kind": "ellipsoidal", "a": [[1, 0, 0], [0, 1, 0]]}',
+     "norm: matrix must be (2, 2)"),
+    ("solve", 'norm={"kind": "ellipsoidal", "a": [[1, 0.5], [0, 1]]}',
+     "norm: matrix must be symmetric"),
+    ("solve", 'norm={"kind": "ellipsoidal", "a": [[1, 0], [0, -1]]}',
+     "norm: matrix must be positive definite"),
+    ("solve", "material.kind=bogus", "material: unknown profile kind 'bogus'"),
+    ("solve", "domain.kind=bogus", "domain: domain kind must be one of ("),
+    ("wulff", "wulff.radius=0", "wulff: radius must be positive"),
 ]
 
 
@@ -500,6 +514,15 @@ class TestCli:
         assert 3 <= hopf["marches"] <= 12
         lo, hi = hopf["bracket"]
         assert lo < hi
+
+    def test_regularity_without_hopf_check(self, tmp_path):
+        body = dict(BASE, h=0.2, verify={"levels": 2, "hopf": None})
+        rc, out = self.run(tmp_path, "regularity", body)
+        assert rc == 0
+        assert sorted(os.listdir(out)) == ["field.csv", "manifest.json",
+                                           "regularity_report.json", "study.csv"]
+        assert self.read_manifest(out)["artifacts"] == ["study.csv", "regularity_report.json",
+                                                        "field.csv"]
 
 
 class TestIo:

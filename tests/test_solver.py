@@ -22,6 +22,12 @@ def center_value(field):
     return float(field.values[i])
 
 
+def level(mesh, material, norm, source, c1_est=1.0):
+    """One level of a solve on the mesh: default options, a fresh stopwatch."""
+    return solver._EnergyProblem(mesh, material, norm, source, SolveOptions(), c1_est,
+                                 solver._Stopwatch())
+
+
 class TestTorsion:
     def test_central_value(self, torsion_coarse):
         field, report = torsion_coarse
@@ -414,9 +420,8 @@ class TestNestedStart:
         mesh = build_domain(DomainSpec(kind="rectangle"), 0.12)
         linear = 0.3 + 0.2 * mesh.vertices[:, 0] - 0.1 * mesh.vertices[:, 1]
         values = np.where(mesh.interior_mask, 0.0, linear)
-        start, record = solver._nested_start(
-            mesh, solver.coarsen(mesh), MaterialProfile(p=3.0), lp4, const_source(0.0),
-            values, SolveOptions(), 1.0, solver._Stopwatch())
+        problem = level(mesh, MaterialProfile(p=3.0), lp4, const_source(0.0))
+        start, record = solver._nested_start(problem, solver.coarsen(mesh), values)
         assert record["lattice"] == [5, 5] and record["converged"]
         assert np.abs(start - linear[mesh.interior_mask]).max() <= 1e-12
 
@@ -603,8 +608,7 @@ class TestKernels:
     @pytest.fixture(params=KERNEL_MESHES, ids=KERNEL_IDS)
     def problem(self, request, lp4, unit_source):
         dom, h = request.param
-        return solver._EnergyProblem(build_domain(dom, h), MaterialProfile(p=3.0), lp4,
-                                     unit_source)
+        return level(build_domain(dom, h), MaterialProfile(p=3.0), lp4, unit_source)
 
     def test_stiffness_matches_coo_build(self, problem):
         mesh = problem.mesh
@@ -778,11 +782,10 @@ GROWING_SOURCE = SourceTerm(f=lambda s: 1.0 + np.asarray(s, dtype=float) ** 3)
 
 def _kernel_outputs(mesh, material, norm, values):
     """Energy, residual, tangent stencil data and the report's critical
-    fraction of one fresh problem (its primitive table not yet grown)."""
-    problem = solver._EnergyProblem(mesh, material, norm, GROWING_SOURCE)
-    report = solver._make_report(problem, values, [0.0], [], 0.0, True, 0, 0, None, {})
+    count of one fresh level (its primitive table not yet grown)."""
+    problem = level(mesh, material, norm, GROWING_SOURCE, c1_est=0.5)
     return (problem.energy(values), problem.residual(values),
-            problem.tangent(values, 0.5).data, report.critical_fraction)
+            problem.tangent(values).data, problem.critical_count(values))
 
 
 class TestBlocks:
@@ -799,7 +802,7 @@ class TestBlocks:
         values = np.minimum(4.0 * np.arange(mesh.n_vertices) / mesh.n_vertices, 3.0)
         monkeypatch.setattr(solver, "_BLOCK", mesh.n_triangles)
         whole = _kernel_outputs(mesh, material, lp4, values)
-        assert 0.0 < whole[3] < 1.0
+        assert 0 < whole[3] < mesh.n_triangles
         monkeypatch.setattr(solver, "_BLOCK", 7)
         blocked = _kernel_outputs(mesh, material, lp4, values)
         for one, many in zip(whole, blocked):

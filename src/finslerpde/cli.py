@@ -5,12 +5,13 @@ their artifacts plus a manifest.json into --out.  The manifest holds the
 resolved config (after --set and --seed) with the sha256 of its canonical
 JSON, the package, Python, numpy and scipy versions, the seed, the
 admissibility verdicts, the artifact list and the wall time of each
-stage.  Exit status: 0 on success, 1 for rejected input (single-line
-diagnostic; found before any compute, except a Hopf ball that does not
-fit the solved domain, a FitError, which marks the manifest
-``rejected``), 2 for any other failure during compute (numeric, shooting
-or meshing) with whatever partial artifacts were produced retained and
-the manifest flagged ``numeric-failure``.
+stage; the hash and the versions are taken when the manifest is written,
+after the command (see _provenance).  Exit status: 0 on success, 1 for
+rejected input (single-line diagnostic; found before any compute, except
+a Hopf ball that does not fit the solved domain, a FitError, which marks
+the manifest ``rejected``), 2 for any other failure during compute
+(numeric, shooting or meshing) with whatever partial artifacts were
+produced retained and the manifest flagged ``numeric-failure``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import build_run, load_config, parse_overrides
 from .errors import FitError, NonconvergenceError, NumericError
-from .finsler import (ellipticity_constant, ellipticity_verdict, verify_duality_identities,
-                      wulff_boundary)
+from .finsler import (_Draws, ellipticity_constant, ellipticity_verdict,
+                      verify_duality_identities, wulff_boundary)
 from .io import (canonical_json, config_sha256, write_field_csv, write_json,
                  write_profile_csv, write_study_csv, write_wulff_csv)
 from .material import ADMISSIBILITY_SAMPLES, admissibility_report, check_source_signs
@@ -65,10 +65,9 @@ def _cmd_wulff(run, out, manifest):
 
 
 def _cmd_verify(run, out, manifest):
-    rng = np.random.default_rng(run.options.seed)
     payload = dict(manifest["admissibility"])
     payload["duality_residual"] = verify_duality_identities(
-        run.norm, samples=rng.standard_normal((100, run.norm.dim)))
+        run.norm, samples=_Draws(run.options.seed).normal((100, run.norm.dim)))
     _emit(out, manifest, "admissibility.json", write_json, payload)
 
 
@@ -81,6 +80,17 @@ def _cmd_regularity(run, out, manifest):
     if result.hopf is not None:
         _emit(out, manifest, "hopf_report.json", write_json, result.hopf.to_dict())
     _emit(out, manifest, "field.csv", write_field_csv, result.fields[-1])
+
+
+def _provenance(cfg):
+    """The manifest's config hash and library versions, taken when the
+    manifest is written: scipy is imported here and hashlib by
+    config_sha256, after the command, so the 4.8 MB resident they cost a
+    process (hashlib loads OpenSSL) come after the run's peak."""
+    import scipy
+    return {"config_sha256": config_sha256(canonical_json(cfg)),
+            "versions": {"finslerpde": __version__, "python": platform.python_version(),
+                         "numpy": np.__version__, "scipy": scipy.__version__}}
 
 
 def _emit(out, manifest, name, writer, payload):
@@ -131,9 +141,6 @@ def main(argv=None):
     manifest = {
         "command": args.command,
         "config": cfg,
-        "config_sha256": config_sha256(canonical_json(cfg)),
-        "versions": {"finslerpde": __version__, "python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": cfg["seed"],
         "admissibility": admissibility,
         "artifacts": [],
@@ -153,6 +160,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         code = 1 if rejected else 2
     seconds["command"] = time.perf_counter() - start
+    manifest.update(_provenance(cfg))
     write_json(os.path.join(args.out, "manifest.json"), manifest)
     return code
 

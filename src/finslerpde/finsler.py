@@ -23,6 +23,9 @@ All evaluators accept a single vector ``(n,)`` or a batch ``(m, n)``.
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
+import random
 
 import numpy as np
 
@@ -40,6 +43,38 @@ def _as_batch(xi, dim):
     if xi.ndim != 2 or xi.shape[1] != dim:
         raise ValueError(f"expected array of shape (m, {dim}), got {xi.shape}")
     return xi, False
+
+
+class _Draws:
+    """Seeded uniform and normal doubles from the standard library's
+    Mersenne Twister (random.Random; Matsumoto and Nishimura, ACM Trans.
+    Model. Comput. Simul. 8, 1998), shaped with numpy.  numpy.random is not
+    used: importing it loads OpenSSL through secrets, several MB of
+    resident memory that every run would carry for one sampling pass."""
+
+    def __init__(self, seed):
+        # an integer, numpy's included: random.Random would seed other
+        # types from their hash
+        self._twister = random.Random(operator.index(seed))
+
+    def uniform(self, count):
+        """``count`` doubles in (0, 1]: the top 53 bits of each 64-bit draw,
+        plus one, times 2^-53."""
+        bits = self._twister.getrandbits(64 * count).to_bytes(8 * count, "little")
+        words = np.frombuffer(bits, dtype="<u8")
+        return ((words >> 11) + 1).astype(float) * 2.0 ** -53
+
+    def normal(self, shape):
+        """Standard normal doubles of ``shape`` by the Box-Muller transform
+        (Box and Muller, Ann. Math. Stat. 29, 1958): one pair per pair of
+        uniforms, the cosine halves first."""
+        count = math.prod(shape)
+        half = (count + 1) // 2
+        u = self.uniform(2 * half)
+        radius = np.sqrt(-2.0 * np.log(u[:half]))
+        angle = 2.0 * np.pi * u[half:]
+        pairs = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        return pairs[:count].reshape(shape)
 
 
 def _column_sum(v):
@@ -238,16 +273,15 @@ def ellipticity_constant(h, n_samples=4096, seed=0):
     orthogonal to grad H(xi).  In dim 2 the sphere is swept with a
     half-step-offset angular grid (avoiding the coordinate axes, where
     lp Hessians degenerate or blow up); in higher dimension it is sampled
-    with a seeded generator.  A sampled minimum <= 0 means the ball has a
-    flat or crystalline spot and the norm is not admissible for the
-    estimates downstream.
+    from seeded normal draws (_Draws).  A sampled minimum <= 0 means the
+    ball has a flat or crystalline spot and the norm is not admissible for
+    the estimates downstream.
     """
     if h.dim == 2:
         thetas = (np.arange(n_samples) + 0.5) * (2.0 * np.pi / n_samples)
         dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     else:
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((n_samples, h.dim))
+        dirs = _Draws(seed).normal((n_samples, h.dim))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     xi = dirs / h.eval(dirs)[:, None]
     _, g, d2 = h.jet(xi)
@@ -255,8 +289,7 @@ def ellipticity_constant(h, n_samples=4096, seed=0):
         t = np.column_stack([-g[:, 1], g[:, 0]])
         t /= np.linalg.norm(t, axis=-1, keepdims=True)
     else:
-        rng = np.random.default_rng(seed + 1)
-        t = rng.standard_normal(xi.shape)
+        t = _Draws(seed + 1).normal(xi.shape)
         t -= g * (np.einsum("ij,ij->i", t, g) / np.einsum("ij,ij->i", g, g))[:, None]
         t /= np.linalg.norm(t, axis=-1, keepdims=True)
     lam = np.einsum("ij,ijk,ik->i", t, d2, t)

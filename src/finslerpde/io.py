@@ -7,7 +7,6 @@ JSON is strict: a float that is not finite is written as null.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
@@ -83,4 +82,5 @@ def canonical_json(payload):
 
 
 def config_sha256(raw_bytes):
+    import hashlib  # loads OpenSSL: imported only where a hash is taken
     return hashlib.sha256(raw_bytes).hexdigest()

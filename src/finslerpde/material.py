@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AdmissibilityError, NumericError
-from .finsler import _as_batch, _scale_rows
+from .finsler import _as_batch, _Draws, _scale_rows
 from .hypotheses import violation
 
 # Verdicts for the barrier admissibility of g.
@@ -268,10 +268,15 @@ class SourceTerm:
 
 
 def sample_vectors(dim, count, seed, r_range=_RADIUS_RANGE):
-    """Seeded nonzero sample vectors: log-uniform radius, uniform direction."""
-    rng = np.random.default_rng(seed)
-    radii = np.exp(rng.uniform(math.log(r_range[0]), math.log(r_range[1]), count))
-    dirs = rng.standard_normal((count, dim))
+    """Seeded nonzero sample vectors: log-uniform radius in ``r_range``,
+    uniform direction.  One stream of finsler._Draws (the standard library's
+    Mersenne Twister) gives the ``count`` log radii, uniform on the log of
+    the range, then the ``count`` x ``dim`` normals whose directions are
+    taken."""
+    draws = _Draws(seed)
+    lo, hi = math.log(r_range[0]), math.log(r_range[1])
+    radii = np.exp(lo + (hi - lo) * draws.uniform(count))
+    dirs = draws.normal((count, dim))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     return radii[:, None] * dirs
 

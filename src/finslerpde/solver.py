@@ -71,18 +71,23 @@ its angle), and a P1 stiffness matrix couples each lattice point only to
 its 8 neighbours.  So each tangent is stored as a 3 x 3 stencil per
 lattice point, a (3, 3, rows, cols) array; solve rejects a mesh without
 a lattice.  The element-to-stencil scatter is built once per level as
-int32 slots, and each assembly is one numpy.add.at into them, which adds
-in input order as bincount does without bincount's intp copy of the
-slots.  The product sums each row over its 3 x 3 neighbours in stencil
-order, on every lattice; the annulus seam needs no case of its own, since
-the padded field already holds the wrapped neighbours.
+int32 slots.  Assembly keeps the area-scaled tensor entries |T| M00,
+|T| M01 and |T| M11 of each triangle, 3 floats where the element matrix
+has 9, and builds the nine (a, b) element-matrix entries one at a time
+over all triangles, each added into its row of slots by its own
+numpy.add.at.  add.at adds in input order, as bincount does without
+bincount's intp copy of the slots, so each stencil entry sums its terms
+in the order of one scatter of the (3, 3, T) element matrices.  The
+product sums each row over its 3 x 3 neighbours in stencil order, on
+every lattice; the annulus seam needs no case of its own, since the
+padded field already holds the wrapped neighbours.
 
 Each level of a solve is one _EnergyProblem: the problem on one mesh with
 the solve's options, sampled C1_est and stopwatch, which the starts, the
 Newton steps and the report read; the nested start gets the coarse level
 from it, with the source table and stencil slots rebuilt for the coarse
 mesh.  Its per-triangle kernels (energy density, residual contributions,
-element matrices, the near-critical count) run over fixed blocks of _BLOCK
+area tensors, the near-critical count) run over fixed blocks of _BLOCK
 triangles, each block writing its slice of the one full-length output, so
 their temporaries do not grow with the mesh.  Sums, scatters and assembly
 still run once over the full outputs, in the order they always had, so no
@@ -259,24 +264,41 @@ def _blocks(n):
     return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-def _element_matrices(mesh, cell_tensors, cells=slice(None), out=None):
-    """|T| grad phi_a . M_T grad phi_b for the triangles T in ``cells``,
-    from the symmetric part of M_T.  Entry-major, shape (3, 3, T), written
-    into ``out`` when given, and built entry by entry: numpy is slow along
-    axes of length 2 or 3."""
-    area, grads = mesh.areas[cells], mesh.basis_grads[cells]
-    m01 = 0.5 * area * (cell_tensors[:, 0, 1] + cell_tensors[:, 1, 0])
-    m00 = area * cell_tensors[:, 0, 0]
-    m11 = area * cell_tensors[:, 1, 1]
+def _area_tensors(mesh, cell_tensors, cells=slice(None), out=None):
+    """|T| times the symmetric part of M_T for the triangles T in ``cells``:
+    rows m00, m01 and m11 of a (3, T) array, written into ``out`` when
+    given."""
+    area = mesh.areas[cells]
     if out is None:
-        out = np.empty((3, 3, len(area)))
+        out = np.empty((3, len(area)))
+    np.multiply(area, cell_tensors[:, 0, 0], out=out[0])
+    out[1] = 0.5 * area * (cell_tensors[:, 0, 1] + cell_tensors[:, 1, 0])
+    np.multiply(area, cell_tensors[:, 1, 1], out=out[2])
+    return out
+
+
+def _element_entries(grads, m):
+    """(a, b, |T| grad phi_a . M_T grad phi_b) for the nine (a, b) in order,
+    from the basis gradients (T, 3, 2) and the area tensors ``m`` (3, T) of
+    the same triangles; built entry by entry, as numpy is slow along axes
+    of length 2 or 3."""
+    m00, m01, m11 = m
     for a in range(3):
         # |T| M_T grad phi_a, then its product with each grad phi_b
         wx = grads[:, a, 0] * m00 + grads[:, a, 1] * m01
         wy = grads[:, a, 0] * m01 + grads[:, a, 1] * m11
         for b in range(3):
-            np.multiply(wx, grads[:, b, 0], out=out[a, b])
-            out[a, b] += wy * grads[:, b, 1]
+            entry = wx * grads[:, b, 0]
+            entry += wy * grads[:, b, 1]
+            yield a, b, entry
+
+
+def _element_matrices(mesh, m, cells=slice(None)):
+    """Element matrices of the triangles in ``cells`` from their area
+    tensors ``m``: entry-major, shape (3, 3, T)."""
+    out = np.empty((3, 3, m.shape[1]))
+    for a, b, entry in _element_entries(mesh.basis_grads[cells], m):
+        out[a, b] = entry
     return out
 
 
@@ -596,14 +618,20 @@ class _EnergyProblem:
         return _EnergyProblem(mesh, self.material, self.norm, self.source, self.opts,
                               self.c1_est, self.watch)
 
-    def stiffness(self, element_mats):
-        """Interior block of sum_T (element matrix of T), as a lattice stencil.
+    def stiffness(self, m):
+        """Interior block of sum_T (element matrix of T), as a lattice
+        stencil, from the area tensors ``m`` (3, T) of every triangle.
 
-        add.at sums each slot in input order, as bincount does."""
+        Each (a, b) entry of the element matrices is added by its own add.at,
+        in (a, b) order.  add.at sums each slot in input order, as bincount
+        does, so every slot takes its terms in the order of one scatter of
+        the flattened (3, 3, T) element matrices, which are never held."""
         rows, cols, periodic = self.mesh.lattice
         size = 9 * rows * cols
         data = np.zeros(size + 1)
-        np.add.at(data, self._slot, element_mats.ravel())
+        slot = self._slot.reshape(3, 3, -1)
+        for a, b, entry in _element_entries(self.mesh.basis_grads, m):
+            np.add.at(data, slot[a, b], entry)
         return _Stencil(data[:size].reshape(3, 3, rows, cols), periodic)
 
     def scatter(self, contrib):
@@ -652,7 +680,7 @@ class _EnergyProblem:
 
     def tangent(self, values):
         mesh, material = self.mesh, self.material
-        mats = np.empty((3, 3, mesh.n_triangles))
+        m = np.empty((3, mesh.n_triangles))
         for cells in _blocks(mesh.n_triangles):
             xi = element_gradients(mesh, values, cells)
             small = _near_critical(xi)
@@ -662,8 +690,8 @@ class _EnergyProblem:
             if np.any(small):
                 floor = self.c1_est * (material.k + _EPS_GRAD) ** (material.p - 2.0)
                 tensors[small] = _floor_spd(tensors[small], floor)
-            _element_matrices(mesh, tensors, cells, mats[:, :, cells])
-        return self.stiffness(mats)
+            _area_tensors(mesh, tensors, cells, m[:, cells])
+        return self.stiffness(m)
 
     def critical_count(self, values):
         """Number of triangles where |grad u| < _EPS_GRAD, the tangent's
@@ -771,20 +799,21 @@ def _quadratic_start(problem, values):
     zero), and the CG status and iterations of that solve."""
     mesh, norm = problem.mesh, problem.norm
     tensor = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
-    ke0 = np.empty((3, 3, mesh.n_triangles))
+    m0 = np.empty((3, mesh.n_triangles))
     load = np.empty((mesh.n_triangles, 3))
     for cells in _blocks(mesh.n_triangles):
         tensors = np.tile(tensor, (cells.stop - cells.start, 1, 1))
-        _element_matrices(mesh, tensors, cells, ke0[:, :, cells])
+        _area_tensors(mesh, tensors, cells, m0[:, cells])
         fbar = problem.source.f_vals(problem.cell_means(values, cells))
         load[cells] = (mesh.areas[cells] * fbar / 3.0)[:, None]
         # interior values are still zero: subtracting K0 @ values moves the
         # boundary data to the right-hand side
-        load[cells] -= np.einsum("abt,tb->ta", ke0[:, :, cells], values[mesh.triangles[cells]])
+        load[cells] -= np.einsum("abt,tb->ta", _element_matrices(mesh, m0[:, cells], cells),
+                                 values[mesh.triangles[cells]])
     rhs_i = problem.scatter(load)[mesh.interior_mask]
     del load  # the solve below needs only rhs_i and k0
-    k0 = problem.stiffness(ke0)
-    del ke0
+    k0 = problem.stiffness(m0)
+    del m0
     problem.watch.lap("init")
     return _linear_solve(k0, rhs_i, _CG_RTOL, problem.watch)
 

@@ -95,6 +95,24 @@ class TestConfig:
         assert cfg["material"]["p"] == 3.5
         assert cfg["domain"]["kind"] == "disk"
 
+    def test_source_spec_of_another_kind_replaces_the_default(self, tmp_path):
+        # a power source keeps no "value" of the constant source it replaces,
+        # and a kind set by --set drops the file's parameters of the old kind
+        body = dict(BASE, source={"f": {"kind": "power"}})
+        path = write_config(tmp_path / "c.json", body)
+        assert load_config(path)["source"]["f"] == {"kind": "power"}
+        cfg = load_config(path, overrides=parse_overrides(["source.f.kind=linear",
+                                                           "source.f.scale=2"]))
+        assert cfg["source"] == {"f": {"kind": "linear", "scale": 2}, "g": {"kind": "zero"}}
+
+    def test_source_parameter_override_keeps_the_kind(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", {**BASE, "source": {}}),
+                          overrides=parse_overrides(["source.f.value=2"]))
+        assert cfg["source"]["f"] == {"kind": "constant", "value": 2}
+        same_kind = dict(BASE, source={"f": {"kind": "constant"}})
+        cfg = load_config(write_config(tmp_path / "d.json", same_kind))
+        assert cfg["source"]["f"] == {"kind": "constant", "value": 1.0}
+
     def test_seed_override_wins(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json", BASE), seed=7)
         assert cfg["seed"] == 7
@@ -265,24 +283,39 @@ class TestCli:
         assert variants[0]["config"]["h"] == 0.25
 
     def test_runs_import_numpy_only(self, tmp_path):
-        # A fresh interpreter, since this one has imported all of scipy already.
-        # The top-level scipy package stays: the manifest records its version.
+        # A fresh interpreter per run, since this one has imported all of
+        # scipy already, and a run's manifest loads what the next run checks.
+        # No command imports numpy.random: its import loads OpenSSL through
+        # secrets, 6.2 MB resident.  The top-level scipy package, whose
+        # version the manifest records, and hashlib (OpenSSL, for the config
+        # hash) load only once the command has returned, when main writes the
+        # manifest, after the run's memory peak.
         # The annulus solve runs the periodic lattice of the multigrid
         # preconditioner, whose coarsest factor comes from numpy.linalg.
         # numpy.ma, which np.unique imports, costs a child 9-17 ms and 1.6 MB.
         script = textwrap.dedent("""
             import json, sys
-            from finslerpde.cli import main
-            lazy = ("numpy.ma", "scipy.optimize", "scipy.interpolate", "scipy.integrate",
-                    "scipy.spatial", "scipy.special", "scipy.sparse", "scipy.linalg")
-            runs = []
-            args = sys.argv[1:]
-            for command, cfg, out in zip(args[::3], args[1::3], args[2::3]):
-                code = main([command, "--config", cfg, "--out", out])
-                loaded = sorted({m for m in lazy for name in sys.modules
-                                 if name == m or name.startswith(m + ".")})
-                runs.append([command, code, loaded])
-            print(json.dumps(runs))
+            from finslerpde import cli
+            lazy = ("numpy.ma", "numpy.random", "scipy.optimize", "scipy.interpolate",
+                    "scipy.integrate", "scipy.spatial", "scipy.special", "scipy.sparse",
+                    "scipy.linalg")
+            late = ("scipy", "_hashlib")
+
+            def loaded(names):
+                return sorted({m for m in names for name in sys.modules
+                               if name == m or name.startswith(m + ".")})
+
+            command, cfg, out = sys.argv[1:]
+            handler, seen = cli._COMMANDS[command], {}
+
+            def traced(*args):
+                try:
+                    return handler(*args)
+                finally:
+                    seen["handler"] = loaded(lazy + late)
+            cli._COMMANDS[command] = traced
+            code = cli.main([command, "--config", cfg, "--out", out])
+            print(json.dumps([code, seen["handler"], loaded(lazy), loaded(late)]))
         """)
         cfg = write_config(tmp_path / "config.json", dict(BASE, h=0.2))
         annulus = write_config(tmp_path / "annulus.json", dict(
@@ -293,17 +326,19 @@ class TestCli:
         runs = [("solve", cfg, "solve"), ("solve", annulus, "annulus"), ("barrier", cfg, "barrier"),
                 ("wulff", cfg, "wulff"), ("verify", cfg, "verify"),
                 ("regularity", study, "regularity")]
-        argv = []
-        for command, config, out in runs:
-            argv += [command, config, str(tmp_path / out)]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script, *argv],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [
-            [command, 0, []] for command, _, _ in runs]
+        for command, config, out in runs:
+            proc = subprocess.run([sys.executable, "-c", script, command, config,
+                                   str(tmp_path / out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            result = json.loads(proc.stdout.splitlines()[-1])
+            # exit code; loaded when the handler returned; lazy and late after main
+            assert result == [0, [], [], ["_hashlib", "scipy"]], out
+            manifest = self.read_manifest(str(tmp_path / out))
+            assert manifest["config_sha256"] and manifest["versions"]["scipy"]
         with open(tmp_path / "annulus" / "solve_report.json") as fh:
             assert json.load(fh)["converged"]
         assert os.path.exists(tmp_path / "barrier" / "profile.csv")

@@ -129,6 +129,18 @@ class TestEllipticity:
         lam = ellipticity_constant(FinslerNorm.euclidean(3), n_samples=512)
         assert lam == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("norm, low, high", [
+        # on H = 1, <D2H v, v> = v . A v for v orthogonal to grad H: at least
+        # the least eigenvalue 1, which the sampled minimum approaches
+        (FinslerNorm.ellipsoidal(np.diag([4.0, 1.0, 2.0])), 1.0 - 1e-12, 1.05),
+        (FinslerNorm.lp(4.0, 3), 0.0, 1e-2),
+    ], ids=["ellipsoidal", "lp4"])
+    def test_dimension_three_sampled_norms(self, norm, low, high):
+        lam = ellipticity_constant(norm, n_samples=512)
+        assert low < lam <= high
+        assert ellipticity_constant(norm, n_samples=512) == lam
+        assert ellipticity_constant(norm, n_samples=512, seed=1) != lam
+
     @pytest.mark.parametrize("norm, verdict", [
         (FinslerNorm.euclidean(2), "uniform"),
         (FinslerNorm.ellipsoidal(np.diag([4.0, 1.0])), "uniform"),

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from finslerpde import (AdmissibilityError, FinslerNorm, MaterialProfile, NumericError,
                         SourceTerm, check_flux_bound, check_flux_monotonicity,
                         check_osserman, check_structural_bounds, flux,
-                        linearized_tensor)
+                        linearized_tensor, sample_vectors)
 from finslerpde import radial
-from finslerpde.material import G_ZERO_NEAR_0, OSSERMAN_CHECKED, UNCHECKED
+from finslerpde.finsler import _Draws
+from finslerpde.material import _RADIUS_RANGE, G_ZERO_NEAR_0, OSSERMAN_CHECKED, UNCHECKED
 
 
 def const_f(value=1.0):
@@ -178,6 +179,44 @@ class TestStructuralBounds:
                     c1, _ = check_structural_bounds(m, h, n_samples=500)
                     cm = check_flux_monotonicity(m, h, n_pairs=500)
                     assert c1 > 0.0 and cm > 0.0
+
+
+class TestSampling:
+    def test_seed_fixes_the_vectors(self):
+        first = sample_vectors(2, 256, seed=0)
+        assert np.array_equal(first, sample_vectors(2, 256, seed=0))
+        assert np.array_equal(first, sample_vectors(2, 256, seed=np.int64(0)))
+        assert not np.array_equal(first, sample_vectors(2, 256, seed=1))
+
+    def test_log_radii_spread_over_the_range(self):
+        # log radii uniform on [ln 1e-4, ln 1e2], width w = 13.8: the mean of
+        # 2048 has standard error w / sqrt(12 * 2048) = 0.088, so 0.5 is 5.7
+        # of them; the standard deviation is w / sqrt(12)
+        lo, hi = _RADIUS_RANGE
+        radii = np.linalg.norm(sample_vectors(2, 2048, seed=0), axis=1)
+        assert np.all((radii >= lo * (1.0 - 1e-12)) & (radii <= hi * (1.0 + 1e-12)))
+        logs = np.log(radii)
+        assert abs(logs.mean() - 0.5 * (math.log(lo) + math.log(hi))) <= 0.5
+        assert logs.std() == pytest.approx(math.log(hi / lo) / math.sqrt(12.0), rel=0.05)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_directions_are_unit_and_centred(self, dim):
+        # each component of a uniform direction has mean 0 and standard
+        # error 1 / sqrt(1000 dim) <= 0.023 over 1000 vectors
+        v = sample_vectors(dim, 1000, seed=3, r_range=(1.0, 1.0))
+        assert v.shape == (1000, dim)
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(v.mean(axis=0)).max() <= 0.1
+
+    def test_draws_are_standard_uniforms_and_normals(self):
+        # 4096 normals: standard errors 1/64 for the mean and sqrt(2)/64 for
+        # the variance; an odd count takes half of the last Box-Muller pair
+        draws = _Draws(0)
+        u = draws.uniform(4096)
+        assert np.all((u > 0.0) & (u <= 1.0))
+        z = draws.normal((4096,))
+        assert abs(z.mean()) <= 0.08 and abs(z.var() - 1.0) <= 0.12
+        assert draws.normal((5, 3)).shape == (5, 3)
 
 
 class TestOsserman:

@@ -486,7 +486,7 @@ def _stiffness_pair(problem, cell_tensors):
     """The lattice-stencil stiffness and a CSR matrix with its entries on the
     pattern of the COO build."""
     mesh = problem.mesh
-    k = problem.stiffness(solver._element_matrices(mesh, cell_tensors))
+    k = problem.stiffness(solver._area_tensors(mesh, cell_tensors))
     pattern = _coo_stiffness(mesh, cell_tensors)
     pattern.sort_indices()
     rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
@@ -615,7 +615,7 @@ class TestKernels:
         mats = _spd_tensors(mesh)
         ref = _coo_stiffness(mesh, mats)
         ref.sort_indices()
-        k = problem.stiffness(solver._element_matrices(mesh, mats))
+        k = problem.stiffness(solver._area_tensors(mesh, mats))
         rows = np.repeat(np.arange(ref.shape[0]), np.diff(ref.indptr))
         index = _stencil_index(mesh, rows, ref.indices)
         assert k.data.shape == (3, 3, mesh.lattice.rows, mesh.lattice.cols)
@@ -725,12 +725,15 @@ class TestKernels:
             assert x @ vx > 0.0 and y @ vy > 0.0
 
     def test_add_at_assembly_equals_bincount(self, problem):
-        mats = solver._element_matrices(problem.mesh, _spd_tensors(problem.mesh))
+        # one add.at per (a, b) entry adds into each slot in the order of one
+        # bincount over the flattened (3, 3, T) element matrices
+        m = solver._area_tensors(problem.mesh, _spd_tensors(problem.mesh))
+        mats = solver._element_matrices(problem.mesh, m)
         rows, cols, _ = problem.mesh.lattice
         size = 9 * rows * cols
         ref = np.bincount(problem._slot.astype(np.intp), weights=mats.ravel(),
                           minlength=size + 1)[:size]
-        assert np.array_equal(problem.stiffness(mats).data.ravel(), ref)
+        assert np.array_equal(problem.stiffness(m).data.ravel(), ref)
 
     def test_column_kernels_match_references(self, problem):
         # summed column by column in the order of the einsum and mean references

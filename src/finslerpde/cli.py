@@ -17,8 +17,10 @@ produced retained and the manifest flagged ``numeric-failure``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import platform
+import re
 import sys
 import time
 
@@ -82,15 +84,29 @@ def _cmd_regularity(run, out, manifest):
     _emit(out, manifest, "field.csv", write_field_csv, result.fields[-1])
 
 
+def _scipy_version():
+    """The installed scipy's version string, or None without scipy.
+
+    It is read from the package's version.py, which scipy.__version__
+    imports, without importing the package: no command loads scipy, whose
+    import would cost a run 11-20 ms and 1.4 MB.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return None
+    with open(os.path.join(spec.submodule_search_locations[0], "version.py")) as fh:
+        match = re.search(r"""^version = ['"]([^'"]+)['"]""", fh.read(), re.MULTILINE)
+    return match and match.group(1)
+
+
 def _provenance(cfg):
     """The manifest's config hash and library versions, taken when the
-    manifest is written: scipy is imported here and hashlib by
-    config_sha256, after the command, so the 4.8 MB resident they cost a
-    process (hashlib loads OpenSSL) come after the run's peak."""
-    import scipy
+    manifest is written: hashlib is imported by config_sha256 after the
+    command, so the resident memory it costs a process (it loads OpenSSL)
+    comes after the run's peak."""
     return {"config_sha256": config_sha256(canonical_json(cfg)),
             "versions": {"finslerpde": __version__, "python": platform.python_version(),
-                         "numpy": np.__version__, "scipy": scipy.__version__}}
+                         "numpy": np.__version__, "scipy": _scipy_version()}}
 
 
 def _emit(out, manifest, name, writer, payload):

@@ -328,14 +328,6 @@ class WulffShape:
     thetas: np.ndarray
     boundary: np.ndarray
 
-    def is_convex(self, tol=1e-9):
-        """Cross products of consecutive edges keep one sign (up to tol)."""
-        pts = self.boundary
-        e = np.roll(pts, -1, axis=0) - pts
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        scale = np.abs(cross).max()
-        return bool(np.all(cross >= -tol * max(scale, 1e-300)))
-
 
 def check_wulff_args(h, radius, n_samples, norm_side):
     """Reject wulff_boundary arguments that describe no traceable boundary."""

@@ -64,14 +64,6 @@ class MaterialProfile:
         self.k = float(k)
         self.kind = kind
 
-    @property
-    def gamma(self):
-        return min(1.0, self.p - 1.0)
-
-    @property
-    def big_gamma(self):
-        return max(1.0, self.p - 1.0)
-
     def __repr__(self):
         return f"MaterialProfile(p={self.p}, k={self.k}, kind={self.kind!r})"
 

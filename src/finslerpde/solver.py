@@ -39,18 +39,25 @@ falls back to Jacobi-scaled steepest descent.
 The initial iterate comes from one of two starts.  When the principal
 part is quadratic (p = 2, where B is quadratic in both profiles, and a
 Euclidean or ellipsoidal norm, where H^2 is), and on meshes too small to
-nest, it solves the p = 2 problem of the norm's quadratic part to 1e-12:
-the tensor is the matrix A of an ellipsoidal norm, H(xi)^2 = xi . A xi,
-and the identity for the other kinds.  So a problem that is quadratic in
-the interior values (those norms at p = 2 with a constant source) needs no
-Newton step.  If CG fails there, Newton starts from zero interior values,
-a warning is logged and the report keeps the CG status.  Otherwise the
-start is nested iteration (Trottenberg, Oosterlee and Schueller, cited
-below; Deuflhard, "Newton Methods for Nonlinear Problems", Springer 2004): the
-same problem is solved on mesh.coarsen's mesh, every other vertex of the
-builder's grid, with the fine boundary values at the kept vertices, and
-that solution is interpolated linearly along each axis of the full vertex
-grid, so boundary data of any form carry over.  On the h = 0.025 lp q = 4,
+nest, it solves the p = 2 problem of the norm's quadratic part: the
+tensor is the matrix A of an ellipsoidal norm, H(xi)^2 = xi . A xi, and
+the identity for the other kinds.  So a problem that is quadratic in the
+interior values (those norms at p = 2 with a constant source) needs no
+Newton step.  With a quadratic principal part the start is the answer
+that Newton's test judges, so its CG stops once the residual norm is below
+tol_solve / 2, half the least threshold the test accepts (Kelley's guard
+again), or below the relative 1e-12 when that is looser: the three levels
+of the h = 0.1 disk study take 15, 16 and 16 CG iterations, not 24, 26 and
+27, and still no Newton step.  Any other p = 2 start is solved to the
+relative 1e-12.  If its CG fails, Newton starts from zero interior
+values, a warning is logged and the report keeps the CG status.
+Otherwise the start is nested iteration (Trottenberg, Oosterlee and
+Schueller, cited below; Deuflhard, "Newton Methods for Nonlinear
+Problems", Springer 2004): the same problem is solved on mesh.coarsen's
+mesh, every other vertex of the builder's grid, with the fine boundary
+values at the kept vertices, and that solution is interpolated linearly
+along each axis of the full vertex grid, so boundary data of any form
+carry over.  On the h = 0.025 lp q = 4,
 p = 3 ball the fine level then takes 4 Newton steps instead of 9.  The
 coarse lattice needs at least _NESTED_MIN unknowns: the nested lp q = 4 and
 Euclidean p = 3 solves broke even at 1,225 coarse unknowns and gained 4 to
@@ -793,10 +800,12 @@ def _nested_start(problem, coarse, values):
     return grid.ravel()[mesh.interior_mask], record
 
 
-def _quadratic_start(problem, values):
+def _quadratic_start(problem, values, atol):
     """Interior values of the p = 2 solve of the norm's quadratic part,
     H^2 = xi . A xi, with the boundary data of ``values`` (interior entries
-    zero), and the CG status and iterations of that solve."""
+    zero), and the CG status and iterations of that solve.  CG stops at the
+    relative residual _CG_RTOL, or at the residual norm ``atol`` when that
+    is looser."""
     mesh, norm = problem.mesh, problem.norm
     tensor = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
     m0 = np.empty((3, mesh.n_triangles))
@@ -815,7 +824,9 @@ def _quadratic_start(problem, values):
     k0 = problem.stiffness(m0)
     del m0
     problem.watch.lap("init")
-    return _linear_solve(k0, rhs_i, _CG_RTOL, problem.watch)
+    rhs_norm = math.sqrt(_dot(rhs_i, rhs_i))
+    rtol = max(_CG_RTOL, atol / rhs_norm) if rhs_norm else _CG_RTOL
+    return _linear_solve(k0, rhs_i, rtol, problem.watch)
 
 
 def _newton(problem, values):
@@ -835,7 +846,10 @@ def _newton(problem, values):
         values[interior], nested = _nested_start(problem, coarse, values)
         del coarse  # not needed at the fine level, where the peak is
     else:
-        init, init_info, init_iterations = _quadratic_start(problem, values)
+        # with a quadratic principal part the start is the answer Newton tests,
+        # so CG stops at half the least threshold the test accepts, tol_solve
+        init, init_info, init_iterations = _quadratic_start(
+            problem, values, 0.5 * opts.tol_solve if quadratic else 0.0)
         if init_info == 0:
             values[interior] = init
         else:

@@ -18,7 +18,11 @@ from .mesh import build_domain
 from .radial import RadialProblem, check_target, evaluate, hopf_margin, shoot
 from .solver import solve
 
-_CONTACT_RTOL = 1e-9           # slopes this close to the minimum tie for the contact
+# Slopes this close to the minimum tie for the contact.  Mirror vertices
+# differ by the solve's stopping error (up to 1.7e-8 relative), while the
+# next distinct slope was 2.4e-5 or more away (disk, lp q=4 and ellipsoidal
+# diag(4,1) balls at h = 0.05 and 0.025, p = 2 and 3).
+_CONTACT_RTOL = 1e-6
 
 
 @dataclasses.dataclass
@@ -151,7 +155,7 @@ def hopf_check(u, h, material, source, radius, m):
     The minimum inner-normal derivative is taken over boundary vertices
     carrying (numerically) zero data, where the boundary-slope statement
     applies; if none do, all boundary vertices are used.  The contact
-    vertex is the lowest-index one whose slope is within a relative 1e-9
+    vertex is the lowest-index one whose slope is within a relative 1e-6
     of that minimum.  The barrier is shot on the annulus
     radius/2 <= H_dual(x - center) <= radius with inner value m, the
     center placed by stepping inward from the contact vertex, and the
@@ -166,8 +170,8 @@ def hopf_check(u, h, material, source, radius, m):
         zero_data = np.ones(len(bvs), dtype=bool)
     candidates = np.where(zero_data)[0]
     min_slope = float(slopes[candidates].min())
-    # mirror vertices tie up to rounding: take the first one near the minimum,
-    # so the contact does not flip when the field moves in its last bits
+    # mirror vertices tie up to the solve's stopping error: take the first one
+    # near the minimum, so the contact does not flip when the field moves there
     near = slopes[candidates] <= min_slope + _CONTACT_RTOL * abs(min_slope)
     local = candidates[np.argmax(near)]
     contact = int(bvs[local])
@@ -215,21 +219,27 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
     is recovered once per level and shared by the weighted Hessian
     integral and, on the finest level, the Sobolev scan.  Parameters are
     checked by ``check_study`` before the first mesh is built.
+
+    The levels are solved finest first, so no coarser level's field, mesh
+    or Hessian is alive while the finest one, the largest, is assembled;
+    rows, fields and reports are still returned coarse first.
     """
     check_study(material, source, levels, beta, t, q_grid, hopf)
-    h_levels = [h_coarsest / 2 ** i for i in range(levels)]
     solved, reports, rows = [], [], []
-    for h in h_levels:
+    finest_hess = None
+    for h in reversed([h_coarsest / 2 ** i for i in range(levels)]):
         mesh = build_domain(dom, h)
         field, report = solve(mesh, material, norm, source, options=options)
         hess = fields.recover_hessian(field)
+        if finest_hess is None:
+            finest_hess = hess
         hess_int = weighted_hessian_integral(field, material, beta, hess)
         w_int = weight_integral(field, material, t)
         frac = critical_set_fraction(field, 0.5 * h)
-        solved.append(field)
-        reports.append(report)
-        rows.append({"h": h, "hessian_integral": hess_int,
-                     "weight_integral": w_int, "critical_fraction": frac})
+        solved.insert(0, field)
+        reports.insert(0, report)
+        rows.insert(0, {"h": h, "hessian_integral": hess_int,
+                        "weight_integral": w_int, "critical_fraction": frac})
 
     finest = solved[-1]
     regularity = RegularityReport(
@@ -237,7 +247,7 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
         hessian_integral_finest=rows[-1]["hessian_integral"],
         weight_integral_finest=rows[-1]["weight_integral"],
         critical_fraction=rows[-1]["critical_fraction"],
-        sobolev=sobolev_scan(finest, material, q_grid, hess),
+        sobolev=sobolev_scan(finest, material, q_grid, finest_hess),
     )
     hopf_report = None
     if hopf is not None:

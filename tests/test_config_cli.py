@@ -7,6 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy
 
 from finslerpde import (ConfigError, DomainSpec, FinslerNorm, MaterialProfile, RadialProblem,
                         SourceTerm, build_domain, cli, shoot, solve)
@@ -286,20 +287,18 @@ class TestCli:
         # A fresh interpreter per run, since this one has imported all of
         # scipy already, and a run's manifest loads what the next run checks.
         # No command imports numpy.random: its import loads OpenSSL through
-        # secrets, 6.2 MB resident.  The top-level scipy package, whose
-        # version the manifest records, and hashlib (OpenSSL, for the config
-        # hash) load only once the command has returned, when main writes the
-        # manifest, after the run's memory peak.
+        # secrets, 6.2 MB resident.  No run loads scipy: the manifest reads
+        # its version from the installed version.py.  hashlib (OpenSSL, for
+        # the config hash) loads only once the command has returned, when
+        # main writes the manifest, after the run's memory peak.
         # The annulus solve runs the periodic lattice of the multigrid
         # preconditioner, whose coarsest factor comes from numpy.linalg.
         # numpy.ma, which np.unique imports, costs a child 9-17 ms and 1.6 MB.
         script = textwrap.dedent("""
             import json, sys
             from finslerpde import cli
-            lazy = ("numpy.ma", "numpy.random", "scipy.optimize", "scipy.interpolate",
-                    "scipy.integrate", "scipy.spatial", "scipy.special", "scipy.sparse",
-                    "scipy.linalg")
-            late = ("scipy", "_hashlib")
+            lazy = ("numpy.ma", "numpy.random", "scipy")
+            late = ("_hashlib",)
 
             def loaded(names):
                 return sorted({m for m in names for name in sys.modules
@@ -336,14 +335,20 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             result = json.loads(proc.stdout.splitlines()[-1])
             # exit code; loaded when the handler returned; lazy and late after main
-            assert result == [0, [], [], ["_hashlib", "scipy"]], out
+            assert result == [0, [], [], ["_hashlib"]], out
             manifest = self.read_manifest(str(tmp_path / out))
-            assert manifest["config_sha256"] and manifest["versions"]["scipy"]
+            assert manifest["config_sha256"]
+            assert manifest["versions"]["scipy"] == scipy.__version__
         with open(tmp_path / "annulus" / "solve_report.json") as fh:
             assert json.load(fh)["converged"]
         assert os.path.exists(tmp_path / "barrier" / "profile.csv")
         assert os.path.exists(tmp_path / "wulff" / "wulff.csv")
         assert os.path.exists(tmp_path / "regularity" / "hopf_report.json")
+
+    def test_scipy_version_is_null_without_scipy(self, monkeypatch):
+        assert cli._scipy_version() == scipy.__version__
+        monkeypatch.setattr(cli.importlib.util, "find_spec", lambda name: None)
+        assert cli._scipy_version() is None
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc, _ = self.run(tmp_path, "solve", dict(BASE, mystery=1))

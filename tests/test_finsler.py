@@ -9,6 +9,15 @@ from finslerpde import (FinslerNorm, NumericError, ellipticity_constant, ellipti
 RNG = np.random.default_rng(7)
 
 
+def is_convex(pts, tol=1e-9):
+    """Cross products of consecutive edges of the closed polygon ``pts``
+    keep one sign (up to tol)."""
+    e = np.roll(pts, -1, axis=0) - pts
+    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+    scale = np.abs(cross).max()
+    return bool(np.all(cross >= -tol * max(scale, 1e-300)))
+
+
 def nonzero_points(n=64, dim=2, seed=3):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, dim))
@@ -194,14 +203,14 @@ class TestWulff:
     def test_euclidean_circle(self):
         shape = wulff_boundary(FinslerNorm.euclidean(2), radius=1.0)
         assert np.allclose(np.linalg.norm(shape.boundary, axis=1), 1.0, atol=1e-10)
-        assert shape.is_convex()
+        assert is_convex(shape.boundary)
 
     def test_ellipsoidal_dual_ball_semiaxes(self):
         h = FinslerNorm.ellipsoidal(np.diag([4.0, 1.0]))
         shape = wulff_boundary(h, radius=1.0, norm_side="H_dual")
         x = shape.boundary
         assert np.allclose(x[:, 0] ** 2 / 4.0 + x[:, 1] ** 2, 1.0, atol=1e-9)
-        assert shape.is_convex()
+        assert is_convex(shape.boundary)
 
     def test_primal_ball_side(self):
         h = FinslerNorm.ellipsoidal(np.diag([4.0, 1.0]))

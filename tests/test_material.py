@@ -74,8 +74,10 @@ class TestProfileValues:
         for m in (MaterialProfile(p=1.5), MaterialProfile(p=3.0),
                   MaterialProfile(p=3.0, k=0.5, kind="shifted")):
             t = np.geomspace(1e-3, 1e2, 50)
-            lo = m.gamma * (m.k + t) ** (m.p - 2.0) * t
-            hi = m.big_gamma * (m.k + t) ** (m.p - 2.0) * t
+            # gamma and Gamma of hypothesis (iii)
+            gamma, big_gamma = min(1.0, m.p - 1.0), max(1.0, m.p - 1.0)
+            lo = gamma * (m.k + t) ** (m.p - 2.0) * t
+            hi = big_gamma * (m.k + t) ** (m.p - 2.0) * t
             bp = m.b_prime(t)
             assert np.all(bp >= lo - 1e-12) and np.all(bp <= hi + 1e-12)
 

@@ -180,6 +180,16 @@ class TestInitialSolve:
         assert report.converged and report.iterations >= 1
         assert center_value(field) == pytest.approx(0.25, abs=2e-2)
 
+    def test_quadratic_start_stops_at_the_newton_test(self, euclid, unit_source):
+        # CG stops below tol_solve / 2, where Newton accepts the start: 16
+        # iterations and a residual of 3.0e-9 at h = 0.025, against 27 and
+        # 3.2e-14 to the relative 1e-12
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.025)
+        _, report = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source)
+        assert report.converged and report.iterations == 0
+        assert report.init_cg_iterations <= 20
+        assert 1e-12 < report.final_residual < SolveOptions().tol_solve
+
 
 class TestMultigrid:
     def test_initial_solve_is_mesh_independent(self, euclid, unit_source):
@@ -841,3 +851,45 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak / 1e6 < self.BOUND_MB
+
+
+MIRRORS = {"swap": np.array([[0.0, 1.0], [1.0, 0.0]]),   # x <-> y
+           "flip": np.array([[-1.0, 0.0], [0.0, 1.0]])}  # x -> -x
+
+
+def _mirror_permutation(mesh, mirror):
+    """perm with mesh.vertices[perm] the mirrored vertices, checked to map
+    the mesh's triangles onto its triangles."""
+    from scipy.spatial import cKDTree
+    dist, perm = cKDTree(mesh.vertices).query(mesh.vertices @ mirror.T)
+    assert dist.max() <= 1e-12 and np.array_equal(np.sort(perm), np.arange(mesh.n_vertices))
+
+    def rows(tris):
+        tris = np.sort(tris, axis=1)
+        return tris[np.lexsort(tris.T[::-1])]
+
+    assert np.array_equal(rows(perm[mesh.triangles]), rows(mesh.triangles))
+    return perm
+
+
+class TestMirrorSymmetry:
+    # Largest |u(mirrored x) - u(x)| / max |u| over the grid below, measured
+    # at h = 0.05: 1.55e-9 = 0.155 tol_solve (disk, p = 3, flip), 7.2e-10
+    # (disk, p = 2, flip: the start stops at the Newton test), otherwise 6e-15
+    # or less.  Bound: 0.5 tol_solve.
+    BOUND = 0.5 * SolveOptions().tol_solve
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("domain", ["disk", "lp4_ball"])
+    def test_solution_is_mirror_invariant(self, lp4, euclid, unit_source, domain, p):
+        if domain == "disk":
+            spec, norm = DomainSpec(kind="disk", radius=1.0), euclid
+        else:
+            spec, norm = DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), lp4
+        mesh = build_domain(spec, 0.05)
+        field, report = solve(mesh, MaterialProfile(p=p), norm, unit_source)
+        assert report.converged
+        for mirror in MIRRORS.values():
+            perm = _mirror_permutation(mesh, mirror)
+            deviation = np.abs(field.values[perm] - field.values).max()
+            assert deviation <= self.BOUND * np.abs(field.values).max()

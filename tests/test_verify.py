@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from finslerpde import (DomainSpec, MaterialProfile, ScalarField, build_domain,
                         critical_set_fraction, hopf_check, refinement_study,
-                        sobolev_scan, weight_integral, weighted_hessian_integral)
+                        sobolev_scan, solve, weight_integral, weighted_hessian_integral)
 from conftest import const_source
 
 
@@ -125,19 +127,32 @@ class TestHopf:
                          radius=0.8, m=0.1)
         assert rep.comparison_violation == pytest.approx(0.0, abs=1e-12)
 
-    def test_contact_vertex_is_stable_under_rounding(self, euclid):
-        # mirror vertices of the symmetric torsion field tie up to rounding
+    @staticmethod
+    def assert_contact_is_stable(euclid, size, boundary):
+        # mirror vertices of the symmetric torsion field tie up to a
+        # perturbation of its values of the given size, which moves the
+        # boundary data too if ``boundary``
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
         vals = 0.25 * (1.0 - (mesh.vertices ** 2).sum(axis=1))
         vals[mesh.boundary_vertices] = 0.0
+        moves = np.ones(mesh.n_vertices) if boundary else mesh.interior_mask
         args = (euclid, MaterialProfile(p=2.0), const_source())
         base = hopf_check(ScalarField(mesh, vals), *args, radius=0.5, m=0.1)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            moved = vals + 1e-14 * rng.standard_normal(len(vals))
+            moved = vals + size * rng.standard_normal(len(vals)) * moves
             rep = hopf_check(ScalarField(mesh, moved), *args, radius=0.5, m=0.1)
             assert rep.contact_vertex == base.contact_vertex
             assert rep.center == base.center
+
+    def test_contact_vertex_is_stable_under_rounding(self, euclid):
+        self.assert_contact_is_stable(euclid, 1e-14, boundary=True)
+
+    def test_contact_vertex_is_stable_under_the_stopping_error(self, euclid):
+        # 1e-9 of the field's maximum, 0.25: a solve stopped by its residual
+        # test moves its interior values, and mirror slopes apart, about
+        # this much relative; its boundary data stay exact
+        self.assert_contact_is_stable(euclid, 2.5e-10, boundary=False)
 
     def test_ball_must_fit(self, euclid, torsion_study):
         u = torsion_study.fields[0]
@@ -168,3 +183,34 @@ class TestStudy:
         reg, finest = torsion_study.regularity, torsion_study.rows[-1]
         assert reg.hessian_integral_finest == finest["hessian_integral"] > 0.0
         assert reg.weight_integral_finest == finest["weight_integral"] > 0.0
+
+    def test_levels_are_returned_coarse_first(self, torsion_study, euclid, unit_source):
+        # each level equals a solve of that level alone, whatever order the
+        # study solves them in
+        material = MaterialProfile(p=2.0)
+        for i, h in enumerate((0.1, 0.05, 0.025)):
+            field, report = solve(build_domain(DomainSpec(kind="disk", radius=1.0), h),
+                                  material, euclid, unit_source)
+            assert np.array_equal(torsion_study.fields[i].values, field.values)
+            assert (dataclasses.replace(torsion_study.reports[i], seconds=None)
+                    == dataclasses.replace(report, seconds=None))
+            assert torsion_study.rows[i] == {
+                "h": h, "hessian_integral": weighted_hessian_integral(field, material),
+                "weight_integral": weight_integral(field, material, 0.5),
+                "critical_fraction": critical_set_fraction(field, 0.5 * h)}
+
+    # Traced peak of the torsion study (the study_disk_p2 benchmark config),
+    # numpy 2.4: 8.1 MB, the finest level's solve, which runs first; 9.4 MB
+    # when the coarse levels ran first and stayed alive through it.
+    BOUND_MB = 9.0
+
+    def test_study_traced_peak_stays_under_its_bound(self, euclid, unit_source):
+        tracemalloc.start()
+        try:
+            refinement_study(DomainSpec(kind="disk", radius=1.0), MaterialProfile(p=2.0),
+                             euclid, unit_source, h_coarsest=0.1, levels=3, t=0.5,
+                             hopf=(0.5, 0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < self.BOUND_MB

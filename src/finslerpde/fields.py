@@ -53,6 +53,11 @@ def element_gradients(mesh, values, cells=slice(None)):
     return np.column_stack(columns)
 
 
+def gradient_norms(grads):
+    """Euclidean length of each row of the gradients ``grads`` (T, 2)."""
+    return np.sqrt(grads[:, 0] * grads[:, 0] + grads[:, 1] * grads[:, 1])
+
+
 def recover_gradient(field):
     """Per-triangle gradients, shape (n_triangles, 2).  Exact for P1."""
     return element_gradients(field.mesh, field.values)

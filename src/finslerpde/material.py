@@ -120,14 +120,9 @@ class MaterialProfile:
 
     def b_second(self, t):
         t = np.asarray(t, dtype=float)
-        p, k = self.p, self.k
-        if k == 0.0:
-            if p < 2.0 and np.any(t == 0.0):
-                raise ValueError(
-                    "B'' is singular at t = 0 for p < 2 with k = 0")
-            out = (p - 1.0) * t ** (p - 2.0)
-        else:
-            out = (k + t) ** (p - 3.0) * ((p - 1.0) * t + k)
+        if self.k == 0.0 and self.p < 2.0 and np.any(t == 0.0):
+            raise ValueError("B'' is singular at t = 0 for p < 2 with k = 0")
+        out = self.b_derivatives(t)[1]
         return float(out) if out.ndim == 0 else out
 
     def b_derivatives(self, t):
@@ -347,18 +342,16 @@ def flux(material, h, xi):
     nz = pts[:, 0] != 0.0
     for i in range(1, pts.shape[1]):
         nz |= pts[:, i] != 0.0
-    if np.all(nz):
-        hv, g = h.jet(pts, order=1)
-        out = _scale_rows(g, material.b_prime(hv))
-    else:
-        out = np.zeros_like(pts)
-        if np.any(nz):
-            hv, g = h.jet(pts[nz], order=1)
-            out[nz] = _scale_rows(g, material.b_prime(hv))
+    out = np.zeros_like(pts)
+    if np.any(nz):
+        # a mask of (T, n) rows costs as much as the norm: take all rows when none is 0
+        rows = slice(None) if np.all(nz) else nz
+        hv, g = h.jet(pts[rows], order=1)
+        out[rows] = _scale_rows(g, material.b_prime(hv))
     return out[0] if single else out
 
 
-def check_flux_monotonicity(material, h, pairs=None, n_pairs=10000, seed=0):
+def check_flux_monotonicity(material, h, n_pairs=10000, seed=0):
     """Sampled monotonicity constant of the flux:
 
         C_monotone = min <a(x) - a(y), x - y> / ((|x| + |y|)^(p-2) |x - y|^2)
@@ -366,11 +359,8 @@ def check_flux_monotonicity(material, h, pairs=None, n_pairs=10000, seed=0):
     over distinct sample pairs.  Nonpositive values raise, naming the pair;
     a C_monotone that is not finite raises, naming the constant.
     """
-    if pairs is None:
-        x = sample_vectors(h.dim, n_pairs, seed)
-        y = sample_vectors(h.dim, n_pairs, seed + 1)
-    else:
-        x, y = (np.asarray(s, dtype=float) for s in pairs)
+    x = sample_vectors(h.dim, n_pairs, seed)
+    y = sample_vectors(h.dim, n_pairs, seed + 1)
     keep = np.linalg.norm(x - y, axis=-1) > 0.0
     x, y = x[keep], y[keep]
     diff = flux(material, h, x) - flux(material, h, y)

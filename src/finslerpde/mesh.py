@@ -300,7 +300,7 @@ def _rectangle_mesh(a, b, h):
     ny = max(1, math.ceil(b * math.sqrt(2.0) / h))
     xs = np.linspace(0.0, a, nx + 1)
     ys = np.linspace(0.0, b, ny + 1)
-    verts = np.column_stack([np.repeat(xs, ny + 1), np.tile(ys, nx + 1)])
+    verts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")])
     return Mesh2D(verts, _grid_triangles(nx, ny), Lattice(nx - 1, ny - 1))
 
 
@@ -318,12 +318,16 @@ def _ball_vertices(norm, radius, center, n):
     return pts + np.asarray(center, dtype=float)
 
 
-def _ball_mesh(norm, radius, center, h):
-    hd = norm.dual
+def _dual_reach(norm):
+    """Largest Euclidean length of a unit vector of the dual norm, scanned
+    over 256 directions."""
     thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    s_max = float((1.0 / hd.eval(dirs)).max())
-    n = max(2, math.ceil(1.6 * radius * s_max / h))
+    return float((1.0 / norm.dual.eval(dirs)).max())
+
+
+def _ball_mesh(norm, radius, center, h):
+    n = max(2, math.ceil(1.6 * radius * _dual_reach(norm) / h))
     for _ in range(8):
         verts = _ball_vertices(norm, radius, center, n)
         tris = _grid_triangles(2 * n, 2 * n)
@@ -336,9 +340,7 @@ def _ball_mesh(norm, radius, center, h):
 
 def _annulus_mesh(norm, radius, center, h):
     hd = norm.dual
-    thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    s_max = float((1.0 / hd.eval(dirs)).max())
+    s_max = _dual_reach(norm)
     n_r = max(1, math.ceil(0.75 * radius * s_max / h))
     n_t = max(8, 2 * math.ceil(math.pi * radius * s_max / h))
     for _ in range(8):

@@ -133,11 +133,6 @@ class BarrierProfile:
     marches: int = 1
     bracket: Optional[tuple] = None
 
-    @property
-    def central_value(self):
-        """w at the end away from the geometric boundary."""
-        return float(self.w[0] if self.mode == "ball" else self.w[-1])
-
 
 def _unreachable(ay):
     return NumericError(f"Phi inversion failed: B'(t) never reaches {ay:.3e}")

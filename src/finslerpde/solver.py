@@ -41,16 +41,18 @@ part is quadratic (p = 2, where B is quadratic in both profiles, and a
 Euclidean or ellipsoidal norm, where H^2 is), and on meshes too small to
 nest, it solves the p = 2 problem of the norm's quadratic part: the
 tensor is the matrix A of an ellipsoidal norm, H(xi)^2 = xi . A xi, and
-the identity for the other kinds.  So a problem that is quadratic in the
-interior values (those norms at p = 2 with a constant source) needs no
-Newton step.  With a quadratic principal part the start is the answer
-that Newton's test judges, so its CG stops once the residual norm is below
-tol_solve / 2, half the least threshold the test accepts (Kelley's guard
-again), or below the relative 1e-12 when that is looser: the three levels
-of the h = 0.1 disk study take 15, 16 and 16 CG iterations, not 24, 26 and
-27, and still no Newton step.  Any other p = 2 start is solved to the
-relative 1e-12.  If its CG fails, Newton starts from zero interior
-values, a warning is logged and the report keeps the CG status.
+the identity for the other kinds.  Its right-hand side is minus that
+part's residual at the boundary data, the level's own residual kernel run
+with the flux A xi, and its matrix is the level's stiffness assembly of
+the constant tensor A; the start keeps no assembly of its own.  So a
+problem that is quadratic in the interior values (those norms at p = 2
+with a constant source) needs no Newton step.  With a quadratic principal
+part the start is the answer that Newton's test judges, so its CG stops
+once the residual norm is below tol_solve / 2, half the least threshold
+the test accepts (Kelley's guard again), or below the relative 1e-12 when
+that is looser.  Any other p = 2 start is solved to the relative 1e-12.
+If its CG fails, Newton starts from zero interior values, a warning is
+logged and the report keeps the CG status.
 Otherwise the start is nested iteration (Trottenberg, Oosterlee and
 Schueller, cited below; Deuflhard, "Newton Methods for Nonlinear
 Problems", Springer 2004): the same problem is solved on mesh.coarsen's
@@ -144,7 +146,7 @@ import time
 import numpy as np
 
 from .errors import NonconvergenceError
-from .fields import ScalarField, element_gradients
+from .fields import ScalarField, element_gradients, gradient_norms
 from .material import (ADMISSIBILITY_SAMPLES, check_source_signs, check_structural_bounds,
                        flux, linearized_tensor)
 from .mesh import coarsen, grid_shape
@@ -298,15 +300,6 @@ def _element_entries(grads, m):
             entry = wx * grads[:, b, 0]
             entry += wy * grads[:, b, 1]
             yield a, b, entry
-
-
-def _element_matrices(mesh, m, cells=slice(None)):
-    """Element matrices of the triangles in ``cells`` from their area
-    tensors ``m``: entry-major, shape (3, 3, T)."""
-    out = np.empty((3, 3, m.shape[1]))
-    for a, b, entry in _element_entries(mesh.basis_grads[cells], m):
-        out[a, b] = entry
-    return out
 
 
 def _stencil_slots(mesh):
@@ -608,7 +601,7 @@ def _forcing_term(residual, previous, last_eta, target):
 
 def _near_critical(xi):
     """Mask of the gradients xi (T, 2) with |xi| < _EPS_GRAD."""
-    return np.sqrt(xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]) < _EPS_GRAD
+    return gradient_norms(xi) < _EPS_GRAD
 
 
 class _EnergyProblem:
@@ -641,11 +634,6 @@ class _EnergyProblem:
             np.add.at(data, slot[a, b], entry)
         return _Stencil(data[:size].reshape(3, 3, rows, cols), periodic)
 
-    def scatter(self, contrib):
-        """Sum per-triangle vertex contributions (T, 3) into vertex values."""
-        return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
-                           minlength=self.mesh.n_vertices)
-
     def cell_means(self, values, cells=slice(None)):
         """Mean vertex value per triangle in ``cells``, summed as
         .mean(axis=1) sums it."""
@@ -666,15 +654,19 @@ class _EnergyProblem:
             np.subtract(self.material.b(hn), self.primitive(means[cells]), out=dens[cells])
         return float((mesh.areas * dens).sum())
 
-    def residual(self, values):
-        """Gradient of the energy with respect to vertex values (full)."""
+    def residual(self, values, cell_flux=None):
+        """Gradient of the energy with respect to vertex values (full).
+
+        ``cell_flux`` maps element gradients (T, 2) to the flux of their
+        triangles; by default it is the problem's own, B'(H) grad H."""
         mesh = self.mesh
         contrib = np.empty((mesh.n_triangles, 3))
         for cells in _blocks(mesh.n_triangles):
-            cell_flux = flux(self.material, self.norm, element_gradients(mesh, values, cells))
+            xi = element_gradients(mesh, values, cells)
+            fx, fy = (flux(self.material, self.norm, xi) if cell_flux is None
+                      else cell_flux(xi)).T
             area = mesh.areas[cells]
             load = area * self.source.f_vals(self.cell_means(values, cells)) / 3.0
-            fx, fy = cell_flux[:, 0], cell_flux[:, 1]
             grads = mesh.basis_grads[cells].transpose(1, 2, 0)  # (3, 2, block), contiguous
             # |T| flux . grad phi_v - |T| f / 3, vertex by vertex
             for v in range(3):
@@ -683,7 +675,8 @@ class _EnergyProblem:
                 column *= area
                 column -= load
                 contrib[cells, v] = column
-        return self.scatter(contrib)
+        return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                           minlength=mesh.n_vertices)
 
     def tangent(self, values):
         mesh, material = self.mesh, self.material
@@ -803,26 +796,16 @@ def _nested_start(problem, coarse, values):
 def _quadratic_start(problem, values, atol):
     """Interior values of the p = 2 solve of the norm's quadratic part,
     H^2 = xi . A xi, with the boundary data of ``values`` (interior entries
-    zero), and the CG status and iterations of that solve.  CG stops at the
-    relative residual _CG_RTOL, or at the residual norm ``atol`` when that
-    is looser."""
+    zero), and the CG status and iterations of that solve.  The right-hand
+    side is minus that part's energy gradient at ``values``, the residual
+    with the flux A xi: the load less the stiffness times the boundary
+    data.  CG stops at the relative residual _CG_RTOL, or at the residual
+    norm ``atol`` when that is looser."""
     mesh, norm = problem.mesh, problem.norm
-    tensor = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
-    m0 = np.empty((3, mesh.n_triangles))
-    load = np.empty((mesh.n_triangles, 3))
-    for cells in _blocks(mesh.n_triangles):
-        tensors = np.tile(tensor, (cells.stop - cells.start, 1, 1))
-        _area_tensors(mesh, tensors, cells, m0[:, cells])
-        fbar = problem.source.f_vals(problem.cell_means(values, cells))
-        load[cells] = (mesh.areas[cells] * fbar / 3.0)[:, None]
-        # interior values are still zero: subtracting K0 @ values moves the
-        # boundary data to the right-hand side
-        load[cells] -= np.einsum("abt,tb->ta", _element_matrices(mesh, m0[:, cells], cells),
-                                 values[mesh.triangles[cells]])
-    rhs_i = problem.scatter(load)[mesh.interior_mask]
-    del load  # the solve below needs only rhs_i and k0
-    k0 = problem.stiffness(m0)
-    del m0
+    a = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
+    rhs_i = -problem.residual(values, lambda xi: xi @ a)[mesh.interior_mask]  # A is symmetric
+    k0 = problem.stiffness(np.multiply.outer((a[0, 0], 0.5 * (a[0, 1] + a[1, 0]), a[1, 1]),
+                                             mesh.areas))
     problem.watch.lap("init")
     rhs_norm = math.sqrt(_dot(rhs_i, rhs_i))
     rtol = max(_CG_RTOL, atol / rhs_norm) if rhs_norm else _CG_RTOL

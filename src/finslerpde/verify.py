@@ -1,22 +1,29 @@
 """Estimate checkers: weighted integrals, critical set, Hopf and comparison.
 
 All reductions are one-point (barycenter) quadratures over the mesh,
-with gradients and recovered Hessians both taken per triangle.
+with gradients and recovered Hessians both taken per triangle.  A weight
+with a negative power of k + |grad u| is infinite on a triangle where
+k = 0 and the gradient vanishes, as on the corner triangles of a
+rectangle; such a quadrature keeps its value and logs a warning with the
+number of triangles whose integrand is not finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 from typing import Optional
 
 import numpy as np
 
 from .errors import FitError
 from . import fields  # recover_hessian is looked up per call, so wrappers see it
-from .fields import boundary_normal_derivative, recover_gradient
+from .fields import boundary_normal_derivative, gradient_norms, recover_gradient
 from .mesh import build_domain
 from .radial import RadialProblem, check_target, evaluate, hopf_margin, shoot
 from .solver import solve
+
+logger = logging.getLogger(__name__)
 
 # Slopes this close to the minimum tie for the contact.  Mirror vertices
 # differ by the solve's stopping error (up to 1.7e-8 relative), while the
@@ -83,34 +90,43 @@ def check_study(material, source, levels, beta, t, q_grid, hopf):
         check_target(RadialProblem(material, source, radius=radius, mode="barrier"), m)
 
 
+def _quadrature(name, mesh, integrand):
+    """Sum of |T| times the integrand over the triangles.  Triangles whose
+    integrand is not finite are counted in a logged warning and summed as
+    they are."""
+    bad = np.count_nonzero(~np.isfinite(integrand))
+    if bad:
+        logger.warning("%s: the integrand is not finite on %d of %d triangles",
+                       name, bad, mesh.n_triangles)
+    return float((mesh.areas * integrand).sum())
+
+
 def weighted_hessian_integral(u, material, beta=0.0, hess=None):
     """Quadrature of (k+|grad u|)^(p-2-beta) |D2 u|^2.
 
     ``hess`` is ``fields.recover_hessian(u)`` when the caller already has it.
     """
     _check_beta(beta)
-    grads = recover_gradient(u)
-    gnorm = np.sqrt(grads[:, 0] * grads[:, 0] + grads[:, 1] * grads[:, 1])
+    gnorm = gradient_norms(recover_gradient(u))
     if hess is None:
         hess = fields.recover_hessian(u)
     hnorm2 = np.einsum("tij,tij->t", hess, hess)
-    weight = (material.k + gnorm) ** (material.p - 2.0 - beta)
-    return float((u.mesh.areas * (weight * hnorm2)).sum())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weight = (material.k + gnorm) ** (material.p - 2.0 - beta)
+        return _quadrature("weighted Hessian integral", u.mesh, weight * hnorm2)
 
 
 def weight_integral(u, material, t=0.5):
     """Quadrature of 1 / (k+|grad u|)^t."""
     _check_t(material, t)
-    grads = recover_gradient(u)
-    gnorm = np.sqrt(grads[:, 0] * grads[:, 0] + grads[:, 1] * grads[:, 1])
-    density = (material.k + gnorm) ** (-t)
-    return float((u.mesh.areas * density).sum())
+    gnorm = gradient_norms(recover_gradient(u))
+    with np.errstate(divide="ignore", over="ignore"):
+        return _quadrature("weight integral", u.mesh, (material.k + gnorm) ** (-t))
 
 
 def critical_set_fraction(u, eps_grad):
     """Area fraction of triangles where |grad u| < eps_grad."""
-    grads = recover_gradient(u)
-    gnorm = np.sqrt(grads[:, 0] * grads[:, 0] + grads[:, 1] * grads[:, 1])
+    gnorm = gradient_norms(recover_gradient(u))
     return float(u.mesh.areas[gnorm < eps_grad].sum() / u.mesh.areas.sum())
 
 

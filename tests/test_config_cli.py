@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -554,6 +555,20 @@ class TestCli:
         assert 3 <= hopf["marches"] <= 12
         lo, hi = hopf["bracket"]
         assert lo < hi
+
+    def test_rectangle_study_logs_infinite_weights(self, tmp_path, caplog):
+        # two corner triangles per level have all three vertices on the
+        # boundary: their gradient is 0, so (k + |grad u|)^-t is infinite there
+        body = dict(BASE, domain={"kind": "rectangle"}, material={"p": 3.0}, h=0.1,
+                    verify={"levels": 2, "hopf": None})
+        with caplog.at_level(logging.WARNING, logger="finslerpde.verify"):
+            rc, out = self.run(tmp_path, "regularity", body)
+        assert rc == 0
+        logged = [r.args[:2] for r in caplog.records if r.name == "finslerpde.verify"]
+        assert logged == [("weight integral", 2)] * 2
+        with open(os.path.join(out, "study.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["weight_integral"]) for row in rows] == [np.inf] * 2
 
     def test_regularity_without_hopf_check(self, tmp_path):
         body = dict(BASE, h=0.2, verify={"levels": 2, "hopf": None})

@@ -10,7 +10,7 @@ from finslerpde import (AdmissibilityError, FinslerNorm, MaterialProfile, Numeri
                         SourceTerm, check_flux_bound, check_flux_monotonicity,
                         check_osserman, check_structural_bounds, flux,
                         linearized_tensor, sample_vectors)
-from finslerpde import radial
+from finslerpde import material, radial
 from finslerpde.finsler import _Draws
 from finslerpde.material import _RADIUS_RANGE, G_ZERO_NEAR_0, OSSERMAN_CHECKED, UNCHECKED
 
@@ -166,10 +166,11 @@ class TestStructuralBounds:
         assert check_flux_bound(MaterialProfile(p=2.0), euclid,
                                 n_samples=2000) == pytest.approx(1.0)
 
-    def test_monotonicity_pinned_pair(self, euclid):
-        x = np.array([[1.0, 0.0]])
-        y = np.array([[-1.0, 0.0]])
-        c = check_flux_monotonicity(MaterialProfile(p=4.0), euclid, pairs=(x, y))
+    def test_monotonicity_pinned_pair(self, euclid, monkeypatch):
+        # the check draws x with the seed and y with the seed + 1
+        pair = {0: np.array([[1.0, 0.0]]), 1: np.array([[-1.0, 0.0]])}
+        monkeypatch.setattr(material, "sample_vectors", lambda dim, count, seed: pair[seed])
+        c = check_flux_monotonicity(MaterialProfile(p=4.0), euclid)
         assert c == pytest.approx(0.25)
 
     def test_positive_constants_across_grid(self, euclid, ellipsoidal, lp4):

@@ -156,6 +156,22 @@ class TestFailureModes:
                   bc=np.ones(3))
 
 
+def _rotated(matrix, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ matrix @ rot.T
+
+
+# constant tensors of the quadratic start, one with off-diagonal entries
+LIFT_NORMS = [FinslerNorm.euclidean(2), FinslerNorm.ellipsoidal(np.diag([4.0, 1.0])),
+              FinslerNorm.ellipsoidal(_rotated(np.diag([4.0, 1.0]), 0.5))]
+LIFT_NORM_IDS = ["euclid", "diag41", "rotated41"]
+
+
+def linear_data(x):
+    return 0.1 + 0.05 * x[:, 0] - 0.02 * x[:, 1]
+
+
 class TestInitialSolve:
     def test_initial_cg_failure_is_reported(self, euclid, unit_source, monkeypatch,
                                             caplog):
@@ -189,6 +205,26 @@ class TestInitialSolve:
         assert report.converged and report.iterations == 0
         assert report.init_cg_iterations <= 20
         assert 1e-12 < report.final_residual < SolveOptions().tol_solve
+
+    @pytest.mark.parametrize("norm", LIFT_NORMS, ids=LIFT_NORM_IDS)
+    @pytest.mark.parametrize("kind", ["disk", "rectangle"])
+    def test_boundary_lift_reproduces_linear_data(self, kind, norm):
+        # with f = 0 and a constant tensor, P1 reproduces linear boundary data
+        mesh = build_domain(DomainSpec(kind=kind), 0.1)
+        exact = linear_data(mesh.vertices)
+        values = np.zeros(mesh.n_vertices)
+        values[mesh.boundary_vertices] = exact[mesh.boundary_vertices]
+        problem = level(mesh, MaterialProfile(p=2.0), norm, const_source(0.0))
+        init, info, _ = solver._quadratic_start(problem, values, 0.0)
+        assert info == 0
+        interior = exact[mesh.interior_mask]
+        assert np.abs(init - interior).max() <= 1e-12 * np.abs(interior).max()
+
+    def test_rotated_quadratic_case_needs_no_newton_steps(self, unit_source):
+        mesh = build_domain(DomainSpec(kind="disk"), 0.1)
+        _, report = solve(mesh, MaterialProfile(p=2.0), LIFT_NORMS[2], unit_source,
+                          bc=linear_data)
+        assert report.converged and report.iterations == 0
 
 
 class TestMultigrid:
@@ -738,7 +774,9 @@ class TestKernels:
         # one add.at per (a, b) entry adds into each slot in the order of one
         # bincount over the flattened (3, 3, T) element matrices
         m = solver._area_tensors(problem.mesh, _spd_tensors(problem.mesh))
-        mats = solver._element_matrices(problem.mesh, m)
+        mats = np.empty((3, 3, problem.mesh.n_triangles))
+        for a, b, entry in solver._element_entries(problem.mesh.basis_grads, m):
+            mats[a, b] = entry
         rows, cols, _ = problem.mesh.lattice
         size = 9 * rows * cols
         ref = np.bincount(problem._slot.astype(np.intp), weights=mats.ravel(),

@@ -23,8 +23,7 @@ from .material import (MaterialProfile, SourceTerm, admissibility_report,
                        check_structural_bounds, flux, linearized_tensor,
                        sample_vectors)
 from .mesh import DomainSpec, Mesh2D, build_domain
-from .radial import (RadialProblem, evaluate, hopf_margin, integrate, lift, ode_residual,
-                     shoot)
+from .radial import RadialProblem, evaluate, hopf_margin, integrate, lift, shoot
 from .solver import SolveOptions, solve
 from .verify import (critical_set_fraction, hopf_check, refinement_study, sobolev_scan,
                      weight_integral, weighted_hessian_integral)
@@ -39,7 +38,7 @@ __all__ = [
     "check_flux_monotonicity", "check_osserman", "check_structural_bounds",
     "critical_set_fraction", "ellipticity_constant", "ellipticity_verdict", "evaluate", "flux",
     "hopf_check", "hopf_margin", "integrate", "lift", "linearized_tensor", "nodal_gradient",
-    "ode_residual", "recover_gradient", "recover_hessian", "refinement_study",
+    "recover_gradient", "recover_hessian", "refinement_study",
     "sample_vectors", "shoot", "sobolev_scan", "solve",
     "verify_duality_identities", "weight_integral", "weighted_hessian_integral",
     "wulff_boundary",

@@ -51,7 +51,7 @@ def _cmd_solve(run, out, manifest):
         _emit(out, manifest, "field.csv", write_field_csv, field)
     if report is not None:
         manifest["seconds"]["solve"] = dict(report.seconds)
-        _emit(out, manifest, "solve_report.json", write_json, report.to_dict())
+        _emit(out, manifest, "solve_report.json", write_json, report)
     if failure is not None:
         raise failure
 
@@ -77,10 +77,9 @@ def _cmd_regularity(run, out, manifest):
     result = refinement_study(run.domain, run.material, run.norm, run.source,
                               h_coarsest=run.h, options=run.options, **run.study)
     _emit(out, manifest, "study.csv", write_study_csv, result.rows)
-    _emit(out, manifest, "regularity_report.json", write_json,
-          result.regularity.to_dict())
+    _emit(out, manifest, "regularity_report.json", write_json, result.regularity)
     if result.hopf is not None:
-        _emit(out, manifest, "hopf_report.json", write_json, result.hopf.to_dict())
+        _emit(out, manifest, "hopf_report.json", write_json, result.hopf)
     _emit(out, manifest, "field.csv", write_field_csv, result.fields[-1])
 
 

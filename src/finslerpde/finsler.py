@@ -198,8 +198,9 @@ class FinslerNorm:
 
         For lp, with a = |xi_i| and S = sum a^q = H^q, one power a^(q-1)
         gives u = sign(xi) a^(q-1), grad H = u H / S and, divided by a, the
-        a^(q-2) of D2H = (q-1) (diag(a^(q-2)) H / S - u u^T H / S^2).  The
-        work runs column by column: numpy is slow along an axis of length n.
+        a^(q-2) of D2H = (q-1) (diag(a^(q-2)) H / S - grad H grad H^T / H), not
+        u u^T H / S^2, whose S^2 underflows at large q.  The work runs column
+        by column: numpy is slow along an axis of length n.
         """
         x, single = _as_batch(xi, self.dim)
         at_origin = x[:, 0] == 0.0
@@ -220,9 +221,9 @@ class FinslerNorm:
             if order == 2:
                 a_q2 = np.divide(a_q1, a, where=a > 0.0, out=np.full_like(
                     a, np.inf if q < 2.0 else float(q == 2.0)))
-                c_uu = (1.0 - q) * scale / s
+                c_gg = (1.0 - q) / h
                 c_diag = (q - 1.0) * scale
-                hmat = _symmetric(len(h), n, lambda i, j: c_uu * u[:, i] * u[:, j] + (
+                hmat = _symmetric(len(h), n, lambda i, j: c_gg * g[:, i] * g[:, j] + (
                     c_diag * a_q2[:, i] if i == j else 0.0))
         else:
             ax = x if self.kind == "euclidean" else x @ self._a

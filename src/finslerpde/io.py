@@ -7,6 +7,7 @@ JSON is strict: a float that is not finite is written as null.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -68,9 +69,12 @@ def _finite_or_null(value):
 
 
 def write_json(path, payload):
-    """Strict JSON, indented with sorted keys: NaN and +-inf are written as
-    null, which strict readers accept, where json.dump would write its
-    non-standard NaN and Infinity tokens."""
+    """Strict JSON of a payload or a dataclass (through dataclasses.asdict),
+    indented with sorted keys: NaN and +-inf are written as null, which
+    strict readers accept, where json.dump would write its non-standard NaN
+    and Infinity tokens."""
+    if dataclasses.is_dataclass(payload):
+        payload = dataclasses.asdict(payload)
     with open(path, "w") as fh:
         json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -287,7 +287,7 @@ def linearized_tensor(material, h, xi):
 
 def _finite(name, value, tag):
     """A sampled constant, which must be finite: a profile or norm that
-    overflows on the samples (p = 1e6, or lp from q of about 40) makes it
+    overflows on the samples (p = 1e6, or lp from q of about 75) makes it
     NaN or infinite, and that is inadmissible, whatever its sign."""
     if not np.isfinite(value):
         raise AdmissibilityError(violation(tag, f"sampled {name} is {value}, not a finite number"))

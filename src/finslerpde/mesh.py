@@ -111,10 +111,9 @@ class Mesh2D:
         self.h = _longest_edge(self.vertices, tris) if h is None else h
         # sorted, as np.unique would give them, without importing numpy.ma
         self.boundary_vertices = np.flatnonzero(np.bincount(b_edges.ravel(), minlength=n))
-        self._interior_mask = np.ones(n, dtype=bool)
-        self._interior_mask[self.boundary_vertices] = False
+        self.interior_mask = np.ones(n, dtype=bool)
+        self.interior_mask[self.boundary_vertices] = False
         self.boundary_normals = self._vertex_normals(b_edges, b_opposite)
-        self._incidence = None
         n_interior = n - len(self.boundary_vertices)
         if lattice is not None and lattice.rows * lattice.cols != n_interior:
             raise ValueError(f"a {lattice.rows} x {lattice.cols} lattice does not hold "
@@ -144,27 +143,12 @@ class Mesh2D:
     def n_triangles(self):
         return self.triangles.shape[0]
 
-    @property
-    def interior_mask(self):
-        return self._interior_mask
-
-    def incidence(self):
-        """Vertex-triangle incidence in compressed rows: (indptr, indices).
-
-        The triangles touching vertex v are indices[indptr[v]:indptr[v + 1]],
-        in ascending order.
-        """
-        if self._incidence is None:
-            flat = self.triangles.ravel()
-            order = np.argsort(flat, kind="stable")
-            counts = np.bincount(flat, minlength=self.n_vertices)
-            self._incidence = (np.concatenate([[0], np.cumsum(counts)]), order // 3)
-        return self._incidence
-
     def vertex_patches(self):
-        """List of triangle-index arrays, one per vertex (1-ring)."""
-        indptr, indices = self.incidence()
-        return np.split(indices, indptr[1:-1])
+        """List of ascending triangle-index arrays, one per vertex (1-ring)."""
+        flat = self.triangles.ravel()
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=self.n_vertices)
+        return np.split(order // 3, np.cumsum(counts)[:-1])
 
     def inner_normal(self, vertex):
         """Unit inner normal at a boundary vertex, or (k, 2) for an array of them."""

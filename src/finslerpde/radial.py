@@ -515,32 +515,18 @@ def lift(h, center, profile, mesh):
     return ScalarField(mesh, evaluate(profile, rho))
 
 
-def hopf_margin(profile, h=None):
+def hopf_margin(profile, h):
     """Lower bound for the lifted field's inner-normal boundary slope.
 
     The lifted barrier v = w(R - H_dual(x - center)) has boundary slope
     w'(0) |grad H_dual|, so the floor is shoot_slope times the minimum
-    of |grad H_dual| over boundary directions (1 for the Euclidean
-    norm, h=None).  Must be positive.
+    of |grad H_dual| over 4096 boundary directions.  Must be positive.
     """
     if profile.mode != "barrier":
         raise ValueError("hopf_margin needs a barrier mode profile")
-    factor = 1.0
-    if h is not None:
-        theta = (np.arange(4096) + 0.5) * (2.0 * np.pi / 4096.0)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        factor = float(np.linalg.norm(h.dual.grad(dirs), axis=1).min())
-    margin = profile.shoot_slope * factor
+    theta = (np.arange(4096) + 0.5) * (2.0 * np.pi / 4096.0)
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    margin = profile.shoot_slope * float(np.linalg.norm(h.dual.grad(dirs), axis=1).min())
     if margin <= 0.0:
         raise NumericError(f"Hopf margin must be positive, got {margin:.3e}")
     return margin
-
-
-def ode_residual(profile, problem):
-    """Max discrepancy of d/drho [Phi(w')q] against the stored rhs."""
-    qv = problem.q(profile.grid)
-    mat, src = problem.material, problem.source
-    psi = mat.b_prime(np.abs(profile.w_prime)) * np.sign(profile.w_prime) * qv
-    dpsi = np.gradient(psi, profile.grid, edge_order=2)
-    vals = {"f": src.f_vals, "g": src.g_vals}[problem.part]
-    return float(np.max(np.abs(dpsi - problem.sign * vals(profile.w) * qv)))

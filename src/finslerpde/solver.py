@@ -196,9 +196,6 @@ class SolveReport:
                              # cg_iterations, direction, alpha, backtracks
     seconds: dict            # wall time per stage of the solve, keys _STAGES
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 class _Primitive:
     """F(s) = int_0^s f, tabulated on a growing grid.

@@ -41,9 +41,6 @@ class RegularityReport:
     critical_fraction: float     # at the finest level
     sobolev: list                # (q, integral of |D2 u|^q) at the finest level
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass
 class HopfReport:
@@ -54,9 +51,6 @@ class HopfReport:
     center: tuple
     marches: int              # distinct slopes the barrier shot marched, the root's included
     bracket: tuple            # boundary-slope interval the shot searched
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 def _check_beta(beta):

@@ -450,6 +450,32 @@ class TestCli:
         if override[0].startswith("norm"):
             assert strict_json(os.path.join(out, "solve_report.json"))["final_residual"] is None
 
+    # Newton's other guards: with the sampled-constant check off, p = 1e6
+    # and f = 4 make B overflow at the start, whose slopes reach 2; a tangent
+    # turned negative fails the V-cycle at its nonpositive diagonal, and the
+    # descent direction -r / diag then climbs, so no direction is tried
+    @pytest.mark.parametrize("override, negate, why", [
+        (["material.p=1e6", "source.f.value=4"], False, "the initial energy is not finite"),
+        (["material.p=3", "h=0.2"], True, "line search failed after 0 accepted steps"),
+    ], ids=["energy", "climbing"])
+    def test_newton_guards_are_numeric_failures(self, tmp_path, capsys, monkeypatch,
+                                                override, negate, why):
+        monkeypatch.setattr(material, "_finite", lambda name, value, tag: value)
+        if negate:
+            tensor = solver.linearized_tensor
+            monkeypatch.setattr(solver, "linearized_tensor", lambda *args: -tensor(*args))
+        extra = [arg for pair in override for arg in ("--set", pair)]
+        with np.errstate(all="ignore"):
+            rc, out = self.run(tmp_path, "solve", BASE, extra=extra)
+        assert rc == 2
+        manifest = self.read_manifest(out)
+        assert manifest["status"] == "numeric-failure"
+        assert manifest["failure"].startswith(why)
+        assert why in capsys.readouterr().err
+        assert manifest["artifacts"] == ["field.csv", "solve_report.json"]
+        report = strict_json(os.path.join(out, "solve_report.json"))
+        assert report["steps"] == [] and not report["converged"]
+
     @pytest.mark.parametrize("override", [["material.p=1e6"], ["norm.kind=lp", "norm.q=1e6"]],
                              ids=["p", "q"])
     def test_non_finite_sampled_constants_exit_one(self, tmp_path, override):

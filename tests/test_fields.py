@@ -30,7 +30,10 @@ def loop_recover_hessian(field):
 
 
 def incidence_csr(mesh):
-    indptr, indices = mesh.incidence()
+    """Vertex-triangle incidence: row v holds a 1 for each triangle at v."""
+    flat = mesh.triangles.ravel()
+    indices = np.argsort(flat, kind="stable") // 3
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=mesh.n_vertices))])
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
                          shape=(mesh.n_vertices, mesh.n_triangles))
 

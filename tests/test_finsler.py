@@ -72,6 +72,21 @@ class TestGradHess:
         hess = h.hess(pts)
         assert np.allclose(np.einsum("ijk,ik->ij", hess, pts), 0.0, atol=1e-12)
 
+    def test_lp_hessian_equals_the_power_form(self):
+        # the rank-one term (1 - q) grad H grad H^T / H is the old
+        # (1 - q) u u^T H / S^2, u = sign(xi) |xi|^(q-1), S = H^q; an entry is
+        # a difference of two terms, so the error is relative to their size
+        q = 4.0
+        pts = nonzero_points(64, seed=5)
+        h, _, hess = FinslerNorm.lp(q, 2).jet(pts)
+        a = np.abs(pts)
+        s = (a ** q).sum(axis=1)
+        u = np.sign(pts) * a ** (q - 1.0)
+        diag = np.einsum("ij,jk,i->ijk", a ** (q - 2.0), np.eye(2), (q - 1.0) * h / s)
+        rank_one = np.einsum("ij,ik,i->ijk", u, u, (q - 1.0) * h / s ** 2)
+        bound = 1e-13 * (np.abs(diag) + np.abs(rank_one))
+        assert np.all(np.abs(hess - (diag - rank_one)) <= bound)
+
     def test_grad_raises_at_origin(self):
         h = FinslerNorm.euclidean(2)
         with pytest.raises(ValueError):

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerpde import (AdmissibilityError, FinslerNorm, MaterialProfile, NumericError,
-                        SourceTerm, check_flux_bound, check_flux_monotonicity,
+                        SourceTerm, admissibility_report, check_flux_bound,
+                        check_flux_monotonicity,
                         check_osserman, check_structural_bounds, flux,
                         linearized_tensor, sample_vectors)
 from finslerpde import material, radial
 from finslerpde.finsler import _Draws
-from finslerpde.material import _RADIUS_RANGE, G_ZERO_NEAR_0, OSSERMAN_CHECKED, UNCHECKED
+from finslerpde.material import (_RADIUS_RANGE, ADMISSIBILITY_SAMPLES, G_ZERO_NEAR_0,
+                                 OSSERMAN_CHECKED, UNCHECKED)
 
 
 def const_f(value=1.0):
@@ -138,6 +140,23 @@ class TestProfileValues:
             m.ell_inverse(np.array([1.0, 1e100]))
 
 
+class Reflected:
+    """A norm whose derivatives change sign: its linearized tensor is not
+    positive across the ray, and its flux decreases."""
+
+    dim = 2
+
+    def __init__(self, norm):
+        self._norm = norm
+
+    def eval(self, xi):
+        return self._norm.eval(xi)
+
+    def jet(self, xi, order=2):
+        h, *derivatives = self._norm.jet(xi, order)
+        return (h, *(-d for d in derivatives))
+
+
 class TestStructuralBounds:
     def test_quadratic_euclidean_tensor_is_identity(self, euclid):
         c1, c2 = check_structural_bounds(MaterialProfile(p=2.0), euclid, n_samples=2000)
@@ -172,6 +191,24 @@ class TestStructuralBounds:
         monkeypatch.setattr(material, "sample_vectors", lambda dim, count, seed: pair[seed])
         c = check_flux_monotonicity(MaterialProfile(p=4.0), euclid)
         assert c == pytest.approx(0.25)
+
+    def test_nonpositive_tensor_names_its_witness(self, euclid):
+        with pytest.raises(AdmissibilityError, match=r"hypothesis \(vi\).*linearized tensor "
+                           r"not positive along v = \[.*\] at xi = \[.*\] \(ratio -"):
+            check_structural_bounds(MaterialProfile(p=2.0), Reflected(euclid), n_samples=500)
+
+    def test_decreasing_flux_names_its_witness(self, euclid):
+        with pytest.raises(AdmissibilityError, match=r"hypothesis \(ii\).*flux not monotone "
+                           r"between x = \[.*\] and y = \[.*\] \(ratio -"):
+            check_flux_monotonicity(MaterialProfile(p=2.0), Reflected(euclid), n_pairs=500)
+
+    # D2H's rank-one term once overflowed on small samples from q = 38 on
+    @pytest.mark.parametrize("q", [40.0, 70.0])
+    def test_large_lp_exponents_are_admissible(self, q):
+        report = admissibility_report(MaterialProfile(p=2.0), FinslerNorm.lp(q, 2),
+                                      SourceTerm(f=const_f()), n_samples=ADMISSIBILITY_SAMPLES)
+        assert math.isfinite(report["C1_est"]) and report["C1_est"] > 0.0
+        assert math.isfinite(report["C2_est"])
 
     def test_positive_constants_across_grid(self, euclid, ellipsoidal, lp4):
         for h in (euclid, ellipsoidal, lp4):

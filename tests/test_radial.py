@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,8 +6,7 @@ import numpy as np
 import pytest
 
 from finslerpde import (DomainSpec, MaterialProfile, NumericError, RadialProblem,
-                        SourceTerm, build_domain, evaluate, hopf_margin, lift,
-                        ode_residual, shoot)
+                        SourceTerm, build_domain, evaluate, hopf_margin, lift, shoot)
 from finslerpde import radial
 from finslerpde.radial import _brent, integrate
 from conftest import const_source
@@ -15,6 +15,16 @@ from conftest import const_source
 def central_value(prof):
     """w at the end of the profile away from the geometric boundary."""
     return float(prof.w[0] if prof.mode == "ball" else prof.w[-1])
+
+
+def ode_residual(profile, problem):
+    """Max discrepancy of d/drho [Phi(w')q] against the stored rhs."""
+    qv = problem.q(profile.grid)
+    mat, src = problem.material, problem.source
+    psi = mat.b_prime(np.abs(profile.w_prime)) * np.sign(profile.w_prime) * qv
+    dpsi = np.gradient(psi, profile.grid, edge_order=2)
+    vals = {"f": src.f_vals, "g": src.g_vals}[problem.part]
+    return float(np.max(np.abs(dpsi - problem.sign * vals(profile.w) * qv)))
 
 
 def shoot_counted(prob, target_m):
@@ -450,22 +460,28 @@ class TestLift:
 
 
 class TestHopf:
-    def test_isotropic_margin(self, barrier_p2):
+    def test_isotropic_margin(self, euclid, barrier_p2):
         _, prof = barrier_p2
-        assert hopf_margin(prof) == pytest.approx(prof.shoot_slope, rel=1e-9)
+        assert hopf_margin(prof, euclid) == pytest.approx(prof.shoot_slope, rel=1e-9)
 
-    def test_anisotropic_margin(self, ellipsoidal, barrier_p2):
+    def test_anisotropic_margin(self, euclid, ellipsoidal, barrier_p2):
         _, prof = barrier_p2
-        iso = hopf_margin(prof)
+        iso = hopf_margin(prof, euclid)
         aniso = hopf_margin(prof, h=ellipsoidal)
         # slowest dual-ball direction of diag(4, 1) has min |grad H_dual| = 1/2;
         # the margin samples 4096 offset angles, hence the loose tolerance
         assert aniso == pytest.approx(0.5 * iso, rel=2e-5)
 
-    def test_requires_barrier_mode(self, ball_p2):
+    def test_nonpositive_margin_raises(self, euclid, barrier_p2):
+        _, prof = barrier_p2
+        flat = dataclasses.replace(prof, shoot_slope=0.0)
+        with pytest.raises(NumericError, match="Hopf margin must be positive, got 0.000e"):
+            hopf_margin(flat, euclid)
+
+    def test_requires_barrier_mode(self, euclid, ball_p2):
         _, prof = ball_p2
         with pytest.raises(ValueError, match="barrier"):
-            hopf_margin(prof)
+            hopf_margin(prof, euclid)
 
 
 class TestShootRoot:
@@ -600,6 +616,13 @@ class TestShootFailure:
         monkeypatch.setattr(radial, "_march", lambda prob, s, n: (None, None))
         with pytest.raises(NumericError, match="w\\(end\\) > .* down to slope"):
             shoot(barrier(), target_m=0.1)
+
+    def test_miss_beyond_tol_raises(self):
+        # the shot misses 0.1 by less than 1e-15, but not by 0
+        prof = shoot(barrier(), target_m=0.1)
+        assert 0.0 < abs(prof.w[-1] - 0.1) < 1e-15
+        with pytest.raises(NumericError, match=r"missed the target by .* \(tol 1\.0e-30\)"):
+            shoot(barrier(), target_m=0.1, tol=1e-30)
 
     def test_problem_validation(self, euclid, unit_source):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import time
 import tracemalloc
@@ -15,6 +16,10 @@ from finslerpde import (AdmissibilityError, DomainSpec, FinslerNorm, MaterialPro
                         NonconvergenceError, SolveOptions, SourceTerm, build_domain, solve)
 from finslerpde.mesh import Lattice
 from conftest import const_source
+
+
+LP4 = FinslerNorm.lp(4.0, 2)
+ELLIPSOIDAL = FinslerNorm.ellipsoidal(np.diag([4.0, 1.0]))
 
 
 def center_value(field):
@@ -122,6 +127,23 @@ class TestFailureModes:
         assert err.value.report is not None
         assert not err.value.report.converged
 
+    def test_overflowing_trial_iterate_stops_the_step(self, euclid, unit_source, monkeypatch):
+        # a finite iterate near the largest float and a finite Newton step
+        # of the same size: the trial overflows before any energy is taken
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
+        problem = level(mesh, MaterialProfile(p=3.0), euclid, unit_source)
+        big = 0.75 * np.finfo(float).max
+        values = np.full(mesh.n_vertices, big)
+        r = -np.ones(int(mesh.interior_mask.sum()))
+        monkeypatch.setattr(solver, "_linear_solve",
+                            lambda k_mat, rhs, rtol, watch: (np.full_like(rhs, big), 0, 1))
+        energies = []
+        monkeypatch.setattr(problem, "energy", energies.append)
+        with np.errstate(all="ignore"):  # the tangent at this iterate is not finite
+            assert solver._newton_step(problem, values, 0.0, r, 0.5) == (
+                None, "a trial iterate is not finite")
+        assert energies == []
+
     def test_mesh_without_grid_numbering_rejected(self, euclid, unit_source):
         # the same disk with its vertices numbered at random
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
@@ -227,6 +249,37 @@ class TestInitialSolve:
         assert report.converged and report.iterations == 0
 
 
+def laplacian_stencil(rows, cols):
+    """The 5-point Laplacian on a rows x cols lattice, as a stencil."""
+    data = np.zeros((3, 3, rows, cols))
+    data[1, 1] = 4.0
+    data[0, 1, 1:], data[2, 1, :-1] = -1.0, -1.0
+    data[1, 0, :, 1:], data[1, 2, :, :-1] = -1.0, -1.0
+    return solver._Stencil(data, False)
+
+
+def chain_stencil(n):
+    """L L^T on a 1 x n lattice, L lower bidiagonal with 1 on its diagonal
+    and 1e7 below it: positive definite and factored exactly, but the
+    inverse factor's entries grow as 1e7^k and overflow from n = 46."""
+    data = np.zeros((3, 3, 1, n))
+    data[1, 1, 0] = 1e14 + 1.0
+    data[1, 1, 0, 0] = 1.0
+    data[1, 0, 0, 1:], data[1, 2, 0, :-1] = 1e7, 1e7
+    return solver._Stencil(data, False)
+
+
+def negative_diagonal():
+    stencil = laplacian_stencil(13, 13)  # 169 unknowns: one level above the coarsest
+    stencil.data[1, 1, 6, 6] = -1.0
+    return stencil
+
+
+# stencils whose V-cycle set-up fails, and the reason it gives
+BAD_STENCILS = [(negative_diagonal, "a multigrid level has a nonpositive diagonal"),
+                (lambda: chain_stencil(46), "the coarsest Cholesky factor is not finite")]
+
+
 class TestMultigrid:
     def test_initial_solve_is_mesh_independent(self, euclid, unit_source):
         # Jacobi-CG took 81, 160 and 320 iterations here
@@ -255,6 +308,27 @@ class TestMultigrid:
         messages = [r.getMessage() for r in caplog.records]
         assert any("multigrid set-up failed" in m for m in messages)
         assert any("initial Laplacian solve failed" in m for m in messages)
+
+    @pytest.mark.parametrize("stencil, why", BAD_STENCILS, ids=["diagonal", "factor"])
+    def test_vcycle_rejection_falls_back_to_descent(self, euclid, unit_source, monkeypatch,
+                                                    stencil, why):
+        # without their defects the same stencils set up: two levels, and
+        # a chain one point shorter
+        assert len(solver._VCycle(laplacian_stencil(13, 13))._levels) == 2
+        solver._VCycle(chain_stencil(45))
+        with pytest.raises(np.linalg.LinAlgError, match=why):
+            solver._VCycle(stencil())
+        # every solve's V-cycle set-up meets the bad stencil
+        vcycle = solver._VCycle
+        monkeypatch.setattr(solver, "_VCycle", lambda k_mat: vcycle(stencil()))
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        with pytest.raises(NonconvergenceError, match="no convergence in 1 iterations") as err:
+            solve(mesh, MaterialProfile(p=3.0), euclid, unit_source,
+                  options=SolveOptions(max_iter=1))
+        report = err.value.report
+        assert report.init_cg_info == solver._FACTOR_FAILED
+        assert [(step["direction"], step["cg_info"]) for step in report.steps] == [
+            ("descent", solver._FACTOR_FAILED)]
 
     def test_mesh_with_a_wrong_lattice_rejected(self, euclid, unit_source):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
@@ -931,3 +1005,86 @@ class TestMirrorSymmetry:
             perm = _mirror_permutation(mesh, mirror)
             deviation = np.abs(field.values[perm] - field.values).max()
             assert deviation <= self.BOUND * np.abs(field.values).max()
+
+
+# Domains of the exact relations below: (domain of size lam, norm, h at lam = 1)
+RELATION_DOMAINS = {
+    "disk": (lambda lam: DomainSpec(kind="disk", radius=lam), FinslerNorm.euclidean(2), 0.05),
+    "lp4_ball": (lambda lam: DomainSpec(kind="wulff_ball", radius=lam, norm=LP4), LP4, 0.05),
+    "ellipsoidal": (lambda lam: DomainSpec(kind="wulff_ball", radius=lam, norm=ELLIPSOIDAL),
+                    ELLIPSOIDAL, 0.1),
+    "rectangle": (lambda lam: DomainSpec(kind="rectangle", a=lam, b=lam),
+                  FinslerNorm.euclidean(2), 0.05),
+    "lp4_annulus": (lambda lam: DomainSpec(kind="annulus_wulff", radius=lam, norm=LP4), LP4,
+                    0.05),
+}
+
+
+def _relation_solve(name, p, lam=1.0, f=1.0):
+    """(mesh, nodal values) of B(t) = t^p / p with constant f on the
+    domain scaled by lam, meshed at lam h."""
+    spec, norm, h = RELATION_DOMAINS[name]
+    mesh = build_domain(spec(lam), lam * h)
+    field, report = solve(mesh, MaterialProfile(p=p), norm, const_source(f))
+    assert report.converged
+    return mesh, field.values
+
+
+@pytest.fixture(scope="class")
+def relation_solve():
+    """_relation_solve, each case solved once while the class runs."""
+    return functools.lru_cache(maxsize=None)(_relation_solve)
+
+
+def relative_deviation(values, ref):
+    return np.abs(values - ref).max() / np.abs(ref).max()
+
+
+class TestExactRelations:
+    """Exact invariances of the discrete problem with k = 0, constant f and
+    zero boundary data, off the radial grid.  Write a = p / (p - 1).
+
+    - Scaling: lam Omega meshed at lam h is the same template with its
+      vertices times lam, and its minimiser is u_lam(lam x) = lam^a u(x).
+    - Amplitude: f -> c f gives u -> c^(1 / (p - 1)) u.
+    - Mirrors that map the mesh onto itself leave u unchanged.
+
+    The deviations come from Newton's stopping test, not from rounding.
+    Largest measured, relative to max |u| (tol_solve = 1e-8): scaling
+    4.79e-7 (lp q=4 annulus, p = 3, lam = 0.5; 7.0e-8 on the rectangle),
+    amplitude 3.29e-8 (annulus, p = 3, c = 8), mirrors 1.23e-8 (annulus,
+    p = 2, swap; 4.4e-15 or less on the rectangle and the ellipsoidal
+    ball).  Vertices of the scaled meshes agree to 1.8e-15 lam.
+    """
+
+    SCALING_BOUND = 100 * SolveOptions().tol_solve
+    AMPLITUDE_BOUND = 10 * SolveOptions().tol_solve
+    MIRROR_BOUND = 3 * SolveOptions().tol_solve
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(RELATION_DOMAINS))
+    def test_scaled_domain_scales_the_solution(self, relation_solve, name, p, lam):
+        mesh, u = relation_solve(name, p)
+        scaled, u_lam = relation_solve(name, p, lam)
+        assert np.array_equal(scaled.triangles, mesh.triangles)
+        assert np.abs(scaled.vertices - lam * mesh.vertices).max() <= 1e-14 * lam
+        ref = lam ** (p / (p - 1.0)) * u
+        assert relative_deviation(u_lam, ref) <= self.SCALING_BOUND
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(RELATION_DOMAINS))
+    def test_amplified_source_scales_the_solution(self, relation_solve, name, p):
+        _, u = relation_solve(name, p)
+        _, u_8 = relation_solve(name, p, f=8.0)
+        assert relative_deviation(u_8, 8.0 ** (1.0 / (p - 1.0)) * u) <= self.AMPLITUDE_BOUND
+
+    # the mirrors that map these meshes onto themselves: the rectangle's
+    # x -> -x and the ellipsoidal ball's swap do not
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("name, mirror", [("rectangle", "swap"), ("ellipsoidal", "flip"),
+                                              ("lp4_annulus", "swap"), ("lp4_annulus", "flip")])
+    def test_solution_is_mirror_invariant(self, relation_solve, name, mirror, p):
+        mesh, u = relation_solve(name, p)
+        perm = _mirror_permutation(mesh, MIRRORS[mirror])
+        assert relative_deviation(u[perm], u) <= self.MIRROR_BOUND

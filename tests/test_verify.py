@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from finslerpde import (DomainSpec, MaterialProfile, ScalarField, build_domain,
-                        critical_set_fraction, hopf_check, refinement_study,
+from finslerpde import (DomainSpec, MaterialProfile, ScalarField, boundary_normal_derivative,
+                        build_domain, critical_set_fraction, hopf_check, refinement_study,
                         sobolev_scan, solve, weight_integral, weighted_hessian_integral)
+from finslerpde.io import write_json
 from conftest import const_source
 
 
@@ -154,6 +156,23 @@ class TestHopf:
         # this much relative; its boundary data stay exact
         self.assert_contact_is_stable(euclid, 2.5e-10, boundary=False)
 
+    def test_without_zero_data_every_boundary_vertex_counts(self, euclid):
+        # lifted by 1, the torsion field has no zero boundary data, so the
+        # slopes of all boundary vertices count, as all count unlifted
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
+        vals = 0.25 * (1.0 - (mesh.vertices ** 2).sum(axis=1))
+        vals[mesh.boundary_vertices] = 0.0
+        args = (euclid, MaterialProfile(p=2.0), const_source())
+        base = hopf_check(ScalarField(mesh, vals), *args, radius=0.5, m=0.1)
+        lifted = hopf_check(ScalarField(mesh, vals + 1.0), *args, radius=0.5, m=0.1)
+        slopes = boundary_normal_derivative(ScalarField(mesh, vals + 1.0),
+                                            mesh.boundary_vertices)
+        assert lifted.min_normal_derivative == slopes.min()
+        assert lifted.min_normal_derivative == pytest.approx(base.min_normal_derivative,
+                                                             rel=1e-12)
+        assert lifted.contact_vertex == base.contact_vertex
+        assert lifted.comparison_violation == pytest.approx(base.comparison_violation + 1.0)
+
     def test_ball_must_fit(self, euclid, torsion_study):
         u = torsion_study.fields[0]
         with pytest.raises(ValueError, match="fits"):
@@ -171,12 +190,15 @@ class TestStudy:
                         "critical_fraction"):
                 assert key in row
 
-    def test_report_serializes(self, torsion_study):
-        d = torsion_study.regularity.to_dict()
+    def test_report_serializes(self, torsion_study, tmp_path):
+        def written(report):
+            write_json(tmp_path / "report.json", report)
+            return json.loads((tmp_path / "report.json").read_text())
+        d = written(torsion_study.regularity)
         assert d["t"] == 0.5
         assert "gamma" not in d and "per_refinement" not in d
         assert "hessian_integral_finest" in d and "hessian_integral_sup" not in d
-        hd = torsion_study.hopf.to_dict()
+        hd = written(torsion_study.hopf)
         assert "min_normal_derivative" in hd
 
     def test_finest_values_are_positive(self, torsion_study):

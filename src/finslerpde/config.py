@@ -6,7 +6,8 @@ matrix or the Hopf pair; none where the library judges the value).  It
 drives the rejection of unknown keys by name at load time and the typed
 read of a section, which goes to the library call as its keywords: a
 domain or material key that ``DEFAULTS`` lacks takes the library's
-default.  The norm and the source specs are read by their kind.  The
+default.  The norm and the source specs are read by their kind, which
+also sets the parameters each may hold.  The
 tokens NaN, Infinity and -Infinity, which strict JSON lacks, are rejected
 where the file or a ``--set`` value is parsed.
 ``build_run`` then constructs every object the command uses (material,
@@ -102,7 +103,6 @@ _SOURCES = {
     "linear": ({"scale": 1.0, "offset": 0.0}, lambda s, scale, offset: scale * s + offset),
 }
 _SOURCE_KINDS = tuple(_SOURCES)  # a tuple: a config's kind may be unhashable
-_SOURCE_KEYS = {"kind"}.union(*(params for params, _ in _SOURCES.values()))
 
 # Every section's allowed keys, each with the reader that types its value.
 # None leaves the value to the library, which judges it (kinds, modes,
@@ -220,10 +220,13 @@ def _validate(cfg):
     for name, table in _KEYS.items():
         _reject_unknown(cfg[name], table, name)
     for name, spec in cfg["source"].items():
-        _reject_unknown(spec, _SOURCE_KEYS, f"source.{name}")
-        if spec.get("kind") not in _SOURCE_KINDS:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"source.{name} must be an object, got {spec!r}")
+        kind = spec.get("kind")
+        if kind not in _SOURCE_KINDS:
             raise ConfigError(f"source.{name}.kind must be one of {', '.join(_SOURCE_KINDS)}; "
-                              f"got {spec.get('kind')!r}")
+                              f"got {kind!r}")
+        _reject_unknown(spec, ("kind", *_SOURCES[kind][0]), f"source.{name} of kind {kind}")
     if cfg["verify"]["hopf"] is not None:
         _reject_unknown(cfg["verify"]["hopf"], _HOPF_KEYS, "verify.hopf")
     for key in ("h", "tol_solve"):
@@ -246,12 +249,15 @@ def build_norm(cfg):
     spec = cfg["norm"]
     kind = spec["kind"]
     if kind == "euclidean":
+        _reject_unknown(spec, ("kind",), "norm of kind euclidean")
         return FinslerNorm.euclidean(2)
     if kind == "ellipsoidal":
+        _reject_unknown(spec, ("kind", "a"), "norm of kind ellipsoidal")
         if "a" not in spec:
             raise ConfigError("norm.a (SPD matrix) is required for ellipsoidal norms")
         return FinslerNorm.ellipsoidal(_matrix(spec["a"], "norm.a"))
     if kind == "lp":
+        _reject_unknown(spec, ("kind", "q"), "norm of kind lp")
         return FinslerNorm.lp(_number(spec.get("q", 4.0), "norm.q"), 2)
     raise ConfigError(f"norm.kind must be euclidean, ellipsoidal, or lp; got {kind!r}")
 

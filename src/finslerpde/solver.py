@@ -46,13 +46,10 @@ part's residual at the boundary data, the level's own residual kernel run
 with the flux A xi, and its matrix is the level's stiffness assembly of
 the constant tensor A; the start keeps no assembly of its own.  So a
 problem that is quadratic in the interior values (those norms at p = 2
-with a constant source) needs no Newton step.  With a quadratic principal
-part the start is the answer that Newton's test judges, so its CG stops
-once the residual norm is below tol_solve / 2, half the least threshold
-the test accepts (Kelley's guard again), or below the relative 1e-12 when
-that is looser.  Any other p = 2 start is solved to the relative 1e-12.
-If its CG fails, Newton starts from zero interior values, a warning is
-logged and the report keeps the CG status.
+with a constant source) needs no Newton step.  Its CG stops below
+tol_solve / 2, the least threshold Newton's test accepts halved (Kelley's
+guard again), or at the relative 1e-12 when that is looser; if it fails,
+Newton starts from zero, a warning is logged and the report keeps the CG status.
 Otherwise the start is nested iteration (Trottenberg, Oosterlee and
 Schueller, cited below; Deuflhard, "Newton Methods for Nonlinear
 Problems", Springer 2004): the same problem is solved on mesh.coarsen's
@@ -205,6 +202,9 @@ class _Primitive:
     a call past hi regrows it to twice the call's largest argument.  Below
     0, F is continued linearly with slope f(0), the table's first node, so
     it stays the primitive of SourceTerm.f_vals, which is f(max(s, 0)).
+    The top is capped at the largest float, and an argument past it (or
+    NaN) reads the last interval, so an overflowing mean gives a
+    non-finite energy.
     """
 
     _INTERVALS = 8192
@@ -231,7 +231,7 @@ class _Primitive:
         consistent with the analytic gradient used for residuals.
         """
         dx = self._dx
-        i = np.minimum((s / dx).astype(np.intp), self._INTERVALS - 1)
+        i = np.fmin(s / dx, self._INTERVALS - 1).astype(np.intp)
         t = (s - self._grid[i]) / dx
         v0, v1 = self._vals[i], self._vals[i + 1]
         d0, d1 = dx * self._fv[i], dx * self._fv[i + 1]
@@ -244,7 +244,7 @@ class _Primitive:
         """Regrow the table to twice the largest of s if that passes its top."""
         top = s.max() if s.size else 0.0
         if top > self._hi:
-            self._build(2.0 * top)
+            self._build(min(2.0 * top, np.finfo(float).max))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -255,13 +255,16 @@ class _Primitive:
 def _boundary_values(mesh, bc):
     bvs = mesh.boundary_vertices
     if callable(bc):
-        return np.asarray(bc(mesh.vertices[bvs]), dtype=float).reshape(len(bvs))
-    arr = np.asarray(bc, dtype=float)
-    if arr.ndim == 0:
-        return np.full(len(bvs), float(arr))
-    if arr.shape != (len(bvs),):
-        raise ValueError("boundary data must be scalar, callable, or one value "
-                         "per boundary vertex")
+        arr = np.asarray(bc(mesh.vertices[bvs]), dtype=float).reshape(len(bvs))
+    else:
+        arr = np.asarray(bc, dtype=float)
+        if arr.ndim == 0:
+            arr = np.full(len(bvs), float(arr))
+        if arr.shape != (len(bvs),):
+            raise ValueError("boundary data must be scalar, callable, or one value "
+                             "per boundary vertex")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("boundary data must be finite")
     return arr
 
 
@@ -592,8 +595,13 @@ def _forcing_term(residual, previous, last_eta, target):
     # the safeguard keeps the term from falling far below a large last one
     if _EW_GAMMA * last_eta ** 2 > 0.1:
         eta = max(eta, _EW_GAMMA * last_eta ** 2)
-    eta = max(eta, 0.5 * target / residual)
+    eta = max(eta, _kelley_rtol(target, residual))
     return max(_CG_RTOL, min(_ETA_MAX, eta))
+
+
+def _kelley_rtol(target, residual):
+    """CG's relative tolerance to bring a norm ``residual`` below ``target`` / 2."""
+    return 0.5 * target / residual
 
 
 def _near_critical(xi):
@@ -734,20 +742,24 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     Returns (field, report).  Raises AdmissibilityError for inadmissible
     inputs and NonconvergenceError (carrying the last iterate) when the
     iteration fails; the caller can still write partial artifacts from it.
+    Floating-point overflow prints no warning: every energy, residual,
+    direction, iterate and sampled constant is checked for finiteness.
     """
     watch = _Stopwatch()
     opts = options or SolveOptions()
     if norm.dim != 2:
         raise ValueError("the 2D solver needs a planar norm")
 
-    c1_est, _ = check_structural_bounds(
-        material, norm, n_samples=ADMISSIBILITY_SAMPLES, seed=opts.seed)
-    check_source_signs(source)
-    watch.lap("admissibility")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c1_est, _ = check_structural_bounds(
+            material, norm, n_samples=ADMISSIBILITY_SAMPLES, seed=opts.seed)
+        check_source_signs(source)
+        watch.lap("admissibility")
 
-    values = np.zeros(mesh.n_vertices)
-    values[mesh.boundary_vertices] = _boundary_values(mesh, bc)
-    return _newton(_EnergyProblem(mesh, material, norm, source, opts, c1_est, watch), values)
+        values = np.zeros(mesh.n_vertices)
+        values[mesh.boundary_vertices] = _boundary_values(mesh, bc)
+        return _newton(_EnergyProblem(mesh, material, norm, source, opts, c1_est, watch),
+                       values)
 
 
 def _nested_mesh(mesh):
@@ -790,14 +802,14 @@ def _nested_start(problem, coarse, values):
     return grid.ravel()[mesh.interior_mask], record
 
 
-def _quadratic_start(problem, values, atol):
+def _quadratic_start(problem, values):
     """Interior values of the p = 2 solve of the norm's quadratic part,
     H^2 = xi . A xi, with the boundary data of ``values`` (interior entries
     zero), and the CG status and iterations of that solve.  The right-hand
     side is minus that part's energy gradient at ``values``, the residual
     with the flux A xi: the load less the stiffness times the boundary
     data.  CG stops at the relative residual _CG_RTOL, or at the residual
-    norm ``atol`` when that is looser."""
+    norm tol_solve / 2 when that is looser."""
     mesh, norm = problem.mesh, problem.norm
     a = norm.matrix if norm.kind == "ellipsoidal" else np.eye(2)
     rhs_i = -problem.residual(values, lambda xi: xi @ a)[mesh.interior_mask]  # A is symmetric
@@ -805,7 +817,7 @@ def _quadratic_start(problem, values, atol):
                                              mesh.areas))
     problem.watch.lap("init")
     rhs_norm = math.sqrt(_dot(rhs_i, rhs_i))
-    rtol = max(_CG_RTOL, atol / rhs_norm) if rhs_norm else _CG_RTOL
+    rtol = max(_CG_RTOL, _kelley_rtol(problem.opts.tol_solve, rhs_norm)) if rhs_norm else _CG_RTOL
     return _linear_solve(k0, rhs_i, rtol, problem.watch)
 
 
@@ -826,14 +838,11 @@ def _newton(problem, values):
         values[interior], nested = _nested_start(problem, coarse, values)
         del coarse  # not needed at the fine level, where the peak is
     else:
-        # with a quadratic principal part the start is the answer Newton tests,
-        # so CG stops at half the least threshold the test accepts, tol_solve
-        init, init_info, init_iterations = _quadratic_start(
-            problem, values, 0.5 * opts.tol_solve if quadratic else 0.0)
+        init, init_info, init_iterations = _quadratic_start(problem, values)
         if init_info == 0:
             values[interior] = init
         else:
-            logger.warning("initial Laplacian solve failed (CG info %d); "
+            logger.warning("p = 2 start failed (CG info %d); "
                            "Newton starts from zero interior values", init_info)
         del init
 

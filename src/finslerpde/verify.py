@@ -124,7 +124,7 @@ def critical_set_fraction(u, eps_grad):
     return float(u.mesh.areas[gnorm < eps_grad].sum() / u.mesh.areas.sum())
 
 
-def sobolev_scan(u, material, q_grid, hess=None):
+def sobolev_scan(u, q_grid, hess=None):
     """Quadratures of |D2 u|^q for each q; pairs (q, integral).
 
     ``hess`` is ``fields.recover_hessian(u)`` when the caller already has it.
@@ -257,7 +257,7 @@ def refinement_study(dom, material, norm, source, h_coarsest, levels=3,
         hessian_integral_finest=rows[-1]["hessian_integral"],
         weight_integral_finest=rows[-1]["weight_integral"],
         critical_fraction=rows[-1]["critical_fraction"],
-        sobolev=sobolev_scan(finest, material, q_grid, finest_hess),
+        sobolev=sobolev_scan(finest, q_grid, finest_hess),
     )
     hopf_report = None
     if hopf is not None:

@@ -142,8 +142,7 @@ def test_criterion_08_critical_set(torsion_study):
 
 
 def test_criterion_09_sobolev_scan(p4_study):
-    mat = MaterialProfile(p=4.0)
-    scans = [dict(sobolev_scan(f, mat, (1.4, 1.6))) for f in p4_study.fields]
+    scans = [dict(sobolev_scan(f, (1.4, 1.6))) for f in p4_study.fields]
     drift = abs(scans[-1][1.4] - scans[-2][1.4]) / abs(scans[-1][1.4])
     report(9, drift <= 0.10,
            f"q = 1.4 integral {scans[-1][1.4]:.4f} (drift {drift:.2%}); "

@@ -191,6 +191,17 @@ REJECTED_INPUTS = [
      "source.f.exponent must be a number, got 'x'"),
     ("solve", 'source.g={"kind": "constant", "value": "x"}',
      "source.g.value must be a number, got 'x'"),
+    ("solve", 'source.f={"kind": "constant", "value": 2, "exponent": 3}',
+     "unknown key(s) 'exponent' in source.f of kind constant; allowed: kind, value"),
+    ("solve", 'source.g={"kind": "zero", "scale": 1}',
+     "unknown key(s) 'scale' in source.g of kind zero; allowed: kind"),
+    ("solve", "source.f=5", "source.f must be an object, got 5"),
+    ("solve", 'norm={"kind": "euclidean", "q": 3, "a": [[1, 0], [0, 1]]}',
+     "unknown key(s) 'a', 'q' in norm of kind euclidean; allowed: kind"),
+    ("solve", 'norm={"kind": "lp", "q": 3, "a": [[1, 0], [0, 1]]}',
+     "unknown key(s) 'a' in norm of kind lp; allowed: kind, q"),
+    ("solve", 'norm={"kind": "ellipsoidal", "a": [[1, 0], [0, 1]], "q": 3}',
+     "unknown key(s) 'q' in norm of kind ellipsoidal; allowed: a, kind"),
     ("solve", 'norm={"kind": "lp", "q": 1}', "norm: lp norm requires exponent q > 1"),
     ("solve", 'norm={"kind": "ellipsoidal", "a": [[1, 0, 0], [0, 1, 0]]}',
      "norm: matrix must be (2, 2)"),
@@ -350,6 +361,24 @@ class TestCli:
         assert cli._scipy_version() == scipy.__version__
         monkeypatch.setattr(cli.importlib.util, "find_spec", lambda name: None)
         assert cli._scipy_version() is None
+
+    def test_runtime_depends_on_numpy_only(self):
+        # no run imports scipy (above), so only the tests' extra lists it
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(path, "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["dependencies"] == ["numpy>=1.24"]
+        assert "scipy>=1.12" in project["optional-dependencies"]["test"]
+
+    def test_overflowing_source_prints_only_its_error(self, tmp_path, capsys):
+        # warnings are errors here, so a numpy overflow warning fails the run
+        extra = ("--set", "material.p=3", "--set", "source.f.value=1e140")
+        rc, out = self.run(tmp_path, "solve", BASE, extra=extra)
+        assert rc == 2
+        assert self.read_manifest(out)["status"] == "numeric-failure"
+        err = capsys.readouterr().err
+        assert err == "error: the initial energy is not finite (residual inf)\n"
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         rc, _ = self.run(tmp_path, "solve", dict(BASE, mystery=1))

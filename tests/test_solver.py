@@ -177,6 +177,21 @@ class TestFailureModes:
             solve(mesh, MaterialProfile(p=2.0), euclid, unit_source,
                   bc=np.ones(3))
 
+    # the cell means of +-1.7e308 overflow, which the energy reports;
+    # non-finite data are rejected input, in any form
+    @pytest.mark.parametrize("bc, error, why", [
+        (1.7e308, NonconvergenceError, "the initial energy is not finite"),
+        (-1.7e308, NonconvergenceError, "the initial energy is not finite"),
+        (np.inf, ValueError, "boundary data must be finite"),
+        (np.nan, ValueError, "boundary data must be finite"),
+        (lambda pts: pts[:, 0] / 0.0, ValueError, "boundary data must be finite"),
+    ], ids=["huge", "-huge", "inf", "nan", "callable"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_extreme_boundary_data(self, euclid, unit_source, p, bc, error, why):
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
+        with pytest.raises(error, match=why):
+            solve(mesh, MaterialProfile(p=p), euclid, unit_source, bc=bc)
+
 
 def _rotated(matrix, angle):
     c, s = np.cos(angle), np.sin(angle)
@@ -212,8 +227,7 @@ class TestInitialSolve:
         with caplog.at_level(logging.WARNING, logger="finslerpde.solver"):
             field, report = solve(mesh, MaterialProfile(p=2.0), euclid, unit_source)
         assert report.init_cg_info == 7
-        assert any("initial Laplacian solve failed" in r.getMessage()
-                   for r in caplog.records)
+        assert any("p = 2 start failed" in r.getMessage() for r in caplog.records)
         # started from zero, so the quadratic case now needs Newton steps
         assert report.converged and report.iterations >= 1
         assert center_value(field) == pytest.approx(0.25, abs=2e-2)
@@ -228,6 +242,31 @@ class TestInitialSolve:
         assert report.init_cg_iterations <= 20
         assert 1e-12 < report.final_residual < SolveOptions().tol_solve
 
+    def test_every_start_stops_at_the_newton_test(self, lp4, unit_source, monkeypatch):
+        # lp q=4, p = 3: the start is not the answer, yet CG past tol_solve / 2
+        # changes no Newton step: 15 start iterations against 24 to the
+        # relative 1e-12, and the fields agree to rounding
+        mesh = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=lp4), 0.1)
+        args = (mesh, MaterialProfile(p=3.0), lp4, unit_source)
+        field, report = solve(*args)
+        start = solver._quadratic_start
+
+        def exact_start(problem, values):
+            guarded = problem.opts
+            problem.opts = dataclasses.replace(guarded, tol_solve=0.0)
+            try:
+                return start(problem, values)
+            finally:
+                problem.opts = guarded
+
+        monkeypatch.setattr(solver, "_quadratic_start", exact_start)
+        exact_field, exact_report = solve(*args)
+        assert report.start == exact_report.start == "quadratic"
+        assert report.init_cg_iterations < exact_report.init_cg_iterations
+        assert report.converged and report.iterations == exact_report.iterations
+        deviation = np.abs(field.values - exact_field.values).max()
+        assert deviation <= 1e-12 * np.abs(exact_field.values).max()
+
     @pytest.mark.parametrize("norm", LIFT_NORMS, ids=LIFT_NORM_IDS)
     @pytest.mark.parametrize("kind", ["disk", "rectangle"])
     def test_boundary_lift_reproduces_linear_data(self, kind, norm):
@@ -237,7 +276,8 @@ class TestInitialSolve:
         values = np.zeros(mesh.n_vertices)
         values[mesh.boundary_vertices] = exact[mesh.boundary_vertices]
         problem = level(mesh, MaterialProfile(p=2.0), norm, const_source(0.0))
-        init, info, _ = solver._quadratic_start(problem, values, 0.0)
+        problem.opts = SolveOptions(tol_solve=1e-300)  # CG to the relative 1e-12
+        init, info, _ = solver._quadratic_start(problem, values)
         assert info == 0
         interior = exact[mesh.interior_mask]
         assert np.abs(init - interior).max() <= 1e-12 * np.abs(interior).max()
@@ -307,7 +347,7 @@ class TestMultigrid:
         assert np.all(np.isfinite(err.value.last_iterate.values))
         messages = [r.getMessage() for r in caplog.records]
         assert any("multigrid set-up failed" in m for m in messages)
-        assert any("initial Laplacian solve failed" in m for m in messages)
+        assert any("p = 2 start failed" in m for m in messages)
 
     @pytest.mark.parametrize("stencil, why", BAD_STENCILS, ids=["diagonal", "factor"])
     def test_vcycle_rejection_falls_back_to_descent(self, euclid, unit_source, monkeypatch,

@@ -83,20 +83,20 @@ class TestSobolev:
     def test_affine_field_integrates_to_zero(self):
         mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.2)
         u = ScalarField(mesh, mesh.vertices[:, 0] + 2.0)
-        out = dict(sobolev_scan(u, MaterialProfile(p=2.0), (1.4, 1.6)))
+        out = dict(sobolev_scan(u, (1.4, 1.6)))
         assert set(out) == {1.4, 1.6}
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in out.values())
 
     def test_torsion_second_derivative_mass(self, fine_torsion):
         # |D2u|_F = 1/sqrt 2 so the q-th power integrates to pi 2^{-q/2}
-        out = dict(sobolev_scan(fine_torsion, MaterialProfile(p=2.0), (2.0,)))
+        out = dict(sobolev_scan(fine_torsion, (2.0,)))
         assert out[2.0] == pytest.approx(math.pi / 2.0, rel=0.03)
 
     def test_exponent_range(self, fine_torsion):
         with pytest.raises(ValueError):
-            sobolev_scan(fine_torsion, MaterialProfile(p=2.0), (1.0,))
+            sobolev_scan(fine_torsion, (1.0,))
         with pytest.raises(ValueError):
-            sobolev_scan(fine_torsion, MaterialProfile(p=2.0), (4.5,))
+            sobolev_scan(fine_torsion, (4.5,))
 
 
 class TestHopf:

@@ -141,13 +141,14 @@ def _section(where):
 def _merge(base, override, path=()):
     """base updated by override, recursively where both hold an object; a
     value of another type replaces the base's, and _validate judges it.  A
-    source spec whose kind differs from the base's replaces the base's spec
-    whole, so it keeps no parameter of the kind it replaces."""
+    source spec or norm whose kind differs from the base's replaces the
+    base's whole, so it keeps no parameter of the kind it replaces."""
     merged = dict(base)
     for key, value in override.items():
         old = merged.get(key)
         if isinstance(value, dict) and isinstance(old, dict):
-            new_kind = path == ("source",) and value.get("kind", old.get("kind")) != old.get("kind")
+            spec = path == ("source",) or path + (key,) == ("norm",)
+            new_kind = spec and value.get("kind", old.get("kind")) != old.get("kind")
             merged[key] = value if new_kind else _merge(old, value, path + (key,))
         else:
             merged[key] = value

@@ -346,7 +346,8 @@ def wulff_boundary(h, center=(0.0, 0.0), radius=1.0, n_samples=512, norm_side="H
     """Trace {N(x - center) = radius} at n_samples angles (dim 2).
 
     N is the dual norm for the default side, the primal norm otherwise.
-    N is 1-homogeneous, so the point along direction d is radius d / N(d).
+    N is 1-homogeneous, so the point along direction d is radius d / N(d),
+    and the residual is taken on the unit ball, where no radius overflows N.
     """
     check_wulff_args(h, radius, n_samples, norm_side)
     n = h.dual if norm_side == "H_dual" else h
@@ -355,7 +356,7 @@ def wulff_boundary(h, center=(0.0, 0.0), radius=1.0, n_samples=512, norm_side="H
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     t = radius / n.eval(dirs)
     pts = center[None, :] + t[:, None] * dirs
-    resid = np.abs(n.eval(pts - center[None, :]) - radius).max()
+    resid = radius * np.abs(n.eval((pts - center[None, :]) / radius) - 1.0).max()
     if resid > TOL_SHAPE * max(1.0, radius):
         raise NumericError(f"boundary residual {resid:.3e} above tolerance")
     return WulffShape(center=center, radius=float(radius), norm_side=norm_side,

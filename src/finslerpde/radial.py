@@ -39,6 +39,10 @@ Phi is inverted in closed form for power-law profiles and otherwise by
 material.invert_increasing: a geometric bracket, then Newton's method on
 B'(t) = |y| with B''(t) = (k + t)^(p-3) ((p - 1) t + k), safeguarded by
 geometric bisection (the scalar loop runs the same iteration on floats).
+A value B' does not reach below t = 2^199 inverts to +-inf, as an
+overflow of the closed form does.  A march has diverged (a failed
+shooting trial) once w, Psi or a slope is not finite or |w| reaches
+_W_CAP; the array march and the loop apply this one rule.
 The profile does not invert Phi again: its w' at a node is the slope
 Phi^{-1}(Psi/q) the march took there (the first RK4 stage of the step
 leaving the node), and only the last node takes one more inversion.
@@ -134,16 +138,12 @@ class BarrierProfile:
     bracket: Optional[tuple] = None
 
 
-def _unreachable(ay):
-    return NumericError(f"Phi inversion failed: B'(t) never reaches {ay:.3e}")
-
-
 def _phi_inverse_scalar(material):
     """Scalar t = Phi^{-1}(y): solve B'(t) = |y|, signed.
 
     The w-dependent RK4 loop inverts one value at a time: this runs the
     geometric bracket and safeguarded Newton iteration of _phi_inverse on
-    Python floats, and raises where _phi_inverse gives NaN.
+    Python floats, with the same +-inf past the bracket.
     """
     p, k = material.p, material.k
     if k == 0.0:
@@ -165,7 +165,7 @@ def _phi_inverse_scalar(material):
                 break
             hi *= 2.0
         else:
-            raise _unreachable(ay)
+            return math.copysign(math.inf, y)
         lo = hi
         while (k + lo) ** (p - 2.0) * lo >= ay and lo > 1e-320:
             lo *= 0.5
@@ -194,9 +194,8 @@ def _phi_inverse(material, y):
     """Array t = Phi^{-1}(y) for a 1-d array y, signed.
 
     Closed form |y|^(1/(p-1)) for power-law profiles, where an overflow
-    gives inf; otherwise invert_increasing on B' with B'', where NaN marks
-    a |y| that B' does not reach below t = 2^199 (the scalar inverse
-    raises there).
+    gives +-inf; otherwise invert_increasing on B' with B'', which gives
+    +-inf for a |y| that B' does not reach below t = 2^199.
     """
     if material.k == 0.0:
         return np.copysign(np.abs(y) ** (1.0 / (material.p - 1.0)), y)
@@ -206,52 +205,56 @@ def _phi_inverse(material, y):
 def _march(problem, start, n_steps):
     """RK4 in (w, Psi).
 
-    Returns (w_nodes, w_prime_nodes), or (None, None) if the trajectory
-    leaves the finite range (a diverged shooting trial).  w' = Phi^{-1}(Psi/q)
-    at a node is the k1 slope of the step leaving it; only the last node
-    takes one more inversion of B'.  The source the march reads, the
-    problem's part with its sign, is classified by SourceTerm.constant: a
-    constant one is marched as arrays (_march_constant), a w-dependent one
-    by a scalar loop that evaluates it through SourceTerm.scalar, so at
-    max(w, 0).
+    Returns (w_nodes, w_prime_nodes), or (None, None) if the march
+    diverged: w, Psi or a slope is not finite, or |w| reaches _W_CAP.
+    w' = Phi^{-1}(Psi/q) at a node is the k1 slope of the step leaving it;
+    only the last node takes one more inversion of B', checked here.  The
+    source the march reads, the problem's part with its sign, is
+    classified by SourceTerm.constant: a constant one is marched as arrays
+    (_march_constant), a w-dependent one by a scalar loop that evaluates it
+    through SourceTerm.scalar, so at max(w, 0).  An overflow on the way
+    raises no floating-point warning: the march checks what it makes.
     """
-    sign, const = problem.sign, problem.source.constant(problem.part)
-    read = problem.source.scalar(problem.part) if const is None else (lambda w: const)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign, const = problem.sign, problem.source.constant(problem.part)
+        read = problem.source.scalar(problem.part) if const is None else (lambda w: const)
 
-    def rhs(w):
-        return sign * read(w)
+        def rhs(w):
+            return sign * read(w)
 
-    a, mat = problem.interval[0], problem.material
-    if problem.mode == "barrier":
-        # start is the boundary slope w'(0), and w(0) = 0
-        psi0 = problem.q(a) * float(mat.b_prime(np.asarray(start, dtype=float)))
-        w_start = lambda slope0: 0.0
-    else:
-        # start is the central value w(0), and the series start at rho0 = a
-        # takes w(rho0) from slope0, the integrand at rho0: Phi^{-1} is y^d
-        # with d = 1/(p - 1), or near 0 linear (d = 1) when k > 0
-        psi0 = rhs(float(start)) * a ** problem.n / problem.n
-        d = 1.0 / (mat.p - 1.0) if mat.k == 0.0 else 1.0
-        w_start = lambda slope0: float(start) + a * slope0 / (1.0 + d)
-    if const is None:
-        return _march_loop(problem, n_steps, rhs, psi0, w_start)
-    return _march_constant(problem, n_steps, sign * const, psi0, w_start)
+        a, mat = problem.interval[0], problem.material
+        if problem.mode == "barrier":
+            # start is the boundary slope w'(0), and w(0) = 0
+            psi0 = problem.q(a) * float(mat.b_prime(np.asarray(start, dtype=float)))
+            w_start = lambda slope0: 0.0
+        else:
+            # start is the central value w(0), and the series start at rho0 = a
+            # takes w(rho0) from slope0, the integrand at rho0: Phi^{-1} is y^d
+            # with d = 1/(p - 1), or near 0 linear (d = 1) when k > 0
+            psi0 = rhs(float(start)) * a ** problem.n / problem.n
+            d = 1.0 / (mat.p - 1.0) if mat.k == 0.0 else 1.0
+            w_start = lambda slope0: float(start) + a * slope0 / (1.0 + d)
+        if const is None:
+            ws, dws = _march_loop(problem, n_steps, rhs, psi0, w_start)
+        else:
+            ws, dws = _march_constant(problem, n_steps, sign * const, psi0, w_start)
+        if ws is None or not math.isfinite(dws[-1]):
+            return None, None
+        return ws, dws
 
 
 def _march_loop(problem, n_steps, rhs, psi0, w_start):
-    """_march for a w-dependent source: one RK4 step at a time on floats."""
+    """_march for a w-dependent source: one RK4 step at a time on floats,
+    where an overflow raises OverflowError: that march has diverged too."""
     phi_inv = _phi_inverse_scalar(problem.material)
     q = problem.q
     a, b = problem.interval
     step = (b - a) / n_steps
     try:
         w = w_start(phi_inv(psi0 / q(a)))
-    except OverflowError:
-        return None, None
-    psi, ws, dws = psi0, [w], []
-    for i in range(n_steps):
-        r = a + i * step
-        try:
+        psi, ws, dws = psi0, [w], []
+        for i in range(n_steps):
+            r = a + i * step
             q0, q_mid, q1 = q(r), q(r + 0.5 * step), q(r + step)
             k1w, k1p = phi_inv(psi / q0), rhs(w) * q0
             k2w = phi_inv((psi + 0.5 * step * k1p) / q_mid)
@@ -259,15 +262,12 @@ def _march_loop(problem, n_steps, rhs, psi0, w_start):
             k3w = phi_inv((psi + 0.5 * step * k2p) / q_mid)
             k3p = rhs(w + 0.5 * step * k2w) * q_mid
             k4w, k4p = phi_inv((psi + step * k3p) / q1), rhs(w + step * k3w) * q1
-        except OverflowError:
-            return None, None
-        w += step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
-        psi += step * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        if not (math.isfinite(w) and math.isfinite(psi) and abs(w) < _W_CAP):
-            return None, None
-        ws.append(w)
-        dws.append(k1w)
-    try:
+            w += step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
+            psi += step * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+            if not (math.isfinite(w) and math.isfinite(psi) and abs(w) < _W_CAP):
+                return None, None
+            ws.append(w)
+            dws.append(k1w)
         dws.append(phi_inv(psi / q(b)))
     except OverflowError:
         return None, None
@@ -284,37 +284,26 @@ def _march_constant(problem, n_steps, c, psi0, w_start):
     (a + i*step, + 0.5*step, + step) and the operation order are the
     loop's, so the numbers are its numbers but for an ulp here and there
     from numpy's pow (not libm's) and, for shifted profiles, the array
-    inverter's Newton path.  A march that diverges at step i (an
-    overflow gives inf) returns (None, None), unless a stage of step i is
-    a value B' does not reach: that raises, as in the loop.
+    inverter's Newton path.  A non-finite stage makes w non-finite from
+    its step on, so the march returns (None, None) there, as the loop does.
     """
     a, b = problem.interval
     step = (b - a) / n_steps
     r = a + np.arange(n_steps) * step
     q0, q_mid, q1 = problem.q(r), problem.q(r + 0.5 * step), problem.q(r + step)
     k1p, k2p, k4p = c * q0, c * q_mid, c * q1  # k3p is k2p
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.add.accumulate(np.concatenate(
-            [[psi0], step * (k1p + 2.0 * k2p + 2.0 * k2p + k4p) / 6.0]))
-        node = psi[:-1]
-        # q at b from an array too, so numpy's pow as at the other abscissae
-        y = np.concatenate([node / q0, (node + 0.5 * step * k1p) / q_mid,
-                            (node + 0.5 * step * k2p) / q_mid, (node + step * k2p) / q1,
-                            psi[-1:] / problem.q(np.array([b]))])
-        slopes = _phi_inverse(problem.material, y)
-        k1w, k2w, k3w, k4w = slopes[:-1].reshape(4, n_steps)
-        w = np.add.accumulate(np.concatenate(
-            [[w_start(k1w[0])], step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0]))
-    bad = ~(np.isfinite(w[1:]) & np.isfinite(psi[1:]) & (np.abs(w[1:]) < _W_CAP))
-    if np.any(bad):
-        stages = np.flatnonzero(bad)[0] + n_steps * np.arange(4)
-        unreached = np.isnan(slopes[stages])
-        if np.any(unreached):
-            raise _unreachable(abs(y[stages[unreached][0]]))
-        return None, None
-    if np.isnan(slopes[-1]):
-        raise _unreachable(abs(y[-1]))
-    if not np.isfinite(slopes[-1]):
+    psi = np.add.accumulate(np.concatenate(
+        [[psi0], step * (k1p + 2.0 * k2p + 2.0 * k2p + k4p) / 6.0]))
+    node = psi[:-1]
+    # q at b from an array too, so numpy's pow as at the other abscissae
+    y = np.concatenate([node / q0, (node + 0.5 * step * k1p) / q_mid,
+                        (node + 0.5 * step * k2p) / q_mid, (node + step * k2p) / q1,
+                        psi[-1:] / problem.q(np.array([b]))])
+    slopes = _phi_inverse(problem.material, y)
+    k1w, k2w, k3w, k4w = slopes[:-1].reshape(4, n_steps)
+    w = np.add.accumulate(np.concatenate(
+        [[w_start(k1w[0])], step * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0]))
+    if not np.all(np.isfinite(w[1:]) & np.isfinite(psi[1:]) & (np.abs(w[1:]) < _W_CAP)):
         return None, None
     return w, np.append(k1w, slopes[-1])
 

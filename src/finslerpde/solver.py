@@ -161,6 +161,7 @@ _OMEGA = 2.0 / 3.0             # damped Jacobi weight of the multigrid smoother
 _COARSEST = 150                # multigrid coarsening stops at this many unknowns
 _NESTED_MIN = 1600             # fewest coarse unknowns of a nested start
 _FACTOR_FAILED = -1            # CG status when the multigrid set-up fails
+_RHS_NOT_FINITE = -2           # CG status when the right-hand side's norm is not finite
 _BLOCK = 4096                  # triangles per block of the per-triangle kernels
 # wall-time stages of a solve, as SolveReport.seconds records them
 _STAGES = ("admissibility", "init", "tangent", "preconditioner", "linear_solve",
@@ -552,11 +553,14 @@ def _cg_solve(k_mat, rhs, rtol, precondition):
     Returns (x, info, iterations).  The loop is that of
     scipy.sparse.linalg.cg with atol = 0, its reductions taken by _dot: it
     stops when |r| < rtol |rhs| (info 0) or after 10 n iterations (info
-    10 n), and a zero right-hand side returns at once.
+    10 n), and a zero right-hand side returns at once, as does one whose
+    norm is not finite (info _RHS_NOT_FINITE), which no iteration meets.
     """
     rhs_norm = math.sqrt(_dot(rhs, rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0, 0
+    if not math.isfinite(rhs_norm):
+        return np.zeros_like(rhs), _RHS_NOT_FINITE, 0
     atol = float(rtol) * rhs_norm
     maxiter = 10 * len(rhs)
     x = np.zeros_like(rhs)

@@ -107,6 +107,20 @@ class TestConfig:
                                                            "source.f.scale=2"]))
         assert cfg["source"] == {"f": {"kind": "linear", "scale": 2}, "g": {"kind": "zero"}}
 
+    def test_norm_of_another_kind_replaces_the_file_norm(self, tmp_path):
+        # an lp norm's q does not survive a switch to the euclidean kind
+        path = write_config(tmp_path / "c.json", dict(BASE, norm={"kind": "lp", "q": 4}))
+        cfg = load_config(path, overrides=parse_overrides(["norm.kind=euclidean"]))
+        assert cfg["norm"] == {"kind": "euclidean"}
+        assert build_norm(cfg).kind == "euclidean"
+
+    def test_norm_parameter_override_keeps_the_kind(self, tmp_path):
+        path = write_config(tmp_path / "c.json", dict(BASE, norm={"kind": "lp", "q": 4}))
+        cfg = load_config(path, overrides=parse_overrides(["norm.q=3"]))
+        assert cfg["norm"] == {"kind": "lp", "q": 3}
+        cfg = load_config(path, overrides=parse_overrides(["norm.kind=lp"]))
+        assert cfg["norm"] == {"kind": "lp", "q": 4}
+
     def test_source_parameter_override_keeps_the_kind(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json", {**BASE, "source": {}}),
                           overrides=parse_overrides(["source.f.value=2"]))

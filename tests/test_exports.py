@@ -1,6 +1,8 @@
 """The package's public names: every exported name exists, once, and the
-README's library example runs on them."""
+README's library example runs on them.  Library code reports through
+logging: only the CLI writes to the terminal."""
 
+import ast
 import contextlib
 import io
 import os
@@ -33,3 +35,18 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert float(out.getvalue()) < 1e-3
+
+
+def test_library_code_neither_prints_nor_warns():
+    # every module but cli.py: no print() and no warnings.warn()
+    package = os.path.dirname(os.path.abspath(finslerpde.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "cli.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        found += [f"{name}:{node.lineno} {ast.unparse(node.func)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in ("print", "warn", "warnings.warn")]
+    assert found == []

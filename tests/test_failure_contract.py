@@ -4,7 +4,8 @@ Every run must end in one of the README's exit codes: 0 with a manifest
 ``ok`` whose artifacts exist; 1 with one ``error:`` line on stderr and no
 manifest, or, for a Hopf ball that does not fit (FitError), a manifest
 ``rejected``; 2 with a manifest ``numeric-failure``.  No exception may
-escape ``cli.main``, and every JSON file written is strict JSON.
+escape ``cli.main`` (nor a warning, which tier-1 turns into an error), and
+every JSON file written is strict JSON.
 """
 
 import contextlib
@@ -50,7 +51,7 @@ VALUES = {
                  '{"kind": "constant", "value": 1e300}', '{"kind": "cube"}', *BAD],
     "source.f.value": ["-1", "1e-300", "1e300", *BAD],
     "source.g": ['{"kind": "linear", "scale": 0.2}', '{"kind": "power", "exponent": 2}',
-                 '{"kind": "constant", "value": -1}', *BAD],
+                 '{"kind": "constant", "value": -1}', '{"kind": "linear", "scale": 1e300}', *BAD],
     "radial.mode": ['"ball"', '"cube"', *BAD],
     "radial.radius": ["1e-300", "1e300", "0", "-1", *BAD],
     "radial.m": ["1e-300", "1e300", "0", "-1", *BAD],
@@ -119,6 +120,15 @@ def run(command, document, overrides):
 # inputs that once raised TypeError out of cli.main
 @example("barrier", BASE, [["radial.mode=[]"]])
 @example("solve", BASE, [['norm={"kind": "ellipsoidal", "a": {}}']])
+# an absorption whose primitive passes L(2^199) once raised NumericError
+@example("verify", BASE, [['material.kind="shifted"'], ["material.k=0.5"],
+                          ['source.g={"kind": "linear", "scale": 1e300}']])
+# a w-dependent absorption that overflows once warned from the radial march
+@example("barrier", BASE, [['source.g={"kind": "linear", "scale": 1e300}']])
+# f = 1/s is infinite at 0, and the sign check once warned
+@example("solve", BASE, [['source.f={"kind": "power", "exponent": -1}']])
+# a huge Wulff radius once overflowed the boundary residual
+@example("wulff", BASE, [["wulff.radius=1e300"]])
 def test_exit_contract(command, document, overrides):
     code, err, files, manifest, payloads = run(command, document,
                                                [pair for group in overrides for pair in group])

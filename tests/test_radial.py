@@ -264,21 +264,6 @@ def march_pair(prob, start, n_steps):
     return arrays, loop
 
 
-def integrate_both(prob, start):
-    """integrate() with the array march and with the forced scalar loop:
-    the profile's w(end), or the error message."""
-    outcomes = []
-    for force_loop in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            if force_loop:
-                mp.setattr(SourceTerm, "constant", lambda self, part: None)
-            try:
-                outcomes.append(integrate(prob, start).w[-1])
-            except NumericError as err:
-                outcomes.append(str(err))
-    return outcomes
-
-
 class TestPhiInverse:
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("k", [1e-3, 0.5, 1.0])
@@ -293,41 +278,35 @@ class TestPhiInverse:
         assert inv(0.0) == 0.0
         assert radial._phi_inverse(material, np.array([0.0]))[0] == 0.0
 
-    def test_unreachable_value_raises(self):
-        # B'(t) ~ t^0.2 stays below 1e13 up to t = 2^200
+    def test_past_the_bracket_is_infinite(self):
+        # B'(t) ~ t^0.2 stays below 1e13 up to t = 2^199: the inverse is +-inf
         material = MaterialProfile(p=1.2, k=0.5, kind="shifted")
         inv = radial._phi_inverse_scalar(material)
-        with pytest.raises(NumericError, match="Phi inversion failed"):
-            inv(1e13)
-        # the array inverse marks it NaN; a march needing it raises, as the loop does
-        assert np.array_equal(np.isnan(radial._phi_inverse(material, np.array([1.0, 1e13]))),
-                              [False, True])
-        # g = 1e18: step 0's midpoint stage is Phi^{-1}(6.1e13)
-        prob = RadialProblem(material=material, source=const_source(g=1e18), radius=1.0,
-                             mode="barrier")
-        for outcome in integrate_both(prob, 1.0):
-            assert outcome == "Phi inversion failed: B'(t) never reaches 6.104e+13"
+        assert (inv(1e13), inv(-1e13)) == (math.inf, -math.inf)
+        got = radial._phi_inverse(material, np.array([1.0, 1e13, -1e13]))
+        assert math.isfinite(got[0]) and list(got[1:]) == [math.inf, -math.inf]
 
-    def test_divergence_before_an_unreachable_value(self):
-        # slope 2^198.5: w passes the cap at step 0, where every stage is
-        # reachable, and Psi/q reaches 2 B'(2^198.5), beyond B'(2^199), later;
-        # the loop never gets there, so the array march reports divergence too
-        material = MaterialProfile(p=1.2, k=0.5, kind="shifted")
-        slope = 2.0 ** 198.5
-        assert np.isnan(radial._phi_inverse(material, np.array([2.0 * material.b_prime(slope)])))
-        prob = RadialProblem(material=material, source=const_source(), radius=1.0,
+    @pytest.mark.parametrize("force_loop", [False, True], ids=["array", "loop"])
+    @pytest.mark.parametrize("material, g, slope", [
+        # step 0's midpoint stage |y|^5 overflows
+        (MaterialProfile(p=1.2), 1e70, 1.0),
+        # step 0's midpoint stage is Phi^{-1}(6.1e13), past the bracket
+        (MaterialProfile(p=1.2, k=0.5, kind="shifted"), 1e18, 1.0),
+        # w passes the cap at step 0, where every stage is in the bracket;
+        # Psi/q reaches 2 B'(2^198.5), beyond B'(2^199), later
+        (MaterialProfile(p=1.2, k=0.5, kind="shifted"), 0.0, 2.0 ** 198.5),
+    ], ids=["power-overflow", "shifted-past-bracket", "shifted-slope-2^198.5"])
+    def test_a_march_past_the_inversion_range_diverges(self, material, g, slope, force_loop):
+        prob = RadialProblem(material=material, source=const_source(g=g), radius=1.0,
                              mode="barrier")
-        for outcome in integrate_both(prob, slope):
-            assert outcome.startswith("radial profile diverged")
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if force_loop:
+                mp.setattr(SourceTerm, "constant", lambda self, part: None)
+            with pytest.raises(NumericError, match="radial profile diverged"):
+                integrate(prob, slope)
 
     def test_overflow_is_a_diverged_march(self):
-        # p = 1.2, g = 1e70: step 0's midpoint stage |y|^5 overflows
-        prob = RadialProblem(material=MaterialProfile(p=1.2), source=const_source(g=1e70),
-                             radius=1.0, mode="barrier")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for outcome in integrate_both(prob, 1.0):
-                assert outcome == "radial profile diverged for shooting parameter 1"
         # f = 1e70 (1 + s) in ball mode: the series start Phi^{-1}(f rho0 / 2)
         # already overflows in the loop
         prob = RadialProblem(material=MaterialProfile(p=1.2), radius=1.0, mode="ball",

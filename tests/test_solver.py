@@ -192,6 +192,15 @@ class TestFailureModes:
         with pytest.raises(error, match=why):
             solve(mesh, MaterialProfile(p=p), euclid, unit_source, bc=bc)
 
+    def test_overflowing_start_norm_skips_cg(self, euclid, unit_source):
+        # every entry of the p = 2 start's right-hand side is finite, but its
+        # norm overflows: CG returns at once instead of at its iteration limit
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
+        with pytest.raises(NonconvergenceError, match="the initial energy is not finite") as err:
+            solve(mesh, MaterialProfile(p=3.0), euclid, unit_source, bc=1e200)
+        assert err.value.report.init_cg_iterations == 0
+        assert err.value.report.init_cg_info == solver._RHS_NOT_FINITE != 0
+
 
 def _rotated(matrix, angle):
     c, s = np.cos(angle), np.sin(angle)

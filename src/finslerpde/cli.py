@@ -69,7 +69,7 @@ def _cmd_wulff(run, out, manifest):
 def _cmd_verify(run, out, manifest):
     payload = dict(manifest["admissibility"])
     payload["duality_residual"] = verify_duality_identities(
-        run.norm, samples=_Draws(run.options.seed).normal((100, run.norm.dim)))
+        run.norm, samples=_Draws(manifest["seed"]).normal((100, run.norm.dim)))
     _emit(out, manifest, "admissibility.json", write_json, payload)
 
 

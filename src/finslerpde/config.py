@@ -331,6 +331,5 @@ def build_run(cfg, command):
         used["study"] = _read(cfg, "verify")
         with _section("verify"):
             check_study(material, source, **used["study"])
-    options = SolveOptions(tol_solve=float(cfg["tol_solve"]), max_iter=cfg["max_iter"],
-                           seed=cfg["seed"])
+    options = SolveOptions(tol_solve=float(cfg["tol_solve"]), max_iter=cfg["max_iter"])
     return Run(material=material, norm=norm, source=source, options=options, **used)

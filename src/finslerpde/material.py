@@ -39,7 +39,7 @@ OSSERMAN_CHECKED = "osserman_checked"
 UNCHECKED = "unchecked"
 
 _RADIUS_RANGE = (1e-4, 1e2)   # log-uniform sampling radii for the checks
-ADMISSIBILITY_SAMPLES = 2048  # sample count of the checks the CLI and solve run
+ADMISSIBILITY_SAMPLES = 2048  # sample count of the CLI's admissibility checks
 _OSSERMAN_LEVELS = 20         # dyadic halvings in the divergence probe
 _SERIES_TAU = 0.1             # shifted B: binomial series below t / k = this
 _SERIES_TERMS = 400           # cap on the terms of that series

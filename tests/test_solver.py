@@ -14,6 +14,8 @@ from finslerpde import solver
 
 from finslerpde import (AdmissibilityError, DomainSpec, FinslerNorm, MaterialProfile, Mesh2D,
                         NonconvergenceError, SolveOptions, SourceTerm, build_domain, solve)
+from finslerpde.fields import element_gradients
+from finslerpde.material import linearized_tensor
 from finslerpde.mesh import Lattice
 from conftest import const_source
 
@@ -27,9 +29,9 @@ def center_value(field):
     return float(field.values[i])
 
 
-def level(mesh, material, norm, source, c1_est=1.0):
+def level(mesh, material, norm, source):
     """One level of a solve on the mesh: default options, a fresh stopwatch."""
-    return solver._EnergyProblem(mesh, material, norm, source, SolveOptions(), c1_est,
+    return solver._EnergyProblem(mesh, material, norm, source, SolveOptions(),
                                  solver._Stopwatch())
 
 
@@ -957,7 +959,7 @@ GROWING_SOURCE = SourceTerm(f=lambda s: 1.0 + np.asarray(s, dtype=float) ** 3)
 def _kernel_outputs(mesh, material, norm, values):
     """Energy, residual, tangent stencil data and the report's critical
     count of one fresh level (its primitive table not yet grown)."""
-    problem = level(mesh, material, norm, GROWING_SOURCE, c1_est=0.5)
+    problem = level(mesh, material, norm, GROWING_SOURCE)
     return (problem.energy(values), problem.residual(values),
             problem.tangent(values).data, problem.critical_count(values))
 
@@ -994,6 +996,53 @@ class TestBlocks:
             runs.append((field.values, record))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
+
+
+LP15 = FinslerNorm.lp(1.5, 2)
+
+
+class TestNearCritical:
+    """A near-critical triangle (|grad u| < _EPS_GRAD) takes the tensor
+    (k + _EPS_GRAD)^(p - 2) I, hypothesis (iii)'s scale there, so solve
+    needs no sampled constant."""
+
+    @pytest.mark.parametrize("material", [MaterialProfile(p=3.0),
+                                          MaterialProfile(p=1.5, k=0.5, kind="shifted")],
+                             ids=["power_p3", "shifted_p1.5"])
+    @pytest.mark.parametrize("case", BLOCK_MESHES, ids=BLOCK_IDS)
+    def test_critical_rows_take_the_structural_tensor(self, case, material, lp4):
+        mesh = build_domain(*case)
+        # TestBlocks' ramp: its plateau at 3 holds flat triangles at interior vertices
+        values = np.minimum(4.0 * np.arange(mesh.n_vertices) / mesh.n_vertices, 3.0)
+        xi = element_gradients(mesh, values)
+        small = np.hypot(xi[:, 0], xi[:, 1]) < 1e-10
+        assert np.any(mesh.interior_mask[mesh.triangles[small]])
+        xi[small, 0] += 1e-10
+        tensors = linearized_tensor(material, lp4, xi)
+        tensors[small] = (material.k + 1e-10) ** (material.p - 2.0) * np.eye(2)
+        problem = level(mesh, material, lp4, GROWING_SOURCE)
+        expected = problem.stiffness(solver._area_tensors(mesh, tensors))
+        assert np.array_equal(problem.tangent(values).data, expected.data)
+
+    def test_solve_draws_no_samples(self, euclid, unit_source, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve sampled the structural constants")
+
+        monkeypatch.setattr(solver, "check_structural_bounds", refuse)
+        monkeypatch.setattr("finslerpde.material.check_structural_bounds", refuse)
+        mesh = build_domain(DomainSpec(kind="disk", radius=1.0), 0.3)
+        _, report = solve(mesh, MaterialProfile(p=3.0), euclid, unit_source)
+        assert report.converged and report.iterations > 0
+
+    # lp with q < 2 has an infinite D2H where a gradient component is 0,
+    # which symmetric meshes off the ball meet at interior vertices
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("spec", [DomainSpec(kind="rectangle"),
+                                      DomainSpec(kind="annulus_wulff", radius=1.0, norm=LP15)],
+                             ids=["square", "annulus"])
+    def test_lp_below_two_converges_with_axial_gradients(self, spec, p, unit_source):
+        _, report = solve(build_domain(spec, 0.1), MaterialProfile(p=p), LP15, unit_source)
+        assert report.converged
 
 
 class TestWorkingSet:
@@ -1137,3 +1186,23 @@ class TestExactRelations:
         mesh, u = relation_solve(name, p)
         perm = _mirror_permutation(mesh, MIRRORS[mirror])
         assert relative_deviation(u[perm], u) <= self.MIRROR_BOUND
+
+    # diag(4, 1) with x <-> y is diag(1, 4); the swapped ball's mesh is the
+    # same, numbered differently (measured at h = 0.1: 1.2e-14 at p = 2,
+    # 2.4e-16 at p = 3)
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_swapped_ellipsoidal_norm_swaps_the_solution(self, relation_solve, p):
+        mesh, u = relation_solve("ellipsoidal", p)
+        norm = FinslerNorm.ellipsoidal(np.diag([1.0, 4.0]))
+        other = build_domain(DomainSpec(kind="wulff_ball", radius=1.0, norm=norm),
+                             RELATION_DOMAINS["ellipsoidal"][2])
+        field, report = solve(other, MaterialProfile(p=p), norm, const_source(1.0))
+        assert report.converged
+        swapped = mesh.vertices[:, ::-1]
+        mine, theirs = (np.lexsort(np.round(v, 12).T[::-1]) for v in (swapped, other.vertices))
+        assert np.array_equal(swapped[mine], other.vertices[theirs])
+        perm = np.empty(mesh.n_vertices, dtype=int)
+        perm[mine] = theirs
+        tris = [np.sort(t, axis=1) for t in (perm[mesh.triangles], other.triangles)]
+        assert np.array_equal(*(t[np.lexsort(t.T[::-1])] for t in tris))
+        assert relative_deviation(field.values[theirs], u[mine]) <= self.MIRROR_BOUND
